@@ -4,7 +4,8 @@ Convention used throughout the package: the forward transform is
 ``X_k = sum_j x_j * w**(j*k)`` with ``w = exp(-2i*pi/N)`` and no scale
 factor; the inverse carries the conjugate kernel and the ``1/N`` factor.
 
-Besides the radix-2 FFT pair this module provides the quadratic-time
+Besides the FFT pair, which wraps numpy.fft and enforces the
+power-of-two length contract, this module provides the quadratic-time
 reference transform used as an independent test oracle, the folding
 (periodization) operator and its spectral counterpart (stride
 subsampling), and a spectrum accessor that counts how many distinct
@@ -22,13 +23,6 @@ from .errors import InvalidLength, InvalidLevel, InvalidOffset, InvalidSupportLe
 #: Largest supported log2 length; keeps all index arithmetic in int64.
 MAX_LOG2_LEN = 30
 
-#: Block size of the fused base-case DFT inside the radix-2 driver.
-_BASE_LEN = 64
-
-_twiddle_tables: dict[int, np.ndarray] = {}
-_bitrev_tables: dict[int, np.ndarray] = {}
-_base_matrices: dict[int, np.ndarray] = {}
-
 
 def log2_length(n: int) -> int:
     """Return J for a valid length N = 2**J, raising InvalidLength otherwise."""
@@ -40,41 +34,6 @@ def log2_length(n: int) -> int:
     if j > MAX_LOG2_LEN:
         raise InvalidLength(f"length 2**{j} exceeds the supported maximum 2**{MAX_LOG2_LEN}")
     return j
-
-
-def _twiddles(n: int) -> np.ndarray:
-    """Half table of unit roots: w**k = exp(-2i*pi*k/n) for k in [0, n/2)."""
-    table = _twiddle_tables.get(n)
-    if table is None:
-        table = np.exp((-2j * np.pi / n) * np.arange(n // 2))
-        _twiddle_tables[n] = table
-    return table
-
-
-def _bit_reversal(j: int) -> np.ndarray:
-    """Bit-reversal permutation of {0, ..., 2**j - 1}."""
-    idx = _bitrev_tables.get(j)
-    if idx is None:
-        idx = np.zeros(1, dtype=np.intp)
-        for _ in range(j):
-            idx = np.concatenate([2 * idx, 2 * idx + 1])
-        _bitrev_tables[j] = idx
-    return idx
-
-
-def _base_matrix(b: int) -> np.ndarray:
-    """Length-b DFT matrix with bit-reversed column order.
-
-    Applying it to contiguous blocks of a bit-reversed array performs the
-    first log2(b) butterfly stages in one matrix product.
-    """
-    mat = _base_matrices.get(b)
-    if mat is None:
-        k = np.arange(b)
-        mat = np.exp((-2j * np.pi / b) * (np.outer(k, k) % b))
-        mat = np.ascontiguousarray(mat[:, _bit_reversal(b.bit_length() - 1)])
-        _base_matrices[b] = mat
-    return mat
 
 
 def naive_dft(x) -> np.ndarray:
@@ -96,7 +55,7 @@ def naive_dft(x) -> np.ndarray:
 
 
 def fft_forward(x) -> np.ndarray:
-    """Radix-2 decimation-in-time FFT (iterative, cached twiddle tables).
+    """Forward FFT via numpy.fft, restricted to the package's lengths.
 
     Parameters
     ----------
@@ -109,31 +68,15 @@ def fft_forward(x) -> np.ndarray:
         The unscaled forward transform under the exp(-2i*pi/N) kernel.
     """
     x = np.asarray(x, dtype=np.complex128)
-    n = len(x)
-    j = log2_length(n)
-    a = x[_bit_reversal(j)]
-    b = min(n, _BASE_LEN)
-    if b > 1:
-        a = (a.reshape(-1, b) @ _base_matrix(b).T).ravel()
-    table = _twiddles(n)
-    size = 2 * b
-    while size <= n:
-        half = size // 2
-        w = table[: half * (n // size) : n // size]
-        blocks = a.reshape(-1, size)
-        top = blocks[:, :half]
-        bot = blocks[:, half:]
-        t = bot * w
-        bot[:] = top - t
-        top[:] += t
-        size *= 2
-    return a
+    log2_length(len(x))
+    return np.fft.fft(x)
 
 
 def fft_inverse(s) -> np.ndarray:
     """Inverse FFT: conjugate kernel with the 1/N factor."""
     s = np.asarray(s, dtype=np.complex128)
-    return np.conj(fft_forward(np.conj(s))) / len(s)
+    log2_length(len(s))
+    return np.fft.ifft(s)
 
 
 def periodize(x, j: int) -> np.ndarray:

@@ -179,7 +179,7 @@ def test_6_sublinear_runtime_at_full_scale():
     x, supp = gen_sparse_signal(n, m, 424242)
     spectrum = fft_forward(x)
 
-    # warm-up: builds twiddle tables for both paths
+    # warm-up: first calls of both paths, untimed
     reconstruct_exact(CountingSpectrumAccessor(spectrum), m)
     fft_inverse(spectrum)
 

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -73,6 +75,20 @@ class TestFft:
     def test_rejects_bad_lengths(self, n):
         with pytest.raises(InvalidLength):
             fft_forward(np.zeros(n, dtype=np.complex128))
+
+    @pytest.mark.parametrize("n", [0, 3, 6, 12, 100])
+    def test_inverse_rejects_bad_lengths(self, n):
+        with pytest.raises(InvalidLength):
+            fft_inverse(np.zeros(n, dtype=np.complex128))
+
+    def test_concurrent_calls_match_serial(self):
+        # run_experiment calls the FFT pair from several worker threads at once
+        inputs = [random_complex(1 << j, 300 + j) for j in (6, 9, 12, 15)] * 2
+        serial = [fft_forward(x) for x in inputs]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(fft_forward, inputs))
+        for got, want in zip(threaded, serial):
+            assert np.array_equal(got, want)
 
     def test_rejects_oversized(self):
         with pytest.raises(InvalidLength):

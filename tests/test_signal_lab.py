@@ -160,6 +160,15 @@ class TestErrorMetrics:
         with pytest.raises(ValidationError):
             error_l2_over_n(np.zeros(4), np.zeros(8))
 
+    @pytest.mark.parametrize("j", range(0, 17))
+    def test_matches_linalg_norm(self, j):
+        rng = np.random.default_rng(700 + j)
+        n = 1 << j
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        want = np.linalg.norm(x - y) / n
+        assert abs(error_l2_over_n(x, y) - want) <= 1e-12 * want
+
 
 class TestOracleInverse:
     def test_round_trip(self):
