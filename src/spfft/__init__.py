@@ -7,10 +7,6 @@ from .dft_core import (
     fft_forward,
     fft_inverse,
     log2_length,
-    modulation_check,
-    naive_dft,
-    periodize,
-    subsample_spectrum,
 )
 from .errors import (
     AlgorithmError,
@@ -24,28 +20,29 @@ from .errors import (
     InvalidSupportLength,
     NoVectors,
     NoisyQuotient,
+    NonFiniteSpectrum,
     NotInvertible,
     SpfftError,
     ValidationError,
     WrongDomain,
     ZeroSignal,
 )
-from .experiment import ExperimentConfig, run_bench, run_experiment, run_trial
+from .experiment import ExperimentConfig, reconstruct, run_bench, run_experiment, run_trial
 from .signal_lab import (
     NoiseSpec,
     TrialRecord,
     add_noise,
     error_l2_over_n,
     gen_sparse_signal,
-    oracle_inverse,
     philox_rng,
-    realized_snr_db,
 )
 from .sparse_exact import (
     ExactReconstruction,
+    Reconstruction,
     ceil_log2,
     find_support_start,
     mod_inverse_pow2,
+    reconstruct_dense,
     reconstruct_exact,
     resolve_shift,
     select_odd_sample,
@@ -53,7 +50,6 @@ from .sparse_exact import (
     window_spectrum_sample,
 )
 from .sparse_noisy import (
-    NoisyConfig,
     NoisyReconstruction,
     average_support_values,
     estimate_support_start,

@@ -11,24 +11,16 @@ import sys
 import time
 from pathlib import Path
 
-from .dft_core import CountingSpectrumAccessor, fft_forward, log2_length
+from .dft_core import CountingSpectrumAccessor, fft_forward
 from .errors import AlgorithmError, FileFormatError, ValidationError, WrongDomain
-from .experiment import (
-    ALGORITHMS,
-    ExperimentConfig,
-    run_bench,
-    run_experiment,
-)
+from .experiment import ALGORITHMS, ExperimentConfig, reconstruct, run_bench, run_experiment
 from .signal_lab import (
     NOISE_STREAM_SALT,
     NoiseSpec,
     add_noise,
     error_l2_over_n,
     gen_sparse_signal,
-    oracle_inverse,
 )
-from .sparse_exact import _window_argmax, ceil_log2, reconstruct_exact
-from .sparse_noisy import NoisyConfig, reconstruct_noisy
 from .spf1 import DOMAIN_FREQ, DOMAIN_TIME, read_vector_file, write_vector_file
 
 FULL_SCALE_N = 1 << 22
@@ -72,72 +64,54 @@ def _cmd_reconstruct(args) -> int:
     spectrum, domain = read_vector_file(args.input)
     if domain != DOMAIN_FREQ:
         raise WrongDomain(f"{args.input} holds time-domain data, need frequency-domain")
-    n = len(spectrum)
-    j = log2_length(n)
     accessor = CountingSpectrumAccessor(spectrum)
 
     tic = time.perf_counter()
-    if args.algorithm == "exact":
-        result = reconstruct_exact(accessor, args.m)
-        recovered, start, samples = result.signal, result.support.first_index, result.samples_used
-        mode = "fallback" if result.fold_level >= j - 1 else "sparse"
-    elif args.algorithm == "noisy":
-        result = reconstruct_noisy(accessor, args.m, NoisyConfig(max_vectors=args.max_kappa, averaging_count=args.max_kappa))
-        recovered, start, samples = result.signal, result.support.first_index, result.samples_used
-        mode = "fallback" if ceil_log2(args.m) >= j - 1 else "sparse"
-    else:
-        if not 1 <= args.m <= n:
-            raise ValidationError(f"support length {args.m} outside [1, {n}]")
-        recovered = oracle_inverse(spectrum)
-        start, samples, mode = _window_argmax(recovered, args.m), n, "baseline"
+    result = reconstruct(accessor, args.m, args.algorithm, args.max_kappa)
     wall_ms = 1e3 * (time.perf_counter() - tic)
 
     report = (
-        f"mu={start} m={args.m} algorithm={args.algorithm} mode={mode} "
-        f"samples_used={samples} wall_ms={wall_ms:.3f}"
+        f"mu={result.support.first_index} m={args.m} algorithm={args.algorithm} "
+        f"mode={result.mode} samples_used={result.samples_used} wall_ms={wall_ms:.3f}"
     )
     if args.truth is not None:
         truth, truth_domain = read_vector_file(args.truth)
         if truth_domain != DOMAIN_TIME:
             raise WrongDomain(f"{args.truth} holds frequency-domain data, need time-domain")
-        report += f" err_l2_over_n={error_l2_over_n(truth, recovered):.17g}"
+        report += f" err_l2_over_n={error_l2_over_n(truth, result.signal):.17g}"
     if args.out is not None:
-        write_vector_file(args.out, recovered, DOMAIN_TIME)
+        write_vector_file(args.out, result.signal, DOMAIN_TIME)
         report += f" out={args.out}"
     print(report)
     return 0
 
 
+def _emit(csv_text: str, out: str | None) -> None:
+    """Write csv_text to the file out, or to stdout when no file is named."""
+    if out:
+        path = Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(csv_text)
+        print(f"wrote {path}")
+    else:
+        sys.stdout.write(csv_text)
+
+
 def _cmd_experiment(args) -> int:
-    n = FULL_SCALE_N if args.full else args.n
     config = ExperimentConfig(
-        n=n,
+        n=FULL_SCALE_N if args.full else args.n,
         m=args.m,
         snr_list=tuple(_float_list(args.snr)),
         trials=args.trials,
         seed=args.seed,
         algorithm=args.algorithm,
-        out=Path(args.out) if args.out else None,
     )
-    csv_text = run_experiment(config)
-    if config.out is not None:
-        config.out.parent.mkdir(parents=True, exist_ok=True)
-        config.out.write_text(csv_text)
-        print(f"wrote {config.out}")
-    else:
-        sys.stdout.write(csv_text)
+    _emit(run_experiment(config), args.out)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    csv_text = run_bench(_int_list(args.n), _int_list(args.m), args.trials, args.seed)
-    if args.out is not None:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(csv_text)
-        print(f"wrote {out}")
-    else:
-        sys.stdout.write(csv_text)
+    _emit(run_bench(_int_list(args.n), _int_list(args.m), args.trials, args.seed), args.out)
     return 0
 
 

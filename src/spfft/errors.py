@@ -41,6 +41,10 @@ class NoVectors(ValidationError):
     """Averaging requested over an empty collection of vectors."""
 
 
+class NonFiniteSpectrum(ValidationError):
+    """A spectrum value read by an algorithm is NaN or infinite."""
+
+
 class CannotCalibrate(ValidationError):
     """A target SNR cannot be realized (zero spectrum or zero noise draw)."""
 

@@ -12,17 +12,10 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dft_core import (
-    CountingSpectrumAccessor,
-    SupportDescriptor,
-    fft_forward,
-    fft_inverse,
-    log2_length,
-)
+from .dft_core import CountingSpectrumAccessor, fft_forward, fft_inverse, log2_length
 from .errors import ValidationError
 from .signal_lab import (
     NOISE_STREAM_SALT,
@@ -31,9 +24,8 @@ from .signal_lab import (
     add_noise,
     error_l2_over_n,
     gen_sparse_signal,
-    oracle_inverse,
 )
-from .sparse_exact import _window_argmax, reconstruct_exact
+from .sparse_exact import Reconstruction, reconstruct_dense, reconstruct_exact
 from .sparse_noisy import reconstruct_noisy
 
 ALGORITHMS = ("exact", "noisy", "ifft-baseline")
@@ -56,7 +48,6 @@ class ExperimentConfig:
     trials: int
     seed: int
     algorithm: str = "noisy"
-    out: Path | None = None
 
     def __post_init__(self):
         log2_length(self.n)
@@ -91,6 +82,19 @@ def trial_seed(seed: int, index: int) -> int:
     return (seed ^ index) & 0xFFFFFFFFFFFFFFFF
 
 
+def reconstruct(
+    accessor: CountingSpectrumAccessor, m: int, algorithm: str, max_vectors: int = 8
+) -> Reconstruction:
+    """Run one of ALGORITHMS; max_vectors is the noisy algorithm's budget."""
+    if algorithm == "exact":
+        return reconstruct_exact(accessor, m)
+    if algorithm == "noisy":
+        return reconstruct_noisy(accessor, m, max_vectors)
+    if algorithm == "ifft-baseline":
+        return reconstruct_dense(accessor, m, "baseline")
+    raise ValidationError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
+
+
 def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> TrialRecord:
     """Generate, perturb, reconstruct, and score one instance."""
     truth, support = gen_sparse_signal(n, m, seed)
@@ -98,32 +102,18 @@ def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> Trial
     noisy, noise = add_noise(
         spectrum, NoiseSpec(seed=seed ^ NOISE_STREAM_SALT, snr_db=snr_db)
     )
-    accessor = CountingSpectrumAccessor(noisy)
-    baseline = oracle_inverse(noisy)
-    vectors_used = 0
-    if algorithm == "exact":
-        result = reconstruct_exact(accessor, m)
-        recovered, found = result.signal, result.support
-        samples = result.samples_used
-    elif algorithm == "noisy":
-        result = reconstruct_noisy(accessor, m)
-        recovered, found = result.signal, result.support
-        samples = result.samples_used
-        vectors_used = result.vectors_used
-    else:
-        recovered = baseline
-        found = SupportDescriptor(_window_argmax(recovered, m), m)
-        samples = n
+    result = reconstruct(CountingSpectrumAccessor(noisy), m, algorithm)
+    baseline = result.signal if result.mode == "baseline" else fft_inverse(noisy)
     noise_abs = np.abs(noise)
     return TrialRecord(
         n=n,
         m=m,
         snr_db=snr_db,
-        mu_correct=found.first_index == support.first_index,
-        err_sparse=error_l2_over_n(truth, recovered),
+        mu_correct=result.support.first_index == support.first_index,
+        err_sparse=error_l2_over_n(truth, result.signal),
         err_ifft=error_l2_over_n(truth, baseline),
-        samples_used=samples,
-        vectors_used=vectors_used,
+        samples_used=result.samples_used,
+        vectors_used=result.vectors_used,
         noise_inf=float(np.max(noise_abs)) if len(noise) else 0.0,
         noise_l1_over_n=float(np.sum(noise_abs)) / n,
     )

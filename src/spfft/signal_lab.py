@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft_core import SupportDescriptor, fft_inverse, log2_length
+from .dft_core import SupportDescriptor, log2_length
 from .errors import CannotCalibrate, InvalidSupportLength, ValidationError
 
 #: Nonzero floor for the two window endpoints, so the generated support
@@ -87,10 +87,8 @@ def gen_sparse_signal(n: int, m: int, seed: int) -> tuple[np.ndarray, SupportDes
     for end in (0,) if m == 1 else (0, m - 1):
         while abs(values[end]) < ENDPOINT_MIN_MODULUS:
             values[end] = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
-    signal = np.zeros(n, dtype=np.complex128)
     support = SupportDescriptor(first_index, m)
-    signal[support.indices(n)] = values
-    return signal, support
+    return support.embed(values, n), support
 
 
 def _l2_norm(v) -> float:
@@ -141,11 +139,6 @@ def add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     return spectrum + noise, noise
 
 
-def realized_snr_db(spectrum, noise) -> float:
-    """20*log10(||spectrum||_2 / ||noise||_2)."""
-    return 20 * math.log10(_l2_norm(spectrum) / _l2_norm(noise))
-
-
 def error_l2_over_n(x, y) -> float:
     """Euclidean norm of the difference, divided by the length."""
     x = np.asarray(x, dtype=np.complex128)
@@ -153,8 +146,3 @@ def error_l2_over_n(x, y) -> float:
     if x.shape != y.shape:
         raise ValidationError(f"length mismatch: {x.shape} vs {y.shape}")
     return _l2_norm(x - y) / len(x)
-
-
-def oracle_inverse(spectrum) -> np.ndarray:
-    """Dense inverse FFT of a (noisy) spectrum: the comparison baseline."""
-    return fft_inverse(spectrum)

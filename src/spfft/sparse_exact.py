@@ -6,7 +6,8 @@ recovered from just under 4m spectrum values: one inverse FFT of length
 window locates its support; and a single odd-indexed spectrum value pins
 down which of the 2**(J-L-1) candidate placements of that window is the
 true one, via a root-of-unity quotient and an inverse modulo a power of
-two.
+two.  When m > N/4 no placement is left to resolve, and
+reconstruct_dense, the one dense inverse FFT of the package, is used.
 """
 
 from __future__ import annotations
@@ -23,27 +24,42 @@ from .errors import (
     InvalidSupportLength,
     NoisyQuotient,
     NotInvertible,
+    ValidationError,
     ZeroSignal,
 )
 
 
 @dataclass(frozen=True)
-class ExactReconstruction:
-    """Recovered signal plus the run's diagnostics.
+class Reconstruction:
+    """Recovered signal, its support window and how it was obtained.
 
-    samples_used is the accessor's distinct-read count; on the sparse
-    path it is at most 2**(fold_level+1) + 2.  block_shift and
-    phase_index are the resolved window placement (number of fold-length
-    blocks) and the root-of-unity exponent it was derived from; both are
-    0 on the dense fallback path.
+    samples_used is the accessor's distinct-read count.  mode is
+    "sparse" for the sublinear algorithms, "fallback" when they handed
+    over to the dense inverse FFT (support length above N/4), and
+    "baseline" for the dense inverse FFT requested as such.
+    vectors_used counts the offset vectors of the noisy algorithm.
     """
 
     signal: np.ndarray
     support: SupportDescriptor
     samples_used: int
+    mode: str
+    vectors_used: int = 0
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExactReconstruction(Reconstruction):
+    """Result of reconstruct_exact.
+
+    On the sparse path samples_used is at most 2**(fold_level+1) + 2.
+    block_shift and phase_index are the resolved window placement
+    (number of fold-length blocks) and the root-of-unity exponent it was
+    derived from; both are 0 on the dense fallback path.
+    """
+
     fold_level: int
-    block_shift: int
-    phase_index: int
+    block_shift: int = 0
+    phase_index: int = 0
 
 
 def ceil_log2(m: int) -> int:
@@ -78,12 +94,6 @@ def find_support_start(values, window_len: int) -> int:
         raise AmbiguousSupport(
             f"window length {window_len} exceeds half the vector length {len(values)}"
         )
-    return int(np.argmax(window_energies(values, window_len)))
-
-
-def _window_argmax(values, window_len: int) -> int:
-    # Dense-fallback support detection: no uniqueness guard, smallest
-    # argmax index wins.
     return int(np.argmax(window_energies(values, window_len)))
 
 
@@ -165,6 +175,28 @@ def resolve_shift(quotient: complex, k: int, t: int) -> tuple[int, int]:
     return shift, phase_index
 
 
+def reconstruct_dense(
+    accessor: CountingSpectrumAccessor, support_len: int, mode: str = "fallback"
+) -> Reconstruction:
+    """Dense inverse FFT of the whole spectrum, with its max-energy window.
+
+    The window is the cyclic support_len-window of largest energy,
+    smallest start on ties.  In "fallback" mode the entries outside it
+    are zeroed, as the sparse algorithms promise; in "baseline" mode the
+    dense inverse FFT is returned whole, as the comparison baseline.
+    """
+    if mode not in ("fallback", "baseline"):
+        raise ValidationError(f"dense mode must be 'fallback' or 'baseline', got {mode!r}")
+    n = len(accessor)
+    if not 1 <= support_len <= n:
+        raise InvalidSupportLength(f"support length {support_len} outside [1, {n}]")
+    signal = fft_inverse(accessor.read_all())
+    support = SupportDescriptor(int(np.argmax(window_energies(signal, support_len))), support_len)
+    if mode == "fallback":
+        signal = support.embed(signal[support.indices(n)], n)
+    return Reconstruction(signal, support, accessor.read_count, mode)
+
+
 def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> ExactReconstruction:
     """Recover a vector with support length <= support_len from exact data.
 
@@ -180,13 +212,7 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> E
     level = ceil_log2(support_len)
 
     if level >= j - 1:
-        signal = fft_inverse(accessor.read_all())
-        start = _window_argmax(signal, support_len)
-        support = SupportDescriptor(start, support_len)
-        keep = np.zeros(n, dtype=bool)
-        keep[support.indices(n)] = True
-        signal[~keep] = 0
-        return ExactReconstruction(signal, support, accessor.read_count, level, 0, 0)
+        return ExactReconstruction(**vars(reconstruct_dense(accessor, support_len)), fold_level=level)
 
     fold_len = 1 << (level + 1)
     stride = 1 << (j - level - 1)
@@ -194,7 +220,7 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> E
     if not folded.any():
         zero = np.zeros(n, dtype=np.complex128)
         return ExactReconstruction(
-            zero, SupportDescriptor(0, support_len), accessor.read_count, level, 0, 0
+            zero, SupportDescriptor(0, support_len), accessor.read_count, "sparse", fold_level=level
         )
 
     start = find_support_start(folded, support_len)
@@ -206,10 +232,13 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> E
         raise DegenerateQuotient("window transform vanished at the chosen odd index")
     shift, phase_index = resolve_shift(odd_value / reference, k, j - level - 1)
 
-    first_index = (start + fold_len * shift) % n
-    signal = np.zeros(n, dtype=np.complex128)
-    support = SupportDescriptor(first_index, support_len)
-    signal[support.indices(n)] = window
+    support = SupportDescriptor((start + fold_len * shift) % n, support_len)
     return ExactReconstruction(
-        signal, support, accessor.read_count, level, shift, phase_index
+        support.embed(window, n),
+        support,
+        accessor.read_count,
+        "sparse",
+        fold_level=level,
+        block_shift=shift,
+        phase_index=phase_index,
     )

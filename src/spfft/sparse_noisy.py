@@ -25,46 +25,17 @@ import numpy as np
 from .dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_inverse
 from .errors import InvalidOffset, InvalidSupportLength, NoVectors, ValidationError
 from .sparse_exact import (
-    _window_argmax,
+    Reconstruction,
     ceil_log2,
+    reconstruct_dense,
     window_energies,
     window_spectrum_sample,
 )
 
 
 @dataclass(frozen=True)
-class NoisyConfig:
-    """Stabilization budgets.
-
-    max_vectors caps how many offset vectors may be computed while voting
-    on the folded support start (each costs 2**(L+1) spectrum reads);
-    averaging_count says how many of them enter the final support-value
-    average; scan_budget caps the odd-index candidates probed per
-    doubling level (None means the support length).
-    """
-
-    max_vectors: int = 8
-    averaging_count: int = 8
-    scan_budget: int | None = None
-
-    def __post_init__(self):
-        if self.max_vectors < 2:
-            raise ValidationError(f"max_vectors must be >= 2, got {self.max_vectors}")
-        if self.averaging_count < 1:
-            raise ValidationError(
-                f"averaging_count must be >= 1, got {self.averaging_count}"
-            )
-        if self.averaging_count > self.max_vectors:
-            raise ValidationError(
-                f"averaging_count {self.averaging_count} exceeds max_vectors {self.max_vectors}"
-            )
-        if self.scan_budget is not None and self.scan_budget < 1:
-            raise ValidationError(f"scan_budget must be >= 1, got {self.scan_budget}")
-
-
-@dataclass(frozen=True)
-class NoisyReconstruction:
-    """Recovered signal plus per-stage diagnostics.
+class NoisyReconstruction(Reconstruction):
+    """Result of reconstruct_noisy, with per-stage diagnostics.
 
     start_votes holds the folded-support votes in the order they were
     cast; doubling_shifts has one entry per doubling level (True means
@@ -74,10 +45,6 @@ class NoisyReconstruction:
     an error).
     """
 
-    signal: np.ndarray
-    support: SupportDescriptor
-    samples_used: int
-    vectors_used: int
     start_votes: list[int] = field(default_factory=list)
     doubling_shifts: list[bool] = field(default_factory=list)
     votes_stable: bool = True
@@ -129,7 +96,7 @@ def estimate_support_start(
     accessor: CountingSpectrumAccessor,
     support_len: int,
     fold_level: int,
-    config: NoisyConfig,
+    max_vectors: int = 8,
 ) -> SupportEstimate:
     """Vote on the folded support start over offset vectors.
 
@@ -145,7 +112,7 @@ def estimate_support_start(
     votes = [int(np.argmax(energy_sum))]
     stable = False
     more = _offset_sequence(t)
-    while len(vectors) < config.max_vectors:
+    while len(vectors) < max_vectors:
         offset = next(more, None)
         if offset is None:
             break
@@ -164,7 +131,6 @@ def refine_support(
     start: int,
     accessor: CountingSpectrumAccessor,
     support_len: int,
-    config: NoisyConfig,
 ) -> tuple[int, list[bool]]:
     """Grow the support start from the folded vector to the full length.
 
@@ -176,9 +142,9 @@ def refine_support(
     near its maximum, which keeps the sign decision reliable deep into
     the noise (an arbitrary or measured-max probe does not).  If both
     neighbors of the peak read exactly zero (contrived exact data),
-    further odd candidates are scanned within the budget; among any
-    support_len distinct probes at least one is nonzero.  Ties go to
-    "no move".
+    further odd candidates are scanned, at most support_len probes per
+    level; among any support_len distinct probes at least one is
+    nonzero.  Ties go to "no move".
     """
     folded = np.asarray(folded, dtype=np.complex128)
     j_top = accessor.log2_len
@@ -186,7 +152,6 @@ def refine_support(
     fold_len = len(folded)
     level = ceil_log2(fold_len) - 1
     window = folded[(start + np.arange(support_len, dtype=np.int64)) % fold_len]
-    budget = config.scan_budget if config.scan_budget is not None else support_len
 
     stride = 1 << (j_top - level - 1)
     subsampled = accessor.read(stride * np.arange(fold_len, dtype=np.int64))
@@ -196,13 +161,13 @@ def refine_support(
     shifts: list[bool] = []
     for j in range(level + 1, j_top):
         probe_stride = 1 << (j_top - j - 1)
-        probes = [(peak + probe_stride) % n, (peak - probe_stride) % n][:budget]
+        probes = [(peak + probe_stride) % n, (peak - probe_stride) % n][:support_len]
         values = [accessor.read(q) for q in probes]
         pick = int(np.argmax(np.abs(values)))
         if abs(values[pick]) == 0:
             tried = set(probes)
             k = 0
-            while len(tried) < budget and k < (1 << j):
+            while len(tried) < support_len and k < (1 << j):
                 q = int(probe_stride * (2 * k + 1))
                 k += 1
                 if q in tried:
@@ -259,18 +224,20 @@ def average_support_values(
 def reconstruct_noisy(
     accessor: CountingSpectrumAccessor,
     support_len: int,
-    config: NoisyConfig | None = None,
+    max_vectors: int = 8,
 ) -> NoisyReconstruction:
     """Recover a vector with support length <= support_len from noisy data.
 
-    Pipeline: energy-vote the folded support start, double the folding up
-    to the full length, then average the support values over the offset
-    vectors already computed.  Entries outside the detected window are
-    exactly zero.  For fold levels within one of J the dense inverse FFT
-    fallback is used (restricted to the best window).
+    Pipeline: energy-vote the folded support start over at most
+    max_vectors offset vectors (each costs 2**(L+1) spectrum reads),
+    double the folding up to the full length, then average the support
+    values over every offset vector computed.  Entries outside the
+    detected window are exactly zero.  For fold levels within one of J
+    the dense inverse FFT fallback is used (restricted to the best
+    window).
     """
-    if config is None:
-        config = NoisyConfig()
+    if max_vectors < 2:
+        raise ValidationError(f"max_vectors must be >= 2, got {max_vectors}")
     n = len(accessor)
     j = accessor.log2_len
     if not 1 <= support_len <= n:
@@ -278,41 +245,26 @@ def reconstruct_noisy(
     level = ceil_log2(support_len)
 
     if level >= j - 1:
-        signal = fft_inverse(accessor.read_all())
-        start = _window_argmax(signal, support_len)
-        support = SupportDescriptor(start, support_len)
-        keep = np.zeros(n, dtype=bool)
-        keep[support.indices(n)] = True
-        signal[~keep] = 0
-        return NoisyReconstruction(signal, support, accessor.read_count, 0)
+        return NoisyReconstruction(**vars(reconstruct_dense(accessor, support_len)))
 
     fold_len = 1 << (level + 1)
-    estimate = estimate_support_start(accessor, support_len, level, config)
+    estimate = estimate_support_start(accessor, support_len, level, max_vectors)
     window_idx = (estimate.start + np.arange(support_len, dtype=np.int64)) % fold_len
     folded = np.zeros(fold_len, dtype=np.complex128)
     folded[window_idx] = estimate.vectors[0][window_idx]
 
-    first_index, shifts = refine_support(
-        folded, estimate.start, accessor, support_len, config
-    )
+    first_index, shifts = refine_support(folded, estimate.start, accessor, support_len)
     block_shift = (first_index - estimate.start) // fold_len
 
-    used = min(config.averaging_count, len(estimate.vectors))
     values = average_support_values(
-        estimate.vectors[:used],
-        estimate.offsets[:used],
-        estimate.start,
-        block_shift,
-        support_len,
-        n,
+        estimate.vectors, estimate.offsets, estimate.start, block_shift, support_len, n
     )
-    signal = np.zeros(n, dtype=np.complex128)
     support = SupportDescriptor(first_index % n, support_len)
-    signal[support.indices(n)] = values
     return NoisyReconstruction(
-        signal,
+        support.embed(values, n),
         support,
         accessor.read_count,
+        "sparse",
         len(estimate.vectors),
         estimate.votes,
         shifts,

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from spfft.cli import main
-from spfft.dft_core import fft_inverse
+from spfft.dft_core import fft_forward, fft_inverse
 from spfft.errors import FileFormatError
+from spfft.experiment import ALGORITHMS
 from spfft.signal_lab import gen_sparse_signal
 from spfft.spf1 import DOMAIN_FREQ, DOMAIN_TIME, read_vector_file, write_vector_file
 
@@ -151,6 +152,34 @@ class TestReconstructCommand:
         prefix = tmp_path / "case2"
         main(["gen", "--n", "64", "--m", "4", "--seed", "1", "--out-prefix", str(prefix)])
         assert main(["reconstruct", f"{prefix}.freq.spf1", "--m", "0"]) == 2
+
+    def test_noisy_max_kappa_below_two_exits_2(self, tmp_path, capsys):
+        prefix = tmp_path / "case3"
+        main(["gen", "--n", "256", "--m", "6", "--seed", "1", "--out-prefix", str(prefix)])
+        capsys.readouterr()
+        argv = ["reconstruct", f"{prefix}.freq.spf1", "--m", "6", "--algorithm", "noisy"]
+        assert main(argv + ["--max-kappa", "1"]) == 2
+        assert "max_vectors must be >= 2" in capsys.readouterr().err
+        assert main(argv + ["--max-kappa", "2"]) == 0
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_non_finite_spectrum_exits_2(self, tmp_path, capsys, algorithm):
+        x, _ = gen_sparse_signal(4096, 20, 3)
+        spectrum = fft_forward(x)
+        spectrum[0] = np.nan
+        path = tmp_path / "nan.freq.spf1"
+        write_vector_file(path, spectrum, DOMAIN_FREQ)
+        assert main(["reconstruct", str(path), "--m", "20", "--algorithm", algorithm]) == 2
+        captured = capsys.readouterr()
+        assert "index 0 is not finite" in captured.err
+        assert captured.out == ""
+
+    def test_baseline_mode_is_reported(self, tmp_path, capsys):
+        prefix = tmp_path / "case4"
+        main(["gen", "--n", "256", "--m", "6", "--seed", "1", "--out-prefix", str(prefix)])
+        capsys.readouterr()
+        assert main(["reconstruct", f"{prefix}.freq.spf1", "--m", "6", "--algorithm", "ifft-baseline"]) == 0
+        assert "mode=baseline samples_used=256" in capsys.readouterr().out
 
 
 class TestExperimentCommand:

@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracle import modulation_check, naive_dft, periodize, subsample_spectrum
 from spfft.dft_core import (
     CountingSpectrumAccessor,
     SupportDescriptor,
     fft_forward,
     fft_inverse,
     log2_length,
-    modulation_check,
-    naive_dft,
-    periodize,
-    subsample_spectrum,
 )
-from spfft.errors import InvalidLength, InvalidLevel, InvalidOffset, InvalidSupportLength
+from spfft.errors import (
+    InvalidLength,
+    InvalidLevel,
+    InvalidOffset,
+    InvalidSupportLength,
+    NonFiniteSpectrum,
+)
 
 
 def random_complex(n, seed):
@@ -196,6 +199,13 @@ class TestCountingAccessor:
         assert np.array_equal(acc.read_all(), values)
         assert acc.read_count == 8
 
+    def test_read_all_is_read_only(self):
+        values = random_complex(8, 7)
+        acc = CountingSpectrumAccessor(values)
+        with pytest.raises(ValueError):
+            acc.read_all()[0] = 0
+        assert np.array_equal(acc.read(np.arange(8)), random_complex(8, 7))
+
     def test_out_of_range(self):
         acc = CountingSpectrumAccessor(np.zeros(8, complex))
         with pytest.raises(InvalidOffset):
@@ -203,11 +213,36 @@ class TestCountingAccessor:
         with pytest.raises(InvalidOffset):
             acc.read(-1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1, -np.inf), complex(np.nan, 0)])
+    def test_non_finite_read_names_the_index(self, bad):
+        values = np.arange(8) + 0j
+        values[5] = bad
+        acc = CountingSpectrumAccessor(values)
+        with pytest.raises(NonFiniteSpectrum, match="index 5"):
+            acc.read(np.array([1, 5, 6]))
+        with pytest.raises(NonFiniteSpectrum, match="index 5"):
+            acc.read(5)
+        with pytest.raises(NonFiniteSpectrum, match="index 5"):
+            acc.read_all()
+
+    def test_unread_non_finite_values_are_not_checked(self):
+        # the check costs O(values read): values never read are never inspected
+        values = np.arange(8) + 0j
+        values[3] = np.nan
+        acc = CountingSpectrumAccessor(values)
+        assert acc.read(np.array([0, 2, 4])).tolist() == [0, 2, 4]
+        assert acc.read_count == 3
+
 
 class TestSupportDescriptor:
     def test_indices_wrap(self):
         d = SupportDescriptor(6, 4)
         assert d.indices(8).tolist() == [6, 7, 0, 1]
+
+    def test_embed_fills_the_wrapped_window(self):
+        out = SupportDescriptor(6, 4).embed([1, 2j, 3, 4j], 8)
+        assert out.dtype == np.complex128
+        assert out.tolist() == [3, 4j, 0, 0, 0, 0, 1, 2j]
 
     def test_rejects_bad_length(self):
         with pytest.raises(InvalidSupportLength):

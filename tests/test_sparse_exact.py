@@ -2,18 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spfft.dft_core import CountingSpectrumAccessor, fft_forward, periodize
+from oracle import periodize
+from spfft.dft_core import CountingSpectrumAccessor, fft_forward, fft_inverse
 from spfft.errors import (
     AmbiguousSupport,
     InvalidSupportLength,
     NoisyQuotient,
+    NonFiniteSpectrum,
     NotInvertible,
+    ValidationError,
 )
 from spfft.signal_lab import gen_sparse_signal
 from spfft.sparse_exact import (
     ceil_log2,
     find_support_start,
     mod_inverse_pow2,
+    reconstruct_dense,
     reconstruct_exact,
     resolve_shift,
     select_odd_sample,
@@ -156,6 +160,36 @@ class TestWindowSpectrumSample:
             )
 
 
+class TestReconstructDense:
+    def test_baseline_keeps_the_whole_inverse(self):
+        x, supp = gen_sparse_signal(256, 6, 41)
+        spectrum = fft_forward(x) + 0.01
+        rec = reconstruct_dense(CountingSpectrumAccessor(spectrum), 6, "baseline")
+        assert rec.mode == "baseline"
+        assert np.array_equal(rec.signal, fft_inverse(spectrum))
+        assert rec.support == supp
+        assert rec.samples_used == 256
+
+    def test_fallback_zeroes_outside_the_window(self):
+        x, supp = gen_sparse_signal(256, 6, 41)
+        spectrum = fft_forward(x) + 0.01
+        rec = reconstruct_dense(CountingSpectrumAccessor(spectrum), 6)
+        assert rec.mode == "fallback"
+        dense = fft_inverse(spectrum)
+        assert np.array_equal(rec.signal, supp.embed(dense[supp.indices(256)], 256))
+
+    def test_ties_go_to_the_smallest_start(self):
+        rec = reconstruct_dense(CountingSpectrumAccessor(np.zeros(16, complex)), 3)
+        assert rec.support.first_index == 0
+
+    def test_rejects_bad_arguments(self):
+        acc = CountingSpectrumAccessor(np.zeros(16, complex))
+        with pytest.raises(InvalidSupportLength, match="support length 0 outside"):
+            reconstruct_dense(acc, 0, "baseline")
+        with pytest.raises(ValidationError):
+            reconstruct_dense(acc, 4, "sparse")
+
+
 class TestReconstructExact:
     def test_known_example(self, example_256):
         acc = CountingSpectrumAccessor(fft_forward(example_256))
@@ -190,6 +224,19 @@ class TestReconstructExact:
         assert np.max(np.abs(rec.signal - x)) <= 1e-9 * np.max(np.abs(x))
         if m <= 64:
             assert rec.support.first_index == supp.first_index
+
+    def test_mode(self, example_256):
+        assert reconstruct_exact(CountingSpectrumAccessor(fft_forward(example_256)), 6).mode == "sparse"
+        x, _ = gen_sparse_signal(64, 30, 5)
+        assert reconstruct_exact(CountingSpectrumAccessor(fft_forward(x)), 30).mode == "fallback"
+
+    def test_non_finite_spectrum_rejected(self):
+        # index 0 lies on every stride lattice, so the first read meets it
+        x, _ = gen_sparse_signal(4096, 20, 3)
+        spectrum = fft_forward(x)
+        spectrum[0] = np.nan
+        with pytest.raises(NonFiniteSpectrum):
+            reconstruct_exact(CountingSpectrumAccessor(spectrum), 20)
 
     def test_support_length_validation(self):
         acc = CountingSpectrumAccessor(np.zeros(16, complex))

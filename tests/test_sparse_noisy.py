@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spfft.dft_core import CountingSpectrumAccessor, fft_forward, fft_inverse, periodize
-from spfft.errors import InvalidOffset, NoVectors, ValidationError
+from oracle import periodize
+from spfft.dft_core import CountingSpectrumAccessor, fft_forward, fft_inverse
+from spfft.errors import InvalidOffset, NonFiniteSpectrum, NoVectors, ValidationError
 from spfft.signal_lab import NOISE_STREAM_SALT, NoiseSpec, add_noise, gen_sparse_signal
 from spfft.sparse_exact import ceil_log2, find_support_start, reconstruct_exact
 from spfft.sparse_noisy import (
-    NoisyConfig,
     average_support_values,
     estimate_support_start,
     offset_periodization,
@@ -23,26 +23,6 @@ def noisy_instance(n, m, snr_db, seed):
         spectrum, NoiseSpec(seed=seed ^ NOISE_STREAM_SALT, snr_db=snr_db)
     )
     return x, supp, noisy, noise
-
-
-class TestNoisyConfig:
-    def test_defaults_consistent(self):
-        cfg = NoisyConfig()
-        assert cfg.max_vectors >= 2
-        assert cfg.averaging_count <= cfg.max_vectors
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_vectors": 1},
-            {"averaging_count": 0},
-            {"max_vectors": 4, "averaging_count": 5},
-            {"scan_budget": 0},
-        ],
-    )
-    def test_rejects_bad_budgets(self, kwargs):
-        with pytest.raises(ValidationError):
-            NoisyConfig(**kwargs)
 
 
 class TestOffsetPeriodization:
@@ -82,7 +62,7 @@ class TestOffsetPeriodization:
 class TestEstimateSupportStart:
     def test_exact_data_agrees_immediately(self, example_256):
         acc = CountingSpectrumAccessor(fft_forward(example_256))
-        est = estimate_support_start(acc, 6, 3, NoisyConfig())
+        est = estimate_support_start(acc, 6, 3)
         assert est.start == 9  # 105 mod 16
         assert len(est.vectors) == 2
         assert est.offsets == [0, 8]  # second vector sits between the stride combs
@@ -92,7 +72,7 @@ class TestEstimateSupportStart:
         x, _ = gen_sparse_signal(1 << 10, 13, 21)
         acc = CountingSpectrumAccessor(fft_forward(x))
         level = ceil_log2(13)
-        est = estimate_support_start(acc, 13, level, NoisyConfig())
+        est = estimate_support_start(acc, 13, level)
         assert est.start == find_support_start(periodize(x, level + 1), 13)
 
     def test_budget_exhaustion_reports_unstable(self):
@@ -102,7 +82,7 @@ class TestEstimateSupportStart:
         for seed in range(20):
             x, supp, noisy, _ = noisy_instance(1 << 10, 13, -10.0, seed)
             acc = CountingSpectrumAccessor(noisy)
-            est = estimate_support_start(acc, 13, ceil_log2(13), NoisyConfig(max_vectors=2, averaging_count=2))
+            est = estimate_support_start(acc, 13, ceil_log2(13), max_vectors=2)
             assert len(est.vectors) <= 2
             if est.votes[0] != est.votes[1]:
                 assert not est.stable
@@ -115,7 +95,7 @@ class TestRefineSupport:
     def test_recovers_block_binary_digits(self, example_256):
         acc = CountingSpectrumAccessor(fft_forward(example_256))
         folded = periodize(example_256, 4)
-        first, shifts = refine_support(folded, 9, acc, 6, NoisyConfig())
+        first, shifts = refine_support(folded, 9, acc, 6)
         assert first == 105
         assert shifts == [False, True, True, False]  # binary digits of (105-9)/16 = 6
 
@@ -130,7 +110,7 @@ class TestRefineSupport:
         acc = CountingSpectrumAccessor(fft_forward(x))
         folded = periodize(x, level + 1)
         start = supp.first_index % fold_len
-        first, shifts = refine_support(folded, start, acc, m, NoisyConfig())
+        first, shifts = refine_support(folded, start, acc, m)
         assert first == supp.first_index
         blocks = (supp.first_index - start) // fold_len
         assert shifts == [bool((blocks >> b) & 1) for b in range(len(shifts))]
@@ -215,14 +195,14 @@ class TestReconstructNoisy:
         for seed in range(20):
             n, m = 1 << 12, 11
             x, supp, noisy, _ = noisy_instance(n, m, 10.0, 3000 + seed)
-            cfg = NoisyConfig()
-            rec = reconstruct_noisy(CountingSpectrumAccessor(noisy), m, cfg)
+            max_vectors = 8
+            rec = reconstruct_noisy(CountingSpectrumAccessor(noisy), m, max_vectors)
             level = ceil_log2(m)
             fold_len = 1 << (level + 1)
             levels = 12 - level - 1
             assert rec.samples_used <= rec.vectors_used * fold_len + levels * m
             assert len(rec.doubling_shifts) == levels
-            assert rec.vectors_used <= cfg.max_vectors
+            assert rec.vectors_used <= max_vectors
 
     def test_signal_vanishes_outside_window(self):
         x, supp, noisy, _ = noisy_instance(1 << 10, 7, 15.0, 4321)
@@ -241,6 +221,26 @@ class TestReconstructNoisy:
         outside[rec.support.indices(n)] = False
         assert not rec.signal[outside].any()
         assert rec.support.first_index == supp.first_index
+
+    def test_mode(self):
+        _, _, noisy, _ = noisy_instance(1 << 10, 7, 15.0, 4321)
+        assert reconstruct_noisy(CountingSpectrumAccessor(noisy), 7).mode == "sparse"
+        _, _, noisy, _ = noisy_instance(64, 30, 25.0, 5)
+        assert reconstruct_noisy(CountingSpectrumAccessor(noisy), 30).mode == "fallback"
+
+    def test_rejects_max_vectors_below_two(self):
+        _, _, noisy, _ = noisy_instance(1 << 10, 7, 15.0, 4321)
+        with pytest.raises(ValidationError, match="max_vectors must be >= 2"):
+            reconstruct_noisy(CountingSpectrumAccessor(noisy), 7, max_vectors=1)
+        # also before the dense fallback is chosen
+        with pytest.raises(ValidationError, match="max_vectors must be >= 2"):
+            reconstruct_noisy(CountingSpectrumAccessor(noisy), 1 << 10, max_vectors=1)
+
+    def test_non_finite_spectrum_rejected(self):
+        _, _, noisy, _ = noisy_instance(4096, 20, 20.0, 3)
+        noisy[0] = np.nan
+        with pytest.raises(NonFiniteSpectrum):
+            reconstruct_noisy(CountingSpectrumAccessor(noisy), 20)
 
     def test_zero_signal_total(self):
         rec = reconstruct_noisy(CountingSpectrumAccessor(np.zeros(256, complex)), 6)
