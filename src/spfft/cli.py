@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation error, 3 I/O or file-format error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -115,7 +116,9 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spfft",
         description="Sublinear sparse inverse FFT for vectors with a short cyclic support window.",

@@ -99,16 +99,19 @@ class CountingSpectrumAccessor:
 
     The counter is the sublinearity witness of the reconstruction
     algorithms: it measures how many Fourier values were consumed, so a
-    repeated read of the same index is free.  Returned values are
-    bit-identical to the backing entries; a NaN or infinite value among
-    those read raises NonFiniteSpectrum, at a cost of O(values read).
+    repeated read of the same index is free.  The indices read are kept
+    in a set, so construction is O(1) and a read costs O(values read);
+    the spectrum itself, for instance a memory-mapped file, is only
+    touched where it is read.  Returned values are bit-identical to the
+    backing entries; a NaN or infinite value among those read raises
+    NonFiniteSpectrum, at a cost of O(values read).
     """
 
     def __init__(self, spectrum):
         self._values = np.asarray(spectrum, dtype=np.complex128)
         self._log2_len = log2_length(len(self._values))
-        self._seen = np.zeros(len(self._values), dtype=bool)
-        self._read_count = 0
+        self._seen: set[int] = set()
+        self._read_all = False
 
     def __len__(self) -> int:
         return len(self._values)
@@ -120,11 +123,11 @@ class CountingSpectrumAccessor:
     @property
     def read_count(self) -> int:
         """Number of distinct spectrum indices read so far."""
-        return self._read_count
+        return len(self._values) if self._read_all else len(self._seen)
 
     @property
     def accessed_indices(self) -> set[int]:
-        return set(np.flatnonzero(self._seen).tolist())
+        return set(range(len(self._values))) if self._read_all else set(self._seen)
 
     def read(self, indices):
         """Read one index (int) or many (array); counts new distinct indices."""
@@ -136,16 +139,15 @@ class CountingSpectrumAccessor:
             )
         values = self._values[idx]
         _require_finite(values, idx)
-        distinct = np.unique(idx)
-        self._read_count += int(np.count_nonzero(~self._seen[distinct]))
-        self._seen[distinct] = True
+        if not self._read_all:
+            self._seen.update(idx.tolist())
         return values[0] if scalar else values
 
     def read_all(self) -> np.ndarray:
         """Read the whole spectrum (the dense path), as a read-only view."""
         _require_finite(self._values, range(len(self._values)))
-        self._seen[:] = True
-        self._read_count = len(self._values)
+        self._read_all = True
+        self._seen.clear()
         values = self._values.view()
         values.flags.writeable = False
         return values

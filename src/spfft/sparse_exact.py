@@ -118,13 +118,16 @@ def mod_inverse_pow2(a: int, t: int) -> int:
     return pow(a % (1 << t), -1, 1 << t)
 
 
-def select_odd_sample(accessor: CountingSpectrumAccessor, fold_level: int) -> tuple[int, complex]:
+def select_odd_sample(
+    accessor: CountingSpectrumAccessor, fold_level: int, subsampled
+) -> tuple[int, complex]:
     """Pick a reliably-nonzero odd-indexed spectrum value, frugally.
 
-    The stride-subsampled values of the sparse path have already been
-    read, so their argmax costs nothing; of its two (odd-indexed)
-    neighbors, the one with larger modulus is returned, at a price of
-    two new reads.  Returns (k, spectrum[2k+1]).
+    subsampled is the stride subsample the sparse path has already read,
+    ``spectrum[stride * r]`` for r < 2**(fold_level+1), so its argmax
+    costs nothing; of its two (odd-indexed) neighbors, the one with
+    larger modulus is returned, at a price of two new reads.  Returns
+    (k, spectrum[2k+1]).
 
     If both neighbors are exactly zero -- possible for contrived exact
     data -- odd indices 1, 3, 5, ... are scanned until a nonzero value
@@ -133,10 +136,13 @@ def select_odd_sample(accessor: CountingSpectrumAccessor, fold_level: int) -> tu
     j = accessor.log2_len
     if not 0 <= fold_level < j - 1:
         raise InvalidLevel(f"fold level {fold_level} outside [0, {j - 1})")
+    count = 1 << (fold_level + 1)
+    if len(subsampled) != count:
+        raise ValidationError(
+            f"stride subsample has {len(subsampled)} values, fold level {fold_level} needs {count}"
+        )
     n = len(accessor)
     stride = 1 << (j - fold_level - 1)
-    count = 1 << (fold_level + 1)
-    subsampled = accessor.read(stride * np.arange(count, dtype=np.int64))
     base = stride * int(np.argmax(np.abs(subsampled)))
     right = accessor.read((base + 1) % n)
     left = accessor.read((base - 1) % n)
@@ -216,7 +222,8 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> E
 
     fold_len = 1 << (level + 1)
     stride = 1 << (j - level - 1)
-    folded = fft_inverse(accessor.read(stride * np.arange(fold_len, dtype=np.int64)))
+    subsampled = accessor.read(stride * np.arange(fold_len, dtype=np.int64))
+    folded = fft_inverse(subsampled)
     if not folded.any():
         zero = np.zeros(n, dtype=np.complex128)
         return ExactReconstruction(
@@ -226,7 +233,7 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> E
     start = find_support_start(folded, support_len)
     window = folded[(start + np.arange(support_len, dtype=np.int64)) % fold_len]
 
-    k, odd_value = select_odd_sample(accessor, level)
+    k, odd_value = select_odd_sample(accessor, level, subsampled)
     reference = window_spectrum_sample(window, start, 2 * k + 1, n)
     if abs(reference) == 0:
         raise DegenerateQuotient("window transform vanished at the chosen odd index")

@@ -52,13 +52,18 @@ class NoisyReconstruction(Reconstruction):
 
 @dataclass(frozen=True)
 class SupportEstimate:
-    """Outcome of the energy-vote stage: the vectors are reused later."""
+    """Outcome of the energy-vote stage: the vectors are reused later.
+
+    subsampled holds the offset-0 stride subsample, the spectrum values
+    whose inverse FFT is vectors[0]; the doubling stage takes its peak.
+    """
 
     start: int
     vectors: list[np.ndarray]
     offsets: list[int]
     votes: list[int]
     stable: bool
+    subsampled: np.ndarray
 
 
 def offset_periodization(
@@ -106,7 +111,8 @@ def estimate_support_start(
     reached (then the estimate is flagged unstable).
     """
     t = accessor.log2_len - fold_level - 1
-    vectors = [offset_periodization(accessor, 0, fold_level)]
+    subsampled = accessor.read((1 << t) * np.arange(1 << (fold_level + 1), dtype=np.int64))
+    vectors = [fft_inverse(subsampled)]
     offsets = [0]
     energy_sum = window_energies(vectors[0], support_len)
     votes = [int(np.argmax(energy_sum))]
@@ -123,7 +129,7 @@ def estimate_support_start(
         if votes[-1] == votes[-2]:
             stable = True
             break
-    return SupportEstimate(votes[-1], vectors, offsets, votes, stable)
+    return SupportEstimate(votes[-1], vectors, offsets, votes, stable, subsampled)
 
 
 def refine_support(
@@ -131,30 +137,35 @@ def refine_support(
     start: int,
     accessor: CountingSpectrumAccessor,
     support_len: int,
+    subsampled,
 ) -> tuple[int, list[bool]]:
     """Grow the support start from the folded vector to the full length.
 
     At each level j the folded support either stays at start or moves by
     2**j.  The two cases flip the sign of every odd-indexed spectrum
     value of the level-(j+1) folding, so one such value decides.  The
-    probe is taken right next to the spectral peak located by the
-    already-read stride subsample: there the underlying magnitude is
-    near its maximum, which keeps the sign decision reliable deep into
-    the noise (an arbitrary or measured-max probe does not).  If both
-    neighbors of the peak read exactly zero (contrived exact data),
-    further odd candidates are scanned, at most support_len probes per
-    level; among any support_len distinct probes at least one is
-    nonzero.  Ties go to "no move".
+    probe is taken right next to the spectral peak located by
+    subsampled, the stride subsample ``spectrum[stride * r]`` behind the
+    folded vector, which the caller has already read: there the
+    underlying magnitude is near its maximum, which keeps the sign
+    decision reliable deep into the noise (an arbitrary or measured-max
+    probe does not).  If both neighbors of the peak read exactly zero
+    (contrived exact data), further odd candidates are scanned, at most
+    support_len probes per level; among any support_len distinct probes
+    at least one is nonzero.  Ties go to "no move".
     """
     folded = np.asarray(folded, dtype=np.complex128)
     j_top = accessor.log2_len
     n = len(accessor)
     fold_len = len(folded)
     level = ceil_log2(fold_len) - 1
+    if len(subsampled) != fold_len:
+        raise ValidationError(
+            f"stride subsample has {len(subsampled)} values, folded vector has {fold_len}"
+        )
     window = folded[(start + np.arange(support_len, dtype=np.int64)) % fold_len]
 
     stride = 1 << (j_top - level - 1)
-    subsampled = accessor.read(stride * np.arange(fold_len, dtype=np.int64))
     peak = stride * int(np.argmax(np.abs(subsampled)))
 
     first_index = start
@@ -253,7 +264,9 @@ def reconstruct_noisy(
     folded = np.zeros(fold_len, dtype=np.complex128)
     folded[window_idx] = estimate.vectors[0][window_idx]
 
-    first_index, shifts = refine_support(folded, estimate.start, accessor, support_len)
+    first_index, shifts = refine_support(
+        folded, estimate.start, accessor, support_len, estimate.subsampled
+    )
     block_shift = (first_index - estimate.start) // fold_len
 
     values = average_support_values(

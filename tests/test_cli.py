@@ -1,12 +1,13 @@
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from spfft.cli import main
-from spfft.dft_core import fft_forward, fft_inverse
+from spfft.dft_core import CountingSpectrumAccessor, fft_forward, fft_inverse
 from spfft.errors import FileFormatError
-from spfft.experiment import ALGORITHMS
+from spfft.experiment import ALGORITHMS, reconstruct
 from spfft.signal_lab import gen_sparse_signal
 from spfft.spf1 import DOMAIN_FREQ, DOMAIN_TIME, read_vector_file, write_vector_file
 
@@ -28,6 +29,14 @@ class TestVectorFile:
             back, got_domain = read_vector_file(path)
             assert got_domain == domain
             assert back.tobytes() == values.astype(np.complex128).tobytes()
+
+    def test_payload_is_a_read_only_array(self, tmp_path):
+        path = tmp_path / "mapped.spf1"
+        write_vector_file(path, np.arange(8) + 1j, DOMAIN_FREQ)
+        values, _ = read_vector_file(path)
+        assert type(values) is np.ndarray
+        assert values.dtype == np.complex128
+        assert not values.flags.writeable
 
     def test_special_values_survive(self, tmp_path):
         values = np.array([np.inf + 0j, -np.inf * 1j, np.nan + 1j, -0.0 - 0.0j])
@@ -174,12 +183,63 @@ class TestReconstructCommand:
         assert "index 0 is not finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("algorithm", ["exact", "noisy"])
+    def test_non_finite_value_never_read_is_ignored(self, tmp_path, capsys, algorithm):
+        # only the payload entries the algorithm reads are checked (index 0,
+        # always read, exits 2: see test_non_finite_spectrum_exits_2)
+        x, support = gen_sparse_signal(4096, 20, 3)
+        spectrum = fft_forward(x)
+        accessor = CountingSpectrumAccessor(spectrum)
+        reconstruct(accessor, 20, algorithm)
+        unread = min(set(range(4096)) - accessor.accessed_indices)
+        spectrum[unread] = np.nan
+        path = tmp_path / "nan.freq.spf1"
+        write_vector_file(path, spectrum, DOMAIN_FREQ)
+        assert main(["reconstruct", str(path), "--m", "20", "--algorithm", algorithm]) == 0
+        assert f"mu={support.first_index} " in capsys.readouterr().out
+
+    def test_out_may_overwrite_the_input(self, tmp_path, capsys):
+        prefix = tmp_path / "case5"
+        main(["gen", "--n", "256", "--m", "6", "--seed", "3", "--out-prefix", str(prefix)])
+        capsys.readouterr()
+        path = f"{prefix}.freq.spf1"
+        assert main(["reconstruct", path, "--m", "6", "--out", path]) == 0
+        recovered, domain = read_vector_file(path)
+        assert domain == DOMAIN_TIME
+        x, _ = gen_sparse_signal(256, 6, 3)
+        assert np.max(np.abs(recovered - x)) <= 1e-9 * np.max(np.abs(x))
+
     def test_baseline_mode_is_reported(self, tmp_path, capsys):
         prefix = tmp_path / "case4"
         main(["gen", "--n", "256", "--m", "6", "--seed", "1", "--out-prefix", str(prefix)])
         capsys.readouterr()
         assert main(["reconstruct", f"{prefix}.freq.spf1", "--m", "6", "--algorithm", "ifft-baseline"]) == 0
         assert "mode=baseline samples_used=256" in capsys.readouterr().out
+
+
+class TestRepeatedMain:
+    def test_successive_calls_keep_codes_and_text(self, tmp_path, capsys):
+        prefix = tmp_path / "case"
+        freq = f"{prefix}.freq.spf1"
+        calls = [
+            (["gen", "--n", "256", "--m", "6", "--seed", "3", "--out-prefix", str(prefix)], 0),
+            (["reconstruct", freq, "--m", "6", "--algorithm", "noisy"], 0),
+            (["reconstruct", freq, "--m", "0"], 2),
+            (["reconstruct", freq, "--m", "6", "--bogus"], 2),
+        ]
+        rounds = []
+        for _ in range(2):
+            texts = []
+            for argv, code in calls:
+                assert main(argv) == code
+                captured = capsys.readouterr()
+                texts.append((re.sub(r"wall_ms=\S+", "", captured.out), captured.err))
+            rounds.append(texts)
+        assert rounds[0] == rounds[1]
+        (gen_out, _), (rec_out, _), (_, bad_m_err), (_, bad_flag_err) = rounds[0]
+        assert gen_out.startswith("wrote ") and "mode=sparse" in rec_out
+        assert bad_m_err == "error: support length 0 outside [1, 256]\n"
+        assert "unrecognized arguments: --bogus" in bad_flag_err
 
 
 class TestExperimentCommand:

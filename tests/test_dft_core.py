@@ -1,3 +1,4 @@
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -232,6 +233,49 @@ class TestCountingAccessor:
         acc = CountingSpectrumAccessor(values)
         assert acc.read(np.array([0, 2, 4])).tolist() == [0, 2, 4]
         assert acc.read_count == 3
+
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.integers(0, 31),
+                st.lists(st.integers(0, 31), max_size=12),
+                st.just("all"),
+            ),
+            max_size=12,
+        )
+    )
+    def test_counts_match_a_read_mask(self, ops):
+        # reference model: the N-byte mask of distinct indices read
+        acc = CountingSpectrumAccessor(np.arange(32) + 0j)
+        seen = np.zeros(32, dtype=bool)
+        for op in ops:
+            if op == "all":
+                acc.read_all()
+                seen[:] = True
+            else:
+                acc.read(op if isinstance(op, int) else np.array(op, dtype=np.int64))
+                seen[op] = True
+            assert acc.read_count == int(np.count_nonzero(seen))
+            assert acc.accessed_indices == set(np.flatnonzero(seen).tolist())
+
+    def test_read_after_read_all_adds_nothing(self):
+        acc = CountingSpectrumAccessor(np.arange(8) + 0j)
+        acc.read(np.array([1, 1, 6]))
+        acc.read_all()
+        acc.read(np.array([2, 6, 6]))
+        acc.read(3)
+        assert acc.read_count == 8
+        assert acc.accessed_indices == set(range(8))
+
+    def test_construction_does_not_scale_with_length(self):
+        spectrum = np.zeros(1 << 20, complex)
+        tracemalloc.start()
+        try:
+            CountingSpectrumAccessor(spectrum)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestSupportDescriptor:

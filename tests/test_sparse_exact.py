@@ -124,13 +124,13 @@ class TestSelectOddSample:
         x = np.zeros(16, complex)
         x[0] = 1
         acc = CountingSpectrumAccessor(fft_forward(x))
-        k, value = select_odd_sample(acc, 1)
+        k, value = select_odd_sample(acc, 1, acc.read(4 * np.arange(4)))
         assert k == 0
         assert value == pytest.approx(1.0)
 
     def test_example_value_is_nonzero(self, example_256):
         acc = CountingSpectrumAccessor(fft_forward(example_256))
-        k, value = select_odd_sample(acc, 3)
+        k, value = select_odd_sample(acc, 3, acc.read(16 * np.arange(16)))
         assert abs(value) > 0
         # returned value really is the odd-indexed spectrum entry
         assert value == pytest.approx(complex(fft_forward(example_256)[2 * k + 1]))
@@ -142,8 +142,13 @@ class TestSelectOddSample:
         stride = 1 << (10 - level - 1)
         acc.read(stride * np.arange(1 << (level + 1)))
         before = acc.read_count
-        select_odd_sample(acc, level)
+        select_odd_sample(acc, level, acc.read(stride * np.arange(1 << (level + 1))))
         assert acc.read_count <= before + 2
+
+    def test_rejects_a_subsample_of_the_wrong_length(self, example_256):
+        acc = CountingSpectrumAccessor(fft_forward(example_256))
+        with pytest.raises(ValidationError, match="needs 16"):
+            select_odd_sample(acc, 3, acc.read(32 * np.arange(8)))
 
 
 class TestWindowSpectrumSample:

@@ -95,9 +95,14 @@ class TestRefineSupport:
     def test_recovers_block_binary_digits(self, example_256):
         acc = CountingSpectrumAccessor(fft_forward(example_256))
         folded = periodize(example_256, 4)
-        first, shifts = refine_support(folded, 9, acc, 6)
+        first, shifts = refine_support(folded, 9, acc, 6, acc.read(16 * np.arange(16)))
         assert first == 105
         assert shifts == [False, True, True, False]  # binary digits of (105-9)/16 = 6
+
+    def test_rejects_a_subsample_of_the_wrong_length(self, example_256):
+        acc = CountingSpectrumAccessor(fft_forward(example_256))
+        with pytest.raises(ValidationError, match="folded vector has 16"):
+            refine_support(periodize(example_256, 4), 9, acc, 6, acc.read(32 * np.arange(8)))
 
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_exact_doubling_decisions(self, seed, data):
@@ -110,7 +115,7 @@ class TestRefineSupport:
         acc = CountingSpectrumAccessor(fft_forward(x))
         folded = periodize(x, level + 1)
         start = supp.first_index % fold_len
-        first, shifts = refine_support(folded, start, acc, m)
+        first, shifts = refine_support(folded, start, acc, m, acc.read((n // fold_len) * np.arange(fold_len)))
         assert first == supp.first_index
         blocks = (supp.first_index - start) // fold_len
         assert shifts == [bool((blocks >> b) & 1) for b in range(len(shifts))]
