@@ -72,4 +72,5 @@ class NoisyQuotient(AlgorithmError):
 
 
 class ZeroSignal(AlgorithmError):
-    """Every odd-indexed spectrum value is zero (only possible for x = 0)."""
+    """Every odd-indexed spectrum value probed is zero, which a nonzero
+    vector with support at most m cannot give."""

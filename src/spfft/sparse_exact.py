@@ -51,7 +51,8 @@ class Reconstruction:
 class ExactReconstruction(Reconstruction):
     """Result of reconstruct_exact.
 
-    On the sparse path samples_used is at most 2**(fold_level+1) + 2.
+    On the sparse path samples_used is at most 2**(fold_level+1) + 2
+    when the data fit the model, and 2**(fold_level+2) on any input.
     block_shift and phase_index are the resolved window placement
     (number of fold-length blocks) and the root-of-unity exponent it was
     derived from; both are 0 on the dense fallback path.
@@ -118,6 +119,37 @@ def mod_inverse_pow2(a: int, t: int) -> int:
     return pow(a % (1 << t), -1, 1 << t)
 
 
+def _odd_probe(
+    accessor: CountingSpectrumAccessor, center: int, probe_stride: int, budget: int
+) -> tuple[int, complex]:
+    """(index, value) of the larger of spectrum[center +- probe_stride].
+
+    center is an even multiple of probe_stride.  Both neighbors are read
+    in one call, cut to budget entries; the right one wins ties.  Only if
+    all are exactly zero are the odd multiples probe_stride*(2k+1) read
+    in turn, skipping those tried, until one is nonzero or budget
+    distinct indices were probed; else (right neighbor, 0) is returned.
+    A window of at most budget entries with a nonzero transform is
+    nonzero at one of any budget distinct frequencies.
+    """
+    n = len(accessor)
+    probes = np.array([center + probe_stride, center - probe_stride], dtype=np.int64)[:budget] % n
+    values = accessor.read(probes)
+    pick = int(np.argmax(np.abs(values)))
+    if values[pick] != 0:
+        return int(probes[pick]), complex(values[pick])
+    tried = set(probes.tolist())
+    for q in range(probe_stride, n, 2 * probe_stride):
+        if len(tried) >= budget:
+            break
+        if q not in tried:
+            tried.add(q)
+            value = accessor.read(q)
+            if value != 0:
+                return q, complex(value)
+    return int(probes[0]), 0j
+
+
 def select_odd_sample(
     accessor: CountingSpectrumAccessor, fold_level: int, subsampled
 ) -> tuple[int, complex]:
@@ -127,11 +159,10 @@ def select_odd_sample(
     ``spectrum[stride * r]`` for r < 2**(fold_level+1), so its argmax
     costs nothing; of its two (odd-indexed) neighbors, the one with
     larger modulus is returned, at a price of two new reads.  Returns
-    (k, spectrum[2k+1]).
-
-    If both neighbors are exactly zero -- possible for contrived exact
-    data -- odd indices 1, 3, 5, ... are scanned until a nonzero value
-    appears; a fully zero odd half-spectrum raises ZeroSignal.
+    (k, spectrum[2k+1]).  If both are exactly zero, odd indices 1, 3, 5,
+    ... are scanned, up to 2**(fold_level+1) distinct probes in all; a
+    nonzero vector with at most 2**fold_level <= N/4 support entries is
+    not zero at all of them, so if every probe is, ZeroSignal is raised.
     """
     j = accessor.log2_len
     if not 0 <= fold_level < j - 1:
@@ -141,21 +172,11 @@ def select_odd_sample(
         raise ValidationError(
             f"stride subsample has {len(subsampled)} values, fold level {fold_level} needs {count}"
         )
-    n = len(accessor)
     stride = 1 << (j - fold_level - 1)
-    base = stride * int(np.argmax(np.abs(subsampled)))
-    right = accessor.read((base + 1) % n)
-    left = accessor.read((base - 1) % n)
-    if abs(right) >= abs(left):
-        if abs(right) > 0:
-            return (base // 2) % (n // 2), complex(right)
-    elif abs(left) > 0:
-        return (base // 2 - 1) % (n // 2), complex(left)
-    for k in range(n // 2):
-        value = accessor.read(2 * k + 1)
-        if abs(value) > 0:
-            return k, complex(value)
-    raise ZeroSignal("every odd-indexed spectrum value is zero")
+    index, value = _odd_probe(accessor, stride * int(np.argmax(np.abs(subsampled))), 1, count)
+    if value == 0:
+        raise ZeroSignal(f"all {count} odd-indexed spectrum values probed are zero")
+    return index // 2, value
 
 
 def resolve_shift(quotient: complex, k: int, t: int) -> tuple[int, int]:
@@ -207,7 +228,8 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> E
     """Recover a vector with support length <= support_len from exact data.
 
     With L = ceil(log2 support_len) < J-1, the sparse path consumes at
-    most 2**(L+1) + 2 < 4*support_len + 2 distinct spectrum values; for
+    most 2**(L+1) + 2 < 4*support_len + 2 distinct spectrum values on
+    such data, and never more than 2**(L+2) on any input; for
     L >= J-1 a single dense inverse FFT is the cheapest correct option
     and is used as the fallback.
     """

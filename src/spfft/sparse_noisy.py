@@ -26,6 +26,7 @@ from .dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_inverse
 from .errors import InvalidOffset, InvalidSupportLength, NoVectors, ValidationError
 from .sparse_exact import (
     Reconstruction,
+    _odd_probe,
     ceil_log2,
     reconstruct_dense,
     window_energies,
@@ -149,14 +150,12 @@ def refine_support(
     folded vector, which the caller has already read: there the
     underlying magnitude is near its maximum, which keeps the sign
     decision reliable deep into the noise (an arbitrary or measured-max
-    probe does not).  If both neighbors of the peak read exactly zero
-    (contrived exact data), further odd candidates are scanned, at most
-    support_len probes per level; among any support_len distinct probes
-    at least one is nonzero.  Ties go to "no move".
+    probe does not).  It is the probe of select_odd_sample, with at most
+    support_len distinct reads per level; a level whose probes all read
+    zero, like a tie, goes to "no move".
     """
     folded = np.asarray(folded, dtype=np.complex128)
     j_top = accessor.log2_len
-    n = len(accessor)
     fold_len = len(folded)
     level = ceil_log2(fold_len) - 1
     if len(subsampled) != fold_len:
@@ -172,29 +171,9 @@ def refine_support(
     shifts: list[bool] = []
     for j in range(level + 1, j_top):
         probe_stride = 1 << (j_top - j - 1)
-        probes = [(peak + probe_stride) % n, (peak - probe_stride) % n][:support_len]
-        values = [accessor.read(q) for q in probes]
-        pick = int(np.argmax(np.abs(values)))
-        if abs(values[pick]) == 0:
-            tried = set(probes)
-            k = 0
-            while len(tried) < support_len and k < (1 << j):
-                q = int(probe_stride * (2 * k + 1))
-                k += 1
-                if q in tried:
-                    continue
-                tried.add(q)
-                value = accessor.read(q)
-                if abs(value) > 0:
-                    probes.append(q)
-                    values.append(value)
-                    pick = len(values) - 1
-                    break
-        measured = values[pick]
-        odd_index = probes[pick] // probe_stride  # odd by construction
-        predicted = window_spectrum_sample(
-            window, first_index, odd_index, 1 << (j + 1)
-        )
+        probe, measured = _odd_probe(accessor, peak, probe_stride, support_len)
+        odd_index = probe // probe_stride  # odd by construction
+        predicted = window_spectrum_sample(window, first_index, odd_index, 1 << (j + 1))
         move = abs(predicted - measured) > abs(predicted + measured)
         shifts.append(bool(move))
         if move:
@@ -260,12 +239,8 @@ def reconstruct_noisy(
 
     fold_len = 1 << (level + 1)
     estimate = estimate_support_start(accessor, support_len, level, max_vectors)
-    window_idx = (estimate.start + np.arange(support_len, dtype=np.int64)) % fold_len
-    folded = np.zeros(fold_len, dtype=np.complex128)
-    folded[window_idx] = estimate.vectors[0][window_idx]
-
     first_index, shifts = refine_support(
-        folded, estimate.start, accessor, support_len, estimate.subsampled
+        estimate.vectors[0], estimate.start, accessor, support_len, estimate.subsampled
     )
     block_shift = (first_index - estimate.start) // fold_len
 

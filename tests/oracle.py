@@ -2,7 +2,8 @@
 
 The quadratic-time DFT is the independent oracle for the FFT pair; the
 folding (periodization) operator and its spectral counterpart (stride
-subsampling) state the identity the sparse algorithms rest on.
+subsampling) state the identity the sparse algorithms rest on; the
+recording accessor shows which spectrum values a call read, in order.
 Imported by the test modules as ``oracle``.
 """
 
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 
-from spfft.dft_core import log2_length
+from spfft.dft_core import CountingSpectrumAccessor, log2_length
 from spfft.errors import InvalidLevel, InvalidOffset
 
 
@@ -85,3 +86,15 @@ def modulation_check(x, j: int, shift_count: int, rel_tol: float = 1e-10) -> boo
 def realized_snr_db(spectrum, noise) -> float:
     """20*log10(||spectrum||_2 / ||noise||_2)."""
     return 20 * math.log10(np.linalg.norm(spectrum) / np.linalg.norm(noise))
+
+
+class RecordingAccessor(CountingSpectrumAccessor):
+    """Counting accessor that also keeps the index list of every read call."""
+
+    def __init__(self, spectrum):
+        super().__init__(spectrum)
+        self.calls: list[list[int]] = []
+
+    def read(self, indices):
+        self.calls.append(np.atleast_1d(indices).tolist())
+        return super().read(indices)

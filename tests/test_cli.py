@@ -157,6 +157,17 @@ class TestReconstructCommand:
         main(["gen", "--n", "256", "--m", "6", "--seed", "1", "--snr", "10", "--out-prefix", str(prefix)])
         assert main(["reconstruct", f"{prefix}.freq.spf1", "--m", "6", "--algorithm", "exact"]) == 4
 
+    def test_period_half_spectrum_exits_4(self, tmp_path, capsys):
+        # x = tile(y, 2) has an all-zero odd half: no odd probe can place
+        # the window, and the exact path gives up after a bounded scan
+        y, _ = gen_sparse_signal(2048, 20, 3)
+        path = tmp_path / "tiled.freq.spf1"
+        write_vector_file(path, fft_forward(np.tile(y, 2)), DOMAIN_FREQ)
+        assert main(["reconstruct", str(path), "--m", "20", "--algorithm", "exact"]) == 4
+        captured = capsys.readouterr()
+        assert "odd-indexed spectrum values probed are zero" in captured.err
+        assert captured.out == ""
+
     def test_bad_support_length_exits_2(self, tmp_path):
         prefix = tmp_path / "case2"
         main(["gen", "--n", "64", "--m", "4", "--seed", "1", "--out-prefix", str(prefix)])

@@ -63,6 +63,37 @@ class TestReconstruct:
             reconstruct(accessor, 4, "dense")
 
 
+# run_experiment(ExperimentConfig(4096, m, snrs, 20, 5, algorithm)), data
+# rows only; any change to the sparse paths must leave these unchanged
+GOLDEN = {
+    ("noisy", 20, (0.0, 10.0, 20.0, math.inf)): [
+        "0,20,100,0.0033884370253651078,0.0090374928069015988,52.417120669719452,34.892823789148487,147.44999999999999,2.1499999999999999",
+        "10,20,100,0.0010634468827080555,0.0027513975755803994,15.912931023079363,10.628377851452985,138,2",
+        "20,20,100,0.00033946680379188068,0.00089600090743813341,5.1857952634279743,3.4603205033326083,138,2",
+        "inf,20,100,1.4680845524637653e-18,2.9772856973766374e-18,0,0,138,2",
+    ],
+    ("exact", 1, (math.inf,)): ["inf,20,100,0,5.0037202162981062e-19,0,0,4,0"],
+    ("exact", 20, (math.inf,)): ["inf,20,100,1.1750440008139758e-18,2.9477206580380604e-18,0,0,66,0"],
+}
+
+
+class TestGoldenExperiment:
+    @pytest.mark.parametrize("algorithm, m, snr_list", list(GOLDEN))
+    def test_rows_match_the_golden_values(self, algorithm, m, snr_list):
+        csv = run_experiment(ExperimentConfig(4096, m, snr_list, 20, 5, algorithm))
+        rows = [row.split(",") for row in csv.strip().split("\n")[1:]]
+        golden = [row.split(",") for row in GOLDEN[algorithm, m, snr_list]]
+        assert len(rows) == len(golden)
+        for got, want in zip(rows, golden):
+            # snr_db, trials, mu_correct_pct, mean_samples, mean_kappa_vectors exactly
+            assert [got[i] for i in (0, 1, 2, 7, 8)] == [want[i] for i in (0, 1, 2, 7, 8)]
+            # error and noise columns within rounding of the FFT and BLAS
+            # builds; atol covers the rounding-level errors of exact recovery
+            np.testing.assert_allclose(
+                [float(v) for v in got[3:7]], [float(v) for v in want[3:7]], rtol=1e-9, atol=1e-15
+            )
+
+
 class TestBaselineExperiment:
     def test_sparse_error_is_the_baseline_error(self):
         config = ExperimentConfig(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracle import periodize
+from oracle import RecordingAccessor, periodize
 from spfft.dft_core import CountingSpectrumAccessor, fft_forward, fft_inverse
 from spfft.errors import (
     AmbiguousSupport,
@@ -11,6 +11,7 @@ from spfft.errors import (
     NonFiniteSpectrum,
     NotInvertible,
     ValidationError,
+    ZeroSignal,
 )
 from spfft.signal_lab import gen_sparse_signal
 from spfft.sparse_exact import (
@@ -150,6 +151,31 @@ class TestSelectOddSample:
         with pytest.raises(ValidationError, match="needs 16"):
             select_odd_sample(acc, 3, acc.read(32 * np.arange(8)))
 
+    def test_zero_neighbors_take_the_first_nonzero_odd_value_in_scan_order(self):
+        # the stride-8 subsample peaks at 0; its neighbors 1 and 63 and the
+        # next odd index 3 are zero, so the scan stops at 5 although 7 is larger
+        spectrum = np.zeros(64, complex)
+        spectrum[::8] = 1
+        spectrum[0] = 4
+        spectrum[5], spectrum[7] = 2j, 9
+        acc = RecordingAccessor(spectrum)
+        k, value = select_odd_sample(acc, 2, acc.read(8 * np.arange(8)))
+        assert (k, value) == (2, 2j)
+        # both neighbors in one call, then the scan, which skips index 1
+        assert acc.calls[1:] == [[1, 63], [3], [5]]
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 4])
+    def test_all_zero_odd_half_raises_after_the_budget(self, level):
+        spectrum = np.zeros(64, complex)
+        spectrum[::2] = 1 + np.arange(32)
+        acc = CountingSpectrumAccessor(spectrum)
+        subsampled = acc.read((32 >> level) * np.arange(2 << level))
+        before = acc.read_count
+        with pytest.raises(ZeroSignal):
+            select_odd_sample(acc, level, subsampled)
+        # 2**(level+1) distinct odd probes: at level 0 both neighbors still
+        assert acc.read_count - before == 2 << level
+
 
 class TestWindowSpectrumSample:
     def test_matches_dense_transform(self):
@@ -213,6 +239,18 @@ class TestReconstructExact:
         assert rec.support.first_index == 0
         assert rec.signal[0] == pytest.approx(2.5 - 1j)
         assert np.max(np.abs(rec.signal - x)) <= 1e-9 * abs(x[0])
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_period_half_input_raises_within_the_read_bound(self, seed, data):
+        # x = tile(y, 2) has period N/2, so every odd-indexed value is zero
+        j = data.draw(st.integers(4, 12))
+        n = 1 << j
+        m = data.draw(st.integers(1, n // 8))
+        y, _ = gen_sparse_signal(n // 2, m, seed)
+        acc = CountingSpectrumAccessor(fft_forward(np.tile(y, 2)))
+        with pytest.raises(ZeroSignal):
+            reconstruct_exact(acc, m)
+        assert acc.read_count <= 1 << (ceil_log2(m) + 2)
 
     def test_zero_vector(self):
         rec = reconstruct_exact(CountingSpectrumAccessor(np.zeros(64, complex)), 4)

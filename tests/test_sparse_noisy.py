@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracle import periodize
+from oracle import RecordingAccessor, periodize
 from spfft.dft_core import CountingSpectrumAccessor, fft_forward, fft_inverse
 from spfft.errors import InvalidOffset, NonFiniteSpectrum, NoVectors, ValidationError
 from spfft.signal_lab import NOISE_STREAM_SALT, NoiseSpec, add_noise, gen_sparse_signal
-from spfft.sparse_exact import ceil_log2, find_support_start, reconstruct_exact
+from spfft.sparse_exact import ceil_log2, find_support_start, reconstruct_exact, window_spectrum_sample
 from spfft.sparse_noisy import (
     average_support_values,
     estimate_support_start,
@@ -103,6 +103,41 @@ class TestRefineSupport:
         acc = CountingSpectrumAccessor(fft_forward(example_256))
         with pytest.raises(ValidationError, match="folded vector has 16"):
             refine_support(periodize(example_256, 4), 9, acc, 6, acc.read(32 * np.arange(8)))
+
+    @pytest.mark.parametrize("sign, moved", [(1, False), (-1, True)])
+    def test_zero_neighbors_take_the_first_nonzero_odd_value_in_scan_order(self, sign, moved):
+        # N=16, m=4: one doubling level, probe stride 1, at most 4 probes.
+        # The subsample peaks at 4; 5, 3 and 1 read zero, so 7 decides,
+        # and 9, larger still, is past the budget.
+        folded = np.array([0, 1, 2j, -1, 0.5, 0, 0, 0])
+        spectrum = np.zeros(16, complex)
+        spectrum[::2] = 1
+        spectrum[4] = 3
+        spectrum[7] = sign * window_spectrum_sample(folded[1:5], 1, 7, 16)
+        spectrum[9] = 100
+        acc = RecordingAccessor(spectrum)
+        first, shifts = refine_support(folded, 1, acc, 4, acc.read(2 * np.arange(8)))
+        assert shifts == [moved]
+        assert first == 1 + 8 * moved
+        assert acc.calls[1:] == [[5, 3], [1], [7]]
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_all_zero_odd_probes_do_not_move(self, m):
+        # N=64: only the stride lattice is nonzero, so every probe reads
+        # zero; each level stops after m distinct probes and keeps the window
+        fold_len = 1 << (ceil_log2(m) + 1)
+        stride = 64 // fold_len
+        spectrum = np.zeros(64, complex)
+        spectrum[::stride] = 1 + np.arange(fold_len)
+        folded = np.zeros(fold_len, complex)
+        folded[:m] = 1
+        acc = CountingSpectrumAccessor(spectrum)
+        subsampled = acc.read(stride * np.arange(fold_len))
+        before = acc.read_count
+        first, shifts = refine_support(folded, 0, acc, m, subsampled)
+        levels = 6 - ceil_log2(m) - 1
+        assert (first, shifts) == (0, [False] * levels)
+        assert acc.read_count - before == levels * m
 
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_exact_doubling_decisions(self, seed, data):
