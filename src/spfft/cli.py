@@ -14,14 +14,15 @@ from pathlib import Path
 
 from .dft_core import CountingSpectrumAccessor, fft_forward
 from .errors import AlgorithmError, FileFormatError, ValidationError, WrongDomain
-from .experiment import ALGORITHMS, ExperimentConfig, reconstruct, run_bench, run_experiment
-from .signal_lab import (
-    NOISE_STREAM_SALT,
-    NoiseSpec,
-    add_noise,
-    error_l2_over_n,
-    gen_sparse_signal,
+from .experiment import (
+    ALGORITHMS,
+    ExperimentConfig,
+    reconstruct,
+    reconstruction_error,
+    run_bench,
+    run_experiment,
 )
+from .signal_lab import NOISE_STREAM_SALT, NoiseSpec, add_noise, gen_sparse_signal
 from .spf1 import DOMAIN_FREQ, DOMAIN_TIME, read_vector_file, write_vector_file
 
 FULL_SCALE_N = 1 << 22
@@ -79,7 +80,7 @@ def _cmd_reconstruct(args) -> int:
         truth, truth_domain = read_vector_file(args.truth)
         if truth_domain != DOMAIN_TIME:
             raise WrongDomain(f"{args.truth} holds frequency-domain data, need time-domain")
-        report += f" err_l2_over_n={error_l2_over_n(truth, result.signal):.17g}"
+        report += f" err_l2_over_n={reconstruction_error(truth, result):.17g}"
     if args.out is not None:
         write_vector_file(args.out, result.signal, DOMAIN_TIME)
         report += f" out={args.out}"

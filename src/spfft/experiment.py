@@ -24,6 +24,7 @@ from .signal_lab import (
     add_noise,
     error_l2_over_n,
     gen_sparse_signal,
+    window_error_l2_over_n,
 )
 from .sparse_exact import Reconstruction, reconstruct_dense, reconstruct_exact
 from .sparse_noisy import reconstruct_noisy
@@ -95,6 +96,13 @@ def reconstruct(
     raise ValidationError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
 
 
+def reconstruction_error(truth, result: Reconstruction) -> float:
+    """error_l2_over_n(truth, result.signal), from the window unless the result is dense."""
+    if result.mode == "baseline":
+        return error_l2_over_n(truth, result.signal)
+    return window_error_l2_over_n(truth, result.support, result.values, result.n)
+
+
 def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> TrialRecord:
     """Generate, perturb, reconstruct, and score one instance."""
     truth, support = gen_sparse_signal(n, m, seed)
@@ -103,15 +111,16 @@ def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> Trial
         spectrum, NoiseSpec(seed=seed ^ NOISE_STREAM_SALT, snr_db=snr_db)
     )
     result = reconstruct(CountingSpectrumAccessor(noisy), m, algorithm)
-    baseline = result.signal if result.mode == "baseline" else fft_inverse(noisy)
+    err_sparse = reconstruction_error(truth, result)
+    err_ifft = err_sparse if result.mode == "baseline" else error_l2_over_n(truth, fft_inverse(noisy))
     noise_abs = np.abs(noise)
     return TrialRecord(
         n=n,
         m=m,
         snr_db=snr_db,
         mu_correct=result.support.first_index == support.first_index,
-        err_sparse=error_l2_over_n(truth, result.signal),
-        err_ifft=error_l2_over_n(truth, baseline),
+        err_sparse=err_sparse,
+        err_ifft=err_ifft,
         samples_used=result.samples_used,
         vectors_used=result.vectors_used,
         noise_inf=float(np.max(noise_abs)) if len(noise) else 0.0,

@@ -30,25 +30,19 @@ def philox_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Uniform complex noise, parametrized by a bound or a target SNR.
+    """Uniform complex noise at a target SNR.
 
-    Exactly one of bound (|noise_k| <= bound) and snr_db
-    (20*log10(||spectrum||_2 / ||noise||_2), +inf for none) must be
-    given.  shape "disc" draws uniformly from the complex disc; "box"
-    draws Re and Im uniformly from a square inscribed in that disc.
+    snr_db is 20*log10(||spectrum||_2 / ||noise||_2), +inf for none.
+    shape "disc" draws uniformly from the complex disc; "box" draws Re
+    and Im uniformly from a square inscribed in that disc.
     """
 
     seed: int
-    snr_db: float | None = None
-    bound: float | None = None
+    snr_db: float
     shape: str = "disc"
 
     def __post_init__(self):
-        if (self.snr_db is None) == (self.bound is None):
-            raise ValidationError("exactly one of snr_db and bound must be set")
-        if self.bound is not None and self.bound < 0:
-            raise ValidationError(f"noise bound must be >= 0, got {self.bound}")
-        if self.snr_db is not None and math.isnan(self.snr_db):
+        if math.isnan(self.snr_db):
             raise ValidationError("snr_db must not be NaN")
         if self.shape not in ("disc", "box"):
             raise ValidationError(f"unknown noise shape {self.shape!r}")
@@ -88,18 +82,24 @@ def gen_sparse_signal(n: int, m: int, seed: int) -> tuple[np.ndarray, SupportDes
         while abs(values[end]) < ENDPOINT_MIN_MODULUS:
             values[end] = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
     support = SupportDescriptor(first_index, m)
-    return support.embed(values, n), support
+    x = np.zeros(n, dtype=np.complex128)
+    x[support.indices(n)] = values
+    return x, support
 
 
-def _l2_norm(v) -> float:
-    """Euclidean norm of a complex vector as one dot over its float64 view.
+def _energy(v) -> float:
+    """Squared Euclidean norm of a complex vector as one dot over its float64 view.
 
     numpy.linalg's norm takes two strided dots over the real and imaginary
     parts of complex input, which stall under threaded OpenBLAS; the
     contiguous view needs one.
     """
     flat = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
-    return math.sqrt(flat @ flat)
+    return float(flat @ flat)
+
+
+def _l2_norm(v) -> float:
+    return math.sqrt(_energy(v))
 
 
 def _unit_noise(n: int, shape: str, rng: np.random.Generator) -> np.ndarray:
@@ -115,17 +115,14 @@ def _unit_noise(n: int, shape: str, rng: np.random.Generator) -> np.ndarray:
 def add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     """Perturb a spectrum entrywise; returns (noisy, noise).
 
-    In SNR mode the noise is drawn at unit scale and rescaled so the
-    realized SNR hits the target exactly (up to rounding); an SNR of
-    +inf means no noise.
+    The noise is drawn at unit scale and rescaled so the realized SNR
+    hits the target exactly (up to rounding); an SNR of +inf means no
+    noise.
     """
     spectrum = np.asarray(spectrum, dtype=np.complex128)
     n = len(spectrum)
     log2_length(n)
     rng = philox_rng(spec.seed)
-    if spec.bound is not None:
-        noise = spec.bound * _unit_noise(n, spec.shape, rng) if spec.bound > 0 else np.zeros(n, dtype=np.complex128)
-        return spectrum + noise, noise
     if math.isinf(spec.snr_db) and spec.snr_db > 0:
         return spectrum.copy(), np.zeros(n, dtype=np.complex128)
     signal_norm = _l2_norm(spectrum)
@@ -146,3 +143,22 @@ def error_l2_over_n(x, y) -> float:
     if x.shape != y.shape:
         raise ValidationError(f"length mismatch: {x.shape} vs {y.shape}")
     return _l2_norm(x - y) / len(x)
+
+
+def window_error_l2_over_n(truth, support: SupportDescriptor, values, n: int) -> float:
+    """error_l2_over_n(truth, support.embed(values, n)) without the length-n vector.
+
+    sqrt(E_off + ||truth_w - values||^2) / n, where w is the window and
+    E_off the energy of truth outside it, summed directly over the at
+    most two contiguous slices w leaves out (not as ||truth||^2 minus
+    ||truth_w||^2, whose cancellation loses the small errors of an exact
+    reconstruction).
+    """
+    truth = np.asarray(truth, dtype=np.complex128)
+    if truth.shape != (n,):
+        raise ValidationError(f"length mismatch: {truth.shape} vs ({n},)")
+    start = support.first_index % n
+    end = start + support.length
+    outside = (truth[end - n : start],) if end > n else (truth[:start], truth[end:])
+    off_energy = sum(_energy(part) for part in outside)
+    return math.sqrt(off_energy + _energy(truth[support.indices(n)] - values)) / n

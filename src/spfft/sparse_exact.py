@@ -12,6 +12,8 @@ reconstruct_dense, the one dense inverse FFT of the package, is used.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +33,13 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """Recovered signal, its support window and how it was obtained.
+    """Recovered support window, its m values and how they were obtained.
 
+    values holds the entries on support, a fresh array of support.length
+    values; n is the length N of the recovered vector, which is zero
+    outside the window.  signal, the N-length vector itself, is built
+    on first access and cached; in "baseline" mode it is the whole dense
+    inverse FFT, whose entries outside the window need not be zero.
     samples_used is the accessor's distinct-read count.  mode is
     "sparse" for the sublinear algorithms, "fallback" when they handed
     over to the dense inverse FFT (support length above N/4), and
@@ -40,11 +47,17 @@ class Reconstruction:
     vectors_used counts the offset vectors of the noisy algorithm.
     """
 
-    signal: np.ndarray
     support: SupportDescriptor
+    values: np.ndarray
+    n: int
     samples_used: int
     mode: str
     vectors_used: int = 0
+
+    @functools.cached_property
+    def signal(self) -> np.ndarray:
+        """The length-n vector: values on the support window, zeros elsewhere."""
+        return self.support.embed(self.values, self.n)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -202,26 +215,33 @@ def resolve_shift(quotient: complex, k: int, t: int) -> tuple[int, int]:
     return shift, phase_index
 
 
+def _base_fields(result: Reconstruction) -> dict:
+    """The Reconstruction fields of result, to build a subclass from."""
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(Reconstruction)}
+
+
 def reconstruct_dense(
     accessor: CountingSpectrumAccessor, support_len: int, mode: str = "fallback"
 ) -> Reconstruction:
     """Dense inverse FFT of the whole spectrum, with its max-energy window.
 
     The window is the cyclic support_len-window of largest energy,
-    smallest start on ties.  In "fallback" mode the entries outside it
-    are zeroed, as the sparse algorithms promise; in "baseline" mode the
-    dense inverse FFT is returned whole, as the comparison baseline.
+    smallest start on ties, and values holds the inverse FFT on it.  In
+    "fallback" mode signal is zero outside the window, as the sparse
+    algorithms promise; in "baseline" mode signal is the dense inverse
+    FFT whole, as the comparison baseline.
     """
     if mode not in ("fallback", "baseline"):
         raise ValidationError(f"dense mode must be 'fallback' or 'baseline', got {mode!r}")
     n = len(accessor)
     if not 1 <= support_len <= n:
         raise InvalidSupportLength(f"support length {support_len} outside [1, {n}]")
-    signal = fft_inverse(accessor.read_all())
-    support = SupportDescriptor(int(np.argmax(window_energies(signal, support_len))), support_len)
-    if mode == "fallback":
-        signal = support.embed(signal[support.indices(n)], n)
-    return Reconstruction(signal, support, accessor.read_count, mode)
+    dense = fft_inverse(accessor.read_all())
+    support = SupportDescriptor(int(np.argmax(window_energies(dense, support_len))), support_len)
+    result = Reconstruction(support, dense[support.indices(n)], n, accessor.read_count, mode)
+    if mode == "baseline":
+        result.__dict__["signal"] = dense  # the cached_property's slot
+    return result
 
 
 def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> ExactReconstruction:
@@ -231,7 +251,9 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> E
     most 2**(L+1) + 2 < 4*support_len + 2 distinct spectrum values on
     such data, and never more than 2**(L+2) on any input; for
     L >= J-1 a single dense inverse FFT is the cheapest correct option
-    and is used as the fallback.
+    and is used as the fallback.  The result holds the support_len
+    window values; the N-length vector is built only when its signal
+    is read.
     """
     n = len(accessor)
     j = accessor.log2_len
@@ -240,16 +262,20 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> E
     level = ceil_log2(support_len)
 
     if level >= j - 1:
-        return ExactReconstruction(**vars(reconstruct_dense(accessor, support_len)), fold_level=level)
+        return ExactReconstruction(**_base_fields(reconstruct_dense(accessor, support_len)), fold_level=level)
 
     fold_len = 1 << (level + 1)
     stride = 1 << (j - level - 1)
     subsampled = accessor.read(stride * np.arange(fold_len, dtype=np.int64))
     folded = fft_inverse(subsampled)
     if not folded.any():
-        zero = np.zeros(n, dtype=np.complex128)
         return ExactReconstruction(
-            zero, SupportDescriptor(0, support_len), accessor.read_count, "sparse", fold_level=level
+            SupportDescriptor(0, support_len),
+            np.zeros(support_len, dtype=np.complex128),
+            n,
+            accessor.read_count,
+            "sparse",
+            fold_level=level,
         )
 
     start = find_support_start(folded, support_len)
@@ -261,10 +287,10 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> E
         raise DegenerateQuotient("window transform vanished at the chosen odd index")
     shift, phase_index = resolve_shift(odd_value / reference, k, j - level - 1)
 
-    support = SupportDescriptor((start + fold_len * shift) % n, support_len)
     return ExactReconstruction(
-        support.embed(window, n),
-        support,
+        SupportDescriptor((start + fold_len * shift) % n, support_len),
+        window,
+        n,
         accessor.read_count,
         "sparse",
         fold_level=level,

@@ -26,6 +26,7 @@ from .dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_inverse
 from .errors import InvalidOffset, InvalidSupportLength, NoVectors, ValidationError
 from .sparse_exact import (
     Reconstruction,
+    _base_fields,
     _odd_probe,
     ceil_log2,
     reconstruct_dense,
@@ -43,12 +44,15 @@ class NoisyReconstruction(Reconstruction):
     the window moved by half the new period); votes_stable is False when
     the vote loop exhausted its budget without two consecutive
     agreements (the last vote is still used -- a best-effort answer, not
-    an error).
+    an error).  blind_levels lists the doubling levels j (a move there
+    is by 2**j) whose probes all read zero, so that their "no move" was
+    not decided by the data; it is empty on data that fit the model.
     """
 
     start_votes: list[int] = field(default_factory=list)
     doubling_shifts: list[bool] = field(default_factory=list)
     votes_stable: bool = True
+    blind_levels: list[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,7 @@ def refine_support(
     accessor: CountingSpectrumAccessor,
     support_len: int,
     subsampled,
-) -> tuple[int, list[bool]]:
+) -> tuple[int, list[bool], list[int]]:
     """Grow the support start from the folded vector to the full length.
 
     At each level j the folded support either stays at start or moves by
@@ -152,7 +156,9 @@ def refine_support(
     decision reliable deep into the noise (an arbitrary or measured-max
     probe does not).  It is the probe of select_odd_sample, with at most
     support_len distinct reads per level; a level whose probes all read
-    zero, like a tie, goes to "no move".
+    zero, like a tie, goes to "no move".  Returns (first_index, shifts,
+    blind_levels): shifts[i] is the decision at level L+1+i, and
+    blind_levels lists the levels j whose probes all read zero.
     """
     folded = np.asarray(folded, dtype=np.complex128)
     j_top = accessor.log2_len
@@ -169,16 +175,19 @@ def refine_support(
 
     first_index = start
     shifts: list[bool] = []
+    blind: list[int] = []
     for j in range(level + 1, j_top):
         probe_stride = 1 << (j_top - j - 1)
         probe, measured = _odd_probe(accessor, peak, probe_stride, support_len)
+        if measured == 0:
+            blind.append(j)
         odd_index = probe // probe_stride  # odd by construction
         predicted = window_spectrum_sample(window, first_index, odd_index, 1 << (j + 1))
         move = abs(predicted - measured) > abs(predicted + measured)
         shifts.append(bool(move))
         if move:
             first_index += 1 << j
-    return first_index, shifts
+    return first_index, shifts, blind
 
 
 def average_support_values(
@@ -221,10 +230,11 @@ def reconstruct_noisy(
     Pipeline: energy-vote the folded support start over at most
     max_vectors offset vectors (each costs 2**(L+1) spectrum reads),
     double the folding up to the full length, then average the support
-    values over every offset vector computed.  Entries outside the
-    detected window are exactly zero.  For fold levels within one of J
-    the dense inverse FFT fallback is used (restricted to the best
-    window).
+    values over every offset vector computed.  The result holds the
+    support_len averaged window values; its signal, built only when
+    read, is exactly zero outside the detected window.  For fold levels
+    within one of J the dense inverse FFT fallback is used (restricted
+    to the best window).
     """
     if max_vectors < 2:
         raise ValidationError(f"max_vectors must be >= 2, got {max_vectors}")
@@ -235,11 +245,11 @@ def reconstruct_noisy(
     level = ceil_log2(support_len)
 
     if level >= j - 1:
-        return NoisyReconstruction(**vars(reconstruct_dense(accessor, support_len)))
+        return NoisyReconstruction(**_base_fields(reconstruct_dense(accessor, support_len)))
 
     fold_len = 1 << (level + 1)
     estimate = estimate_support_start(accessor, support_len, level, max_vectors)
-    first_index, shifts = refine_support(
+    first_index, shifts, blind = refine_support(
         estimate.vectors[0], estimate.start, accessor, support_len, estimate.subsampled
     )
     block_shift = (first_index - estimate.start) // fold_len
@@ -247,14 +257,15 @@ def reconstruct_noisy(
     values = average_support_values(
         estimate.vectors, estimate.offsets, estimate.start, block_shift, support_len, n
     )
-    support = SupportDescriptor(first_index % n, support_len)
     return NoisyReconstruction(
-        support.embed(values, n),
-        support,
+        SupportDescriptor(first_index % n, support_len),
+        values,
+        n,
         accessor.read_count,
         "sparse",
         len(estimate.vectors),
-        estimate.votes,
-        shifts,
-        estimate.stable,
+        start_votes=estimate.votes,
+        doubling_shifts=shifts,
+        votes_stable=estimate.stable,
+        blind_levels=blind,
     )

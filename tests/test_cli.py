@@ -220,6 +220,20 @@ class TestReconstructCommand:
         x, _ = gen_sparse_signal(256, 6, 3)
         assert np.max(np.abs(recovered - x)) <= 1e-9 * np.max(np.abs(x))
 
+    @pytest.mark.parametrize("m", [6, 100])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_out_may_overwrite_the_input_on_every_path(self, tmp_path, algorithm, m):
+        # values must be a fresh array, not a view of the mapped input file
+        prefix = tmp_path / "case"
+        main(["gen", "--n", "256", "--m", str(m), "--seed", "3", "--out-prefix", str(prefix)])
+        path = f"{prefix}.freq.spf1"
+        spectrum, _ = read_vector_file(path)
+        want = reconstruct(CountingSpectrumAccessor(np.array(spectrum)), m, algorithm).signal
+        del spectrum
+        assert main(["reconstruct", path, "--m", str(m), "--algorithm", algorithm, "--out", path]) == 0
+        got, _ = read_vector_file(path)
+        assert got.tobytes() == want.tobytes()
+
     def test_baseline_mode_is_reported(self, tmp_path, capsys):
         prefix = tmp_path / "case4"
         main(["gen", "--n", "256", "--m", "6", "--seed", "1", "--out-prefix", str(prefix)])

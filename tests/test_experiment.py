@@ -1,12 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from spfft.dft_core import CountingSpectrumAccessor, fft_forward
+from spfft import cli
+from spfft.dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forward
 from spfft.errors import ValidationError
 from spfft.experiment import ALGORITHMS, ExperimentConfig, reconstruct, run_experiment, run_trial
-from spfft.signal_lab import NOISE_STREAM_SALT, NoiseSpec, add_noise, gen_sparse_signal
+from spfft.signal_lab import NOISE_STREAM_SALT, NoiseSpec, add_noise, error_l2_over_n, gen_sparse_signal
+from spfft.spf1 import read_vector_file
 from spfft.sparse_exact import reconstruct_dense, reconstruct_exact
 from spfft.sparse_noisy import reconstruct_noisy
 
@@ -109,3 +112,65 @@ class TestBaselineExperiment:
         record = run_trial(256, 6, 10.0, 9, "ifft-baseline")
         assert record.err_sparse == record.err_ifft
         assert record.samples_used == 256
+
+
+def forbid_embed(monkeypatch):
+    def refuse(self, values, n):
+        raise AssertionError("the length-N vector was built")
+
+    monkeypatch.setattr(SupportDescriptor, "embed", refuse)
+
+
+class TestDenseVectorOnDemand:
+    """SupportDescriptor.embed builds the length-N vector only when signal is read."""
+
+    @pytest.mark.parametrize("n, m", [(4096, 20), (64, 30)])
+    def test_reconstructions_do_not_embed(self, monkeypatch, n, m):
+        spectrum = instance_spectrum(n, m, 4, math.inf)
+        forbid_embed(monkeypatch)
+        for algorithm in ("exact", "noisy"):
+            result = DIRECT[algorithm](CountingSpectrumAccessor(spectrum), m)
+            assert result.values.shape == (m,)
+        assert not reconstruct_exact(CountingSpectrumAccessor(np.zeros(n, complex)), m).values.any()
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_experiment_does_not_embed(self, monkeypatch, algorithm):
+        snrs = (math.inf,) if algorithm == "exact" else (10.0, math.inf)
+        forbid_embed(monkeypatch)
+        csv = run_experiment(ExperimentConfig(1024, 10, snrs, 3, 1, algorithm))
+        assert len(csv.strip().split("\n")) == 1 + len(snrs)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_cli_reconstruct_without_out_does_not_embed(self, monkeypatch, tmp_path, capsys, algorithm):
+        prefix = tmp_path / "case"
+        snr = [] if algorithm == "exact" else ["--snr", "20"]
+        cli.main(["gen", "--n", "4096", "--m", "20", "--seed", "6", "--out-prefix", str(prefix), *snr])
+        capsys.readouterr()
+        forbid_embed(monkeypatch)
+        argv = ["reconstruct", f"{prefix}.freq.spf1", "--m", "20", "--algorithm", algorithm,
+                "--truth", f"{prefix}.time.spf1"]
+        assert cli.main(argv) == 0
+        monkeypatch.undo()
+        report = capsys.readouterr().out
+        spectrum, _ = read_vector_file(f"{prefix}.freq.spf1")
+        truth, _ = read_vector_file(f"{prefix}.time.spf1")
+        result = reconstruct(CountingSpectrumAccessor(spectrum), 20, algorithm)
+        err = float(re.search(r"err_l2_over_n=(\S+)", report).group(1))
+        assert err == pytest.approx(error_l2_over_n(truth, result.signal), rel=1e-12)
+
+    def test_signal_is_built_once_when_read(self, monkeypatch):
+        calls = []
+        embed = SupportDescriptor.embed
+
+        def counting(self, values, n):
+            calls.append(n)
+            return embed(self, values, n)
+
+        monkeypatch.setattr(SupportDescriptor, "embed", counting)
+        x, _ = gen_sparse_signal(4096, 20, 8)
+        result = reconstruct_exact(CountingSpectrumAccessor(fft_forward(x)), 20)
+        assert calls == []
+        signal = result.signal
+        assert result.signal is signal and calls == [4096]
+        assert np.array_equal(signal[result.support.indices(4096)], result.values)
+        assert np.count_nonzero(signal) == np.count_nonzero(result.values)

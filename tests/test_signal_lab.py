@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracle import realized_snr_db
-from spfft.dft_core import fft_forward, fft_inverse
+from spfft.dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forward, fft_inverse
 from spfft.errors import CannotCalibrate, InvalidSupportLength, ValidationError
 from spfft.signal_lab import (
     ENDPOINT_MIN_MODULUS,
@@ -13,7 +13,9 @@ from spfft.signal_lab import (
     add_noise,
     error_l2_over_n,
     gen_sparse_signal,
+    window_error_l2_over_n,
 )
+from spfft.sparse_exact import Reconstruction, reconstruct_exact
 
 # frozen output of gen_sparse_signal(64, 5, seed=42); guards the RNG contract
 GOLDEN_SEED42_START = 19
@@ -90,25 +92,11 @@ class TestGenSparseSignal:
 
 
 class TestAddNoise:
-    def test_zero_bound_is_identity(self):
-        x, _ = gen_sparse_signal(64, 5, 1)
-        s = fft_forward(x)
-        noisy, noise = add_noise(s, NoiseSpec(seed=0, bound=0.0))
-        assert np.array_equal(noisy, s)
-        assert not noise.any()
-
     def test_infinite_snr_is_identity(self):
         s = fft_forward(gen_sparse_signal(64, 5, 2)[0])
         noisy, noise = add_noise(s, NoiseSpec(seed=0, snr_db=math.inf))
         assert np.array_equal(noisy, s)
         assert not noise.any()
-
-    def test_bound_mode_respects_bound(self):
-        for shape in ("disc", "box"):
-            _, noise = add_noise(
-                np.zeros(1 << 10, complex), NoiseSpec(seed=4, bound=0.75, shape=shape)
-            )
-            assert np.max(np.abs(noise)) <= 0.75
 
     @given(
         snr=st.sampled_from([0.0, 5.0, 13.0, 20.0, 37.5, 50.0]),
@@ -124,11 +112,9 @@ class TestAddNoise:
         with pytest.raises(CannotCalibrate):
             add_noise(np.zeros(16, complex), NoiseSpec(seed=0, snr_db=20.0))
 
-    def test_spec_requires_exactly_one_mode(self):
+    def test_spec_rejects_nan_snr(self):
         with pytest.raises(ValidationError):
-            NoiseSpec(seed=0)
-        with pytest.raises(ValidationError):
-            NoiseSpec(seed=0, snr_db=10.0, bound=1.0)
+            NoiseSpec(seed=0, snr_db=math.nan)
 
     def test_inf_norm_scale_at_snr20(self):
         # instance model of the support-rate experiments: the mean noise
@@ -167,6 +153,47 @@ class TestErrorMetrics:
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         want = np.linalg.norm(x - y) / n
         assert abs(error_l2_over_n(x, y) - want) <= 1e-12 * want
+
+
+class TestWindowError:
+    """window_error_l2_over_n against the dense error of result.signal."""
+
+    @staticmethod
+    def assert_matches_dense(truth, result):
+        got = window_error_l2_over_n(truth, result.support, result.values, result.n)
+        want = error_l2_over_n(truth, result.signal)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_wrapped_window(self):
+        n, m = 1 << 10, 40
+        truth, supp = gen_sparse_signal(n, m, 1)
+        truth = np.roll(truth, n - 10 - supp.first_index)  # window 1014..1053 mod n
+        result = reconstruct_exact(CountingSpectrumAccessor(fft_forward(truth)), m)
+        assert result.support.first_index + m > n
+        perturbed = Reconstruction(result.support, result.values + 0.01j, n, 0, "sparse")
+        self.assert_matches_dense(truth, perturbed)
+        self.assert_matches_dense(truth, result)
+
+    @pytest.mark.parametrize("shift", [1, 25, 500, 1023])
+    def test_misplaced_window(self, shift):
+        n, m = 1 << 10, 40
+        truth, supp = gen_sparse_signal(n, m, 2)
+        window = SupportDescriptor((supp.first_index + shift) % n, m)
+        values = truth[supp.indices(n)] * (1 - 0.5j)
+        self.assert_matches_dense(truth, Reconstruction(window, values, n, 0, "sparse"))
+
+    def test_all_zero_result(self):
+        truth, _ = gen_sparse_signal(1 << 10, 40, 3)
+        zero = reconstruct_exact(CountingSpectrumAccessor(np.zeros(1 << 10, complex)), 40)
+        assert not zero.values.any()
+        self.assert_matches_dense(truth, zero)
+        assert window_error_l2_over_n(truth, zero.support, zero.values, zero.n) == pytest.approx(
+            np.linalg.norm(truth) / (1 << 10), rel=1e-12
+        )
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValidationError):
+            window_error_l2_over_n(np.zeros(8), SupportDescriptor(0, 2), np.zeros(2), 16)
 
 
 class TestOracleInverse:

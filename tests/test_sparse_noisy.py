@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -95,9 +97,10 @@ class TestRefineSupport:
     def test_recovers_block_binary_digits(self, example_256):
         acc = CountingSpectrumAccessor(fft_forward(example_256))
         folded = periodize(example_256, 4)
-        first, shifts = refine_support(folded, 9, acc, 6, acc.read(16 * np.arange(16)))
+        first, shifts, blind = refine_support(folded, 9, acc, 6, acc.read(16 * np.arange(16)))
         assert first == 105
         assert shifts == [False, True, True, False]  # binary digits of (105-9)/16 = 6
+        assert blind == []
 
     def test_rejects_a_subsample_of_the_wrong_length(self, example_256):
         acc = CountingSpectrumAccessor(fft_forward(example_256))
@@ -116,8 +119,9 @@ class TestRefineSupport:
         spectrum[7] = sign * window_spectrum_sample(folded[1:5], 1, 7, 16)
         spectrum[9] = 100
         acc = RecordingAccessor(spectrum)
-        first, shifts = refine_support(folded, 1, acc, 4, acc.read(2 * np.arange(8)))
+        first, shifts, blind = refine_support(folded, 1, acc, 4, acc.read(2 * np.arange(8)))
         assert shifts == [moved]
+        assert blind == []
         assert first == 1 + 8 * moved
         assert acc.calls[1:] == [[5, 3], [1], [7]]
 
@@ -134,9 +138,10 @@ class TestRefineSupport:
         acc = CountingSpectrumAccessor(spectrum)
         subsampled = acc.read(stride * np.arange(fold_len))
         before = acc.read_count
-        first, shifts = refine_support(folded, 0, acc, m, subsampled)
+        first, shifts, blind = refine_support(folded, 0, acc, m, subsampled)
         levels = 6 - ceil_log2(m) - 1
         assert (first, shifts) == (0, [False] * levels)
+        assert blind == list(range(ceil_log2(m) + 1, 6))
         assert acc.read_count - before == levels * m
 
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -150,8 +155,9 @@ class TestRefineSupport:
         acc = CountingSpectrumAccessor(fft_forward(x))
         folded = periodize(x, level + 1)
         start = supp.first_index % fold_len
-        first, shifts = refine_support(folded, start, acc, m, acc.read((n // fold_len) * np.arange(fold_len)))
+        first, shifts, blind = refine_support(folded, start, acc, m, acc.read((n // fold_len) * np.arange(fold_len)))
         assert first == supp.first_index
+        assert blind == []
         blocks = (supp.first_index - start) // fold_len
         assert shifts == [bool((blocks >> b) & 1) for b in range(len(shifts))]
 
@@ -286,3 +292,22 @@ class TestReconstructNoisy:
         rec = reconstruct_noisy(CountingSpectrumAccessor(np.zeros(256, complex)), 6)
         assert not rec.signal.any()
         assert rec.support.length == 6
+
+    def test_model_data_have_no_blind_level(self):
+        for snr in (math.inf, 20.0):
+            _, _, noisy, _ = noisy_instance(4096, 20, snr, 3)
+            assert reconstruct_noisy(CountingSpectrumAccessor(noisy), 20).blind_levels == []
+
+    def test_period_half_input_reports_its_blind_level(self):
+        # x repeats with period N/2, so every odd spectrum value is zero and
+        # the last doubling level, probed at odd indices, reads nothing
+        x = np.tile(gen_sparse_signal(2048, 20, 3)[0], 2)
+        rec = reconstruct_noisy(CountingSpectrumAccessor(fft_forward(x)), 20)
+        assert rec.blind_levels == [11]
+        assert rec.doubling_shifts[-1] is False
+
+    def test_window_values_are_the_signal_on_its_support(self):
+        x, supp, noisy, _ = noisy_instance(1 << 10, 7, 15.0, 4321)
+        rec = reconstruct_noisy(CountingSpectrumAccessor(noisy), 7)
+        assert rec.n == 1 << 10 and rec.values.shape == (7,)
+        assert np.array_equal(rec.signal[rec.support.indices(rec.n)], rec.values)
