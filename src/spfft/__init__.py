@@ -10,7 +10,6 @@ from .dft_core import (
 )
 from .errors import (
     AlgorithmError,
-    AmbiguousSupport,
     CannotCalibrate,
     DegenerateQuotient,
     FileFormatError,
@@ -18,10 +17,8 @@ from .errors import (
     InvalidLevel,
     InvalidOffset,
     InvalidSupportLength,
-    NoVectors,
     NoisyQuotient,
     NonFiniteSpectrum,
-    NotInvertible,
     SpfftError,
     ValidationError,
     WrongDomain,
@@ -40,22 +37,15 @@ from .sparse_exact import (
     ExactReconstruction,
     Reconstruction,
     ceil_log2,
-    find_support_start,
-    mod_inverse_pow2,
     reconstruct_dense,
     reconstruct_exact,
-    resolve_shift,
-    select_odd_sample,
     window_energies,
     window_spectrum_sample,
 )
 from .sparse_noisy import (
     NoisyReconstruction,
-    average_support_values,
-    estimate_support_start,
     offset_periodization,
     reconstruct_noisy,
-    refine_support,
 )
 from .spf1 import DOMAIN_FREQ, DOMAIN_TIME, read_vector_file, write_vector_file
 

@@ -25,7 +25,6 @@ from .experiment import (
 from .signal_lab import NOISE_STREAM_SALT, NoiseSpec, add_noise, gen_sparse_signal
 from .spf1 import DOMAIN_FREQ, DOMAIN_TIME, read_vector_file, write_vector_file
 
-FULL_SCALE_N = 1 << 22
 DEFAULT_EXPERIMENT_N = 1 << 16
 
 
@@ -101,7 +100,7 @@ def _emit(csv_text: str, out: str | None) -> None:
 
 def _cmd_experiment(args) -> int:
     config = ExperimentConfig(
-        n=FULL_SCALE_N if args.full else args.n,
+        n=args.n,
         m=args.m,
         snr_list=tuple(_float_list(args.snr)),
         trials=args.trials,
@@ -146,7 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="SNR sweep; emits one CSV row per level")
     exp.add_argument("--n", type=int, default=DEFAULT_EXPERIMENT_N)
-    exp.add_argument("--full", action="store_true", help="run at the full N = 2^22 scale")
     exp.add_argument("--m", type=int, default=50)
     exp.add_argument("--snr", default="0,5,10,15,20,25,30,35,40,45,50", help="comma-separated dB values (inf = noiseless)")
     exp.add_argument("--trials", type=int, default=100)

@@ -29,24 +29,13 @@ class InvalidSupportLength(ValidationError):
     """Support length outside [1, N]."""
 
 
-class AmbiguousSupport(ValidationError):
-    """Window longer than half the vector: the argmax window is not unique."""
-
-
-class NotInvertible(ValidationError):
-    """Even integers have no inverse modulo a power of two."""
-
-
-class NoVectors(ValidationError):
-    """Averaging requested over an empty collection of vectors."""
-
-
 class NonFiniteSpectrum(ValidationError):
     """A spectrum value read by an algorithm is NaN or infinite."""
 
 
 class CannotCalibrate(ValidationError):
-    """A target SNR cannot be realized (zero spectrum or zero noise draw)."""
+    """A target SNR cannot be realized (zero spectrum, zero noise draw, or a
+    noise scale outside the float range)."""
 
 
 class WrongDomain(ValidationError):

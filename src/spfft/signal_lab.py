@@ -32,7 +32,8 @@ def philox_rng(seed: int) -> np.random.Generator:
 class NoiseSpec:
     """Uniform complex noise at a target SNR.
 
-    snr_db is 20*log10(||spectrum||_2 / ||noise||_2), +inf for none.
+    snr_db is 20*log10(||spectrum||_2 / ||noise||_2), +inf for none;
+    -inf, infinite noise, is not a noise level.
     shape "disc" draws uniformly from the complex disc; "box" draws Re
     and Im uniformly from a square inscribed in that disc.
     """
@@ -44,6 +45,8 @@ class NoiseSpec:
     def __post_init__(self):
         if math.isnan(self.snr_db):
             raise ValidationError("snr_db must not be NaN")
+        if self.snr_db == -math.inf:
+            raise ValidationError("snr_db must not be -inf")
         if self.shape not in ("disc", "box"):
             raise ValidationError(f"unknown noise shape {self.shape!r}")
 
@@ -117,7 +120,8 @@ def add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
 
     The noise is drawn at unit scale and rescaled so the realized SNR
     hits the target exactly (up to rounding); an SNR of +inf means no
-    noise.
+    noise.  CannotCalibrate is raised when the target cannot be hit: a
+    zero spectrum, or a noise scale that the float range cannot hold.
     """
     spectrum = np.asarray(spectrum, dtype=np.complex128)
     n = len(spectrum)
@@ -132,7 +136,13 @@ def add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     unit_norm = _l2_norm(unit)
     if unit_norm == 0:
         raise CannotCalibrate("degenerate zero noise draw")
-    noise = (signal_norm / (unit_norm * 10 ** (spec.snr_db / 20))) * unit
+    try:
+        scale = signal_norm / (unit_norm * 10 ** (spec.snr_db / 20))
+    except (OverflowError, ZeroDivisionError):
+        scale = math.nan
+    if not 0 < scale < math.inf:
+        raise CannotCalibrate(f"no finite nonzero noise scale reaches {spec.snr_db} dB SNR")
+    noise = scale * unit
     return spectrum + noise, noise
 
 

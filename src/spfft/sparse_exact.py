@@ -1,18 +1,24 @@
-"""Sparse recovery from exact Fourier data.
+"""Sparse recovery from exact Fourier data, and the stages both sparse paths share.
 
 A length-N vector that vanishes outside a cyclic window of m entries is
-recovered from just under 4m spectrum values: one inverse FFT of length
-2**(L+1), where L = ceil(log2 m), gives the folded vector; a sliding
-window locates its support; and a single odd-indexed spectrum value pins
-down which of the 2**(J-L-1) candidate placements of that window is the
-true one, via a root-of-unity quotient and an inverse modulo a power of
-two.  When m > N/4 no placement is left to resolve, and
-reconstruct_dense, the one dense inverse FFT of the package, is used.
+recovered in stages, with L = ceil(log2 m):
+
+- fold: the spectrum read at stride 2**(J-L-1), inverse transformed,
+  is the vector folded to length 2**(L+1) (_fold_level, _fold);
+- locate: the folded support starts at the argmax of window_energies;
+- place: one odd-indexed spectrum value next to the subsample's peak
+  (_peak, _odd_probe), divided by the transform of the folded window
+  there, is a root of unity whose exponent fixes which of the
+  2**(J-L-1) candidate placements is the true one (_resolve_shift).
+
+That is just under 4m spectrum values in all.  sparse_noisy reuses the
+fold, locate and probe stages.  When m > N/4 no placement is left to
+resolve, and reconstruct_dense, the one dense inverse FFT of the
+package, is used.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -20,12 +26,9 @@ import numpy as np
 
 from .dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_inverse
 from .errors import (
-    AmbiguousSupport,
     DegenerateQuotient,
-    InvalidLevel,
     InvalidSupportLength,
     NoisyQuotient,
-    NotInvertible,
     ValidationError,
     ZeroSignal,
 )
@@ -97,20 +100,6 @@ def window_energies(values, window_len: int) -> np.ndarray:
     return prefix[window_len : window_len + n] - prefix[:n]
 
 
-def find_support_start(values, window_len: int) -> int:
-    """First index of the max-energy cyclic window (smallest index on ties).
-
-    Requires ``window_len <= n/2``: a vector supported on window_len
-    entries then has a unique maximizing window.
-    """
-    values = np.asarray(values, dtype=np.complex128)
-    if window_len >= 1 and 2 * window_len > len(values):
-        raise AmbiguousSupport(
-            f"window length {window_len} exceeds half the vector length {len(values)}"
-        )
-    return int(np.argmax(window_energies(values, window_len)))
-
-
 def window_spectrum_sample(window, first_index: int, freq_index: int, length: int) -> complex:
     """One DFT sample of a window embedded at first_index in a length-`length` vector.
 
@@ -123,13 +112,30 @@ def window_spectrum_sample(window, first_index: int, freq_index: int, length: in
     return complex(window @ np.exp((-2j * np.pi / length) * exponents))
 
 
-def mod_inverse_pow2(a: int, t: int) -> int:
-    """Inverse of an odd integer a modulo 2**t."""
-    if t < 1:
-        raise InvalidLevel(f"modulus exponent must be >= 1, got {t}")
-    if a % 2 == 0:
-        raise NotInvertible(f"{a} is even and has no inverse mod 2**{t}")
-    return pow(a % (1 << t), -1, 1 << t)
+def _fold_level(accessor: CountingSpectrumAccessor, m: int) -> int:
+    """The fold level L = ceil(log2 m), once 1 <= m <= N is checked."""
+    n = len(accessor)
+    if not 1 <= m <= n:
+        raise InvalidSupportLength(f"support length {m} outside [1, {n}]")
+    return ceil_log2(m)
+
+
+def _fold(accessor: CountingSpectrumAccessor, level: int, offset: int = 0):
+    """(subsampled, folded) at fold level `level`, for 0 <= offset < stride.
+
+    subsampled is ``spectrum[stride * r + offset]`` for r < 2**(level+1),
+    stride = 2**(J-level-1), and folded its inverse FFT: at offset 0
+    the vector folded to length 2**(level+1), at any other offset that
+    vector with each entry turned by a unit phase.
+    """
+    stride = 1 << (accessor.log2_len - level - 1)
+    subsampled = accessor.read(stride * np.arange(2 << level, dtype=np.int64) + offset)
+    return subsampled, fft_inverse(subsampled)
+
+
+def _peak(accessor: CountingSpectrumAccessor, subsampled) -> int:
+    """Spectrum index of the largest-modulus value of a stride subsample."""
+    return len(accessor) // len(subsampled) * int(np.argmax(np.abs(subsampled)))
 
 
 def _odd_probe(
@@ -163,45 +169,14 @@ def _odd_probe(
     return int(probes[0]), 0j
 
 
-def select_odd_sample(
-    accessor: CountingSpectrumAccessor, fold_level: int, subsampled
-) -> tuple[int, complex]:
-    """Pick a reliably-nonzero odd-indexed spectrum value, frugally.
-
-    subsampled is the stride subsample the sparse path has already read,
-    ``spectrum[stride * r]`` for r < 2**(fold_level+1), so its argmax
-    costs nothing; of its two (odd-indexed) neighbors, the one with
-    larger modulus is returned, at a price of two new reads.  Returns
-    (k, spectrum[2k+1]).  If both are exactly zero, odd indices 1, 3, 5,
-    ... are scanned, up to 2**(fold_level+1) distinct probes in all; a
-    nonzero vector with at most 2**fold_level <= N/4 support entries is
-    not zero at all of them, so if every probe is, ZeroSignal is raised.
-    """
-    j = accessor.log2_len
-    if not 0 <= fold_level < j - 1:
-        raise InvalidLevel(f"fold level {fold_level} outside [0, {j - 1})")
-    count = 1 << (fold_level + 1)
-    if len(subsampled) != count:
-        raise ValidationError(
-            f"stride subsample has {len(subsampled)} values, fold level {fold_level} needs {count}"
-        )
-    stride = 1 << (j - fold_level - 1)
-    index, value = _odd_probe(accessor, stride * int(np.argmax(np.abs(subsampled))), 1, count)
-    if value == 0:
-        raise ZeroSignal(f"all {count} odd-indexed spectrum values probed are zero")
-    return index // 2, value
-
-
-def resolve_shift(quotient: complex, k: int, t: int) -> tuple[int, int]:
-    """Invert ``quotient = exp(-2i*pi*(2k+1)*shift / 2**t)`` for the shift.
+def _resolve_shift(quotient: complex, odd: int, t: int) -> tuple[int, int]:
+    """Invert ``quotient = exp(-2i*pi * odd * shift / 2**t)`` for the shift.
 
     Rounds the phase to the nearest 2**t-th root of unity; a phase more
     than a quarter step away means the data cannot have come from an
     exact spectrum, and NoisyQuotient is raised.  Returns
     (block_shift, phase_index).
     """
-    if abs(quotient) == 0:
-        raise DegenerateQuotient("shift quotient is zero")
     modulus = 1 << t
     steps = -np.angle(quotient) * modulus / (2 * np.pi)
     nearest = round(steps)
@@ -211,13 +186,7 @@ def resolve_shift(quotient: complex, k: int, t: int) -> tuple[int, int]:
             f"root-of-unity lattice point; data are not an exact spectrum"
         )
     phase_index = int(nearest) % modulus
-    shift = (phase_index * mod_inverse_pow2((2 * k + 1) % modulus, t)) % modulus
-    return shift, phase_index
-
-
-def _base_fields(result: Reconstruction) -> dict:
-    """The Reconstruction fields of result, to build a subclass from."""
-    return {f.name: getattr(result, f.name) for f in dataclasses.fields(Reconstruction)}
+    return phase_index * pow(odd, -1, modulus) % modulus, phase_index
 
 
 def reconstruct_dense(
@@ -233,9 +202,8 @@ def reconstruct_dense(
     """
     if mode not in ("fallback", "baseline"):
         raise ValidationError(f"dense mode must be 'fallback' or 'baseline', got {mode!r}")
+    _fold_level(accessor, support_len)
     n = len(accessor)
-    if not 1 <= support_len <= n:
-        raise InvalidSupportLength(f"support length {support_len} outside [1, {n}]")
     dense = fft_inverse(accessor.read_all())
     support = SupportDescriptor(int(np.argmax(window_energies(dense, support_len))), support_len)
     result = Reconstruction(support, dense[support.indices(n)], n, accessor.read_count, mode)
@@ -247,7 +215,7 @@ def reconstruct_dense(
 def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> ExactReconstruction:
     """Recover a vector with support length <= support_len from exact data.
 
-    With L = ceil(log2 support_len) < J-1, the sparse path consumes at
+    With L = ceil_log2(support_len) < J-1, the sparse path consumes at
     most 2**(L+1) + 2 < 4*support_len + 2 distinct spectrum values on
     such data, and never more than 2**(L+2) on any input; for
     L >= J-1 a single dense inverse FFT is the cheapest correct option
@@ -256,18 +224,12 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> E
     is read.
     """
     n = len(accessor)
-    j = accessor.log2_len
-    if not 1 <= support_len <= n:
-        raise InvalidSupportLength(f"support length {support_len} outside [1, {n}]")
-    level = ceil_log2(support_len)
+    level = _fold_level(accessor, support_len)
+    if level >= accessor.log2_len - 1:
+        # a fresh fallback result's __dict__ holds exactly its fields
+        return ExactReconstruction(**vars(reconstruct_dense(accessor, support_len)), fold_level=level)
 
-    if level >= j - 1:
-        return ExactReconstruction(**_base_fields(reconstruct_dense(accessor, support_len)), fold_level=level)
-
-    fold_len = 1 << (level + 1)
-    stride = 1 << (j - level - 1)
-    subsampled = accessor.read(stride * np.arange(fold_len, dtype=np.int64))
-    folded = fft_inverse(subsampled)
+    subsampled, folded = _fold(accessor, level)
     if not folded.any():
         return ExactReconstruction(
             SupportDescriptor(0, support_len),
@@ -277,18 +239,24 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> E
             "sparse",
             fold_level=level,
         )
+    start = int(np.argmax(window_energies(folded, support_len)))
+    window = folded[SupportDescriptor(start, support_len).indices(len(folded))]
 
-    start = find_support_start(folded, support_len)
-    window = folded[(start + np.arange(support_len, dtype=np.int64)) % fold_len]
-
-    k, odd_value = select_odd_sample(accessor, level, subsampled)
-    reference = window_spectrum_sample(window, start, 2 * k + 1, n)
-    if abs(reference) == 0:
+    # A nonzero vector with at most 2**L <= N/4 support entries is not
+    # zero at all of 2**(L+1) distinct odd indices.
+    odd, odd_value = _odd_probe(accessor, _peak(accessor, subsampled), 1, len(subsampled))
+    if odd_value == 0:
+        raise ZeroSignal(f"all {len(subsampled)} odd-indexed spectrum values probed are zero")
+    reference = window_spectrum_sample(window, start, odd, n)
+    if reference == 0:
         raise DegenerateQuotient("window transform vanished at the chosen odd index")
-    shift, phase_index = resolve_shift(odd_value / reference, k, j - level - 1)
+    quotient = odd_value / reference
+    if quotient == 0:  # underflow: odd_value is nonzero, but tiny next to reference
+        raise DegenerateQuotient("shift quotient is zero")
+    shift, phase_index = _resolve_shift(quotient, odd, accessor.log2_len - level - 1)
 
     return ExactReconstruction(
-        SupportDescriptor((start + fold_len * shift) % n, support_len),
+        SupportDescriptor((start + len(folded) * shift) % n, support_len),
         window,
         n,
         accessor.read_count,

@@ -1,33 +1,38 @@
 """Noise-robust sparse recovery from perturbed Fourier data.
 
-Three stabilizations on top of the exact-data algorithm:
+The stages of the exact-data algorithm (sparse_exact), made robust:
 
-1. The folded support is located by majority energy voting over several
-   vectors, each the inverse FFT of the spectrum subsampled at the same
-   stride but a different offset.  For exact data every such vector has
-   entrywise the same modulus as the folded signal, so all votes agree;
-   under noise, more vectors are drawn until two consecutive votes
-   match or the budget runs out.
-2. The true window placement is found by doubling the folding length one
-   level at a time, deciding "shift by half a period or not" from the
-   sign agreement between a predicted and a measured odd-indexed value.
-3. The support entries are averaged over all offset vectors computed in
-   step 1, after undoing each vector's per-entry phase, which divides
-   the noise variance by the number of vectors.
+- fold: as on exact data, plus one more folded vector per offset,
+  each the inverse FFT of the spectrum read at the same stride but a
+  different offset (offset_periodization).  On exact data every such
+  vector has entrywise the modulus of the folded signal.
+- locate: the window energies of the vectors are summed, and their
+  argmax voted on, until two consecutive votes agree or the budget of
+  vectors runs out (_vote).
+- place: the folding length is doubled one level at a time, each level
+  deciding "shift by half a period or not" from the sign agreement
+  between a predicted and a measured odd-indexed value, probed next to
+  the spectral peak as on exact data (_double).
+- average: the support entries are averaged over all offset vectors,
+  after undoing each vector's per-entry phase, which divides the noise
+  variance by the number of vectors (_average).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_inverse
-from .errors import InvalidOffset, InvalidSupportLength, NoVectors, ValidationError
+from .dft_core import CountingSpectrumAccessor, SupportDescriptor
+from .errors import InvalidOffset, ValidationError
 from .sparse_exact import (
     Reconstruction,
-    _base_fields,
+    _fold,
+    _fold_level,
     _odd_probe,
+    _peak,
     ceil_log2,
     reconstruct_dense,
     window_energies,
@@ -55,22 +60,6 @@ class NoisyReconstruction(Reconstruction):
     blind_levels: list[int] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class SupportEstimate:
-    """Outcome of the energy-vote stage: the vectors are reused later.
-
-    subsampled holds the offset-0 stride subsample, the spectrum values
-    whose inverse FFT is vectors[0]; the doubling stage takes its peak.
-    """
-
-    start: int
-    vectors: list[np.ndarray]
-    offsets: list[int]
-    votes: list[int]
-    stable: bool
-    subsampled: np.ndarray
-
-
 def offset_periodization(
     accessor: CountingSpectrumAccessor, offset: int, fold_level: int
 ) -> np.ndarray:
@@ -81,108 +70,69 @@ def offset_periodization(
     entry by a unit phase, so all offsets share the same entrywise
     modulus when the data are exact.
     """
-    j = accessor.log2_len
-    fold_len = 1 << (fold_level + 1)
-    stride = 1 << (j - fold_level - 1)
+    stride = 1 << (accessor.log2_len - fold_level - 1)
     if not 0 <= offset < stride:
         raise InvalidOffset(f"subsampling offset {offset} outside [0, {stride})")
-    return fft_inverse(accessor.read(stride * np.arange(fold_len, dtype=np.int64) + offset))
+    return _fold(accessor, fold_level, offset)[1]
 
 
-def _offset_sequence(t: int):
-    """Offsets to try after 0: descending powers of two, then odd values.
+def _vote(accessor: CountingSpectrumAccessor, folded, m: int, max_vectors: int):
+    """Vote on the folded support start over at most max_vectors offset vectors.
 
-    2**(t-1), 2**(t-2), ..., 2, 1, 3, 5, 7, ...  keeps consecutive
-    offsets maximally separated and matches the odd-index probes of the
-    doubling stage, so their reads overlap.
+    The first vote uses the energies of folded, the offset-0 vector,
+    alone; each later vote uses the running sum of all energy profiles
+    computed so far.  Returns (votes, stable, vectors, offsets): stable
+    is True when the last two votes agree, False when the budget ran out
+    first.  With stride 2**t, the offsets after 0 are 2**(t-1), ..., 2,
+    1, 3, 5, 7, ...: consecutive offsets stay maximally separated, and
+    the odd ones match the odd-index probes of the doubling stage, so
+    their reads overlap.
     """
-    for r in range(t - 1, -1, -1):
-        yield 1 << r
-    for odd in range(3, 1 << t, 2):
-        yield odd
-
-
-def estimate_support_start(
-    accessor: CountingSpectrumAccessor,
-    support_len: int,
-    fold_level: int,
-    max_vectors: int = 8,
-) -> SupportEstimate:
-    """Vote on the folded support start over offset vectors.
-
-    The first vote uses the offset-0 energies alone; each later vote uses
-    the running mean of all energy profiles computed so far.  Voting
-    stops as soon as two consecutive votes agree, or when max_vectors is
-    reached (then the estimate is flagged unstable).
-    """
-    t = accessor.log2_len - fold_level - 1
-    subsampled = accessor.read((1 << t) * np.arange(1 << (fold_level + 1), dtype=np.int64))
-    vectors = [fft_inverse(subsampled)]
+    level = ceil_log2(m)
+    t = accessor.log2_len - level - 1
+    vectors = [folded]
     offsets = [0]
-    energy_sum = window_energies(vectors[0], support_len)
+    energy_sum = window_energies(folded, m)
     votes = [int(np.argmax(energy_sum))]
-    stable = False
-    more = _offset_sequence(t)
-    while len(vectors) < max_vectors:
-        offset = next(more, None)
-        if offset is None:
-            break
-        vectors.append(offset_periodization(accessor, offset, fold_level))
+    more = itertools.chain((1 << r for r in reversed(range(t))), range(3, 1 << t, 2))
+    for offset in itertools.islice(more, max_vectors - 1):
+        vectors.append(offset_periodization(accessor, offset, level))
         offsets.append(offset)
-        energy_sum += window_energies(vectors[-1], support_len)
+        energy_sum += window_energies(vectors[-1], m)
         votes.append(int(np.argmax(energy_sum)))
         if votes[-1] == votes[-2]:
-            stable = True
-            break
-    return SupportEstimate(votes[-1], vectors, offsets, votes, stable, subsampled)
+            return votes, True, vectors, offsets
+    return votes, False, vectors, offsets
 
 
-def refine_support(
-    folded,
-    start: int,
-    accessor: CountingSpectrumAccessor,
-    support_len: int,
-    subsampled,
-) -> tuple[int, list[bool], list[int]]:
+def _double(accessor: CountingSpectrumAccessor, window, start: int, peak: int):
     """Grow the support start from the folded vector to the full length.
 
-    At each level j the folded support either stays at start or moves by
-    2**j.  The two cases flip the sign of every odd-indexed spectrum
-    value of the level-(j+1) folding, so one such value decides.  The
-    probe is taken right next to the spectral peak located by
-    subsampled, the stride subsample ``spectrum[stride * r]`` behind the
-    folded vector, which the caller has already read: there the
+    window holds the m folded entries from start on.  At each level j
+    the folded support either stays at start or moves by 2**j.  The two
+    cases flip the sign of every odd-indexed spectrum value of the
+    level-(j+1) folding, so one such value decides.  It is probed right
+    next to peak, the spectral peak of the offset-0 subsample: there the
     underlying magnitude is near its maximum, which keeps the sign
     decision reliable deep into the noise (an arbitrary or measured-max
-    probe does not).  It is the probe of select_odd_sample, with at most
-    support_len distinct reads per level; a level whose probes all read
-    zero, like a tie, goes to "no move".  Returns (first_index, shifts,
-    blind_levels): shifts[i] is the decision at level L+1+i, and
-    blind_levels lists the levels j whose probes all read zero.
+    probe does not).  Each level makes at most m distinct reads; one
+    whose probes all read zero, like a tie, goes to "no move".  Returns
+    (first_index, shifts, blind_levels): shifts[i] is the decision at
+    level L+1+i, and blind_levels lists the levels j whose probes all
+    read zero.
     """
-    folded = np.asarray(folded, dtype=np.complex128)
     j_top = accessor.log2_len
-    fold_len = len(folded)
-    level = ceil_log2(fold_len) - 1
-    if len(subsampled) != fold_len:
-        raise ValidationError(
-            f"stride subsample has {len(subsampled)} values, folded vector has {fold_len}"
-        )
-    window = folded[(start + np.arange(support_len, dtype=np.int64)) % fold_len]
-
-    stride = 1 << (j_top - level - 1)
-    peak = stride * int(np.argmax(np.abs(subsampled)))
-
+    m = len(window)
     first_index = start
     shifts: list[bool] = []
     blind: list[int] = []
-    for j in range(level + 1, j_top):
+    for j in range(ceil_log2(m) + 1, j_top):
         probe_stride = 1 << (j_top - j - 1)
-        probe, measured = _odd_probe(accessor, peak, probe_stride, support_len)
+        probe, measured = _odd_probe(accessor, peak, probe_stride, m)
         if measured == 0:
             blind.append(j)
         odd_index = probe // probe_stride  # odd by construction
-        predicted = window_spectrum_sample(window, first_index, odd_index, 1 << (j + 1))
+        predicted = window_spectrum_sample(window, first_index, odd_index, 2 << j)
         move = abs(predicted - measured) > abs(predicted + measured)
         shifts.append(bool(move))
         if move:
@@ -190,33 +140,19 @@ def refine_support(
     return first_index, shifts, blind
 
 
-def average_support_values(
-    vectors,
-    offsets,
-    start: int,
-    block_shift: int,
-    support_len: int,
-    total_len: int,
-) -> np.ndarray:
+def _average(vectors, offsets, window_idx, positions, n: int) -> np.ndarray:
     """Phase-corrected mean of the support entries across offset vectors.
 
-    Each offset vector carries the support values multiplied by a known
-    unit phase; undoing it and averaging leaves the signal untouched for
-    exact data and shrinks the noise variance by the vector count.
+    window_idx are the entries of the window in every offset vector,
+    positions the indices in [0, n) they stand for.  Each offset vector
+    carries the support values multiplied by a known unit phase; undoing
+    it and averaging leaves the signal untouched for exact data and
+    shrinks the noise variance by the vector count.
     """
-    if len(vectors) == 0:
-        raise NoVectors("support averaging needs at least one offset vector")
-    if len(vectors) != len(offsets):
-        raise ValidationError(
-            f"{len(vectors)} vectors but {len(offsets)} offsets"
-        )
-    fold_len = len(vectors[0])
-    window_idx = (start + np.arange(support_len, dtype=np.int64)) % fold_len
-    positions = (start + fold_len * block_shift + np.arange(support_len, dtype=np.int64)) % total_len
-    acc = np.zeros(support_len, dtype=np.complex128)
+    acc = np.zeros(len(window_idx), dtype=np.complex128)
     for vector, offset in zip(vectors, offsets):
-        exponents = (offset * positions) % total_len
-        acc += vector[window_idx] * np.exp((2j * np.pi / total_len) * exponents)
+        exponents = (offset * positions) % n
+        acc += vector[window_idx] * np.exp((2j * np.pi / n) * exponents)
     return acc / len(vectors)
 
 
@@ -227,9 +163,9 @@ def reconstruct_noisy(
 ) -> NoisyReconstruction:
     """Recover a vector with support length <= support_len from noisy data.
 
-    Pipeline: energy-vote the folded support start over at most
-    max_vectors offset vectors (each costs 2**(L+1) spectrum reads),
-    double the folding up to the full length, then average the support
+    Stages: fold, locate by an energy vote over at most max_vectors
+    offset vectors (each costs 2**(L+1) spectrum reads), place by
+    doubling the folding up to the full length, then average the support
     values over every offset vector computed.  The result holds the
     support_len averaged window values; its signal, built only when
     read, is exactly zero outside the detected window.  For fold levels
@@ -239,33 +175,28 @@ def reconstruct_noisy(
     if max_vectors < 2:
         raise ValidationError(f"max_vectors must be >= 2, got {max_vectors}")
     n = len(accessor)
-    j = accessor.log2_len
-    if not 1 <= support_len <= n:
-        raise InvalidSupportLength(f"support length {support_len} outside [1, {n}]")
-    level = ceil_log2(support_len)
+    level = _fold_level(accessor, support_len)
+    if level >= accessor.log2_len - 1:
+        # a fresh fallback result's __dict__ holds exactly its fields
+        return NoisyReconstruction(**vars(reconstruct_dense(accessor, support_len)))
 
-    if level >= j - 1:
-        return NoisyReconstruction(**_base_fields(reconstruct_dense(accessor, support_len)))
-
-    fold_len = 1 << (level + 1)
-    estimate = estimate_support_start(accessor, support_len, level, max_vectors)
-    first_index, shifts, blind = refine_support(
-        estimate.vectors[0], estimate.start, accessor, support_len, estimate.subsampled
+    subsampled, folded = _fold(accessor, level)
+    votes, stable, vectors, offsets = _vote(accessor, folded, support_len, max_vectors)
+    window_idx = SupportDescriptor(votes[-1], support_len).indices(len(folded))
+    first_index, shifts, blind = _double(
+        accessor, folded[window_idx], votes[-1], _peak(accessor, subsampled)
     )
-    block_shift = (first_index - estimate.start) // fold_len
-
-    values = average_support_values(
-        estimate.vectors, estimate.offsets, estimate.start, block_shift, support_len, n
-    )
+    support = SupportDescriptor(first_index % n, support_len)
+    values = _average(vectors, offsets, window_idx, support.indices(n), n)
     return NoisyReconstruction(
-        SupportDescriptor(first_index % n, support_len),
+        support,
         values,
         n,
         accessor.read_count,
         "sparse",
-        len(estimate.vectors),
-        start_votes=estimate.votes,
+        len(vectors),
+        start_votes=votes,
         doubling_shifts=shifts,
-        votes_stable=estimate.stable,
+        votes_stable=stable,
         blind_levels=blind,
     )

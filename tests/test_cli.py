@@ -100,6 +100,13 @@ class TestGenCommand:
     def test_invalid_length_exits_2(self, tmp_path):
         assert main(["gen", "--n", "100", "--m", "5", "--out-prefix", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("snr", ["-inf", "-7000", "7000"])
+    def test_unreachable_snr_exits_2(self, tmp_path, capsys, snr):
+        prefix = tmp_path / "x"
+        assert main(["gen", "--n", "64", "--m", "4", f"--snr={snr}", "--out-prefix", str(prefix)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
+
 
 class TestReconstructCommand:
     def test_exact_reconstruction_report(self, tmp_path, capsys):
@@ -297,6 +304,14 @@ class TestExperimentCommand:
 
     def test_empty_snr_list_exits_2(self, tmp_path):
         assert main(["experiment", "--n", "1024", "--m", "5", "--snr", "", "--trials", "1"]) == 2
+
+    @pytest.mark.parametrize("snr", ["-inf", "-7000", "7000", "20,-inf"])
+    def test_unreachable_snr_exits_2(self, tmp_path, capsys, snr):
+        out = tmp_path / "exp.csv"
+        code = main(["experiment", "--n", "64", "--m", "4", f"--snr={snr}", "--trials", "2", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestBenchCommand:

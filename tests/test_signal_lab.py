@@ -116,6 +116,17 @@ class TestAddNoise:
         with pytest.raises(ValidationError):
             NoiseSpec(seed=0, snr_db=math.nan)
 
+    def test_spec_rejects_minus_inf_snr(self):
+        with pytest.raises(ValidationError, match="-inf"):
+            NoiseSpec(seed=0, snr_db=-math.inf)
+
+    @pytest.mark.parametrize("scale, snr", [(1.0, -7000.0), (1.0, 7000.0), (1e140, -3400.0)])
+    def test_noise_scale_out_of_float_range_cannot_calibrate(self, scale, snr):
+        # 10**(snr/20) underflows to 0 or overflows, or the noise scale does
+        s = scale * fft_forward(gen_sparse_signal(64, 5, 2)[0])
+        with pytest.raises(CannotCalibrate, match="noise scale"):
+            add_noise(s, NoiseSpec(seed=0, snr_db=snr))
+
     def test_inf_norm_scale_at_snr20(self):
         # instance model of the support-rate experiments: the mean noise
         # sup-norm at SNR 20 lands within 1.5x of 6.751 (scale-free in N)

@@ -5,23 +5,21 @@ from hypothesis import given, strategies as st
 from oracle import RecordingAccessor, periodize
 from spfft.dft_core import CountingSpectrumAccessor, fft_forward, fft_inverse
 from spfft.errors import (
-    AmbiguousSupport,
+    DegenerateQuotient,
     InvalidSupportLength,
     NoisyQuotient,
     NonFiniteSpectrum,
-    NotInvertible,
     ValidationError,
     ZeroSignal,
 )
 from spfft.signal_lab import gen_sparse_signal
 from spfft.sparse_exact import (
+    _odd_probe,
+    _peak,
+    _resolve_shift,
     ceil_log2,
-    find_support_start,
-    mod_inverse_pow2,
     reconstruct_dense,
     reconstruct_exact,
-    resolve_shift,
-    select_odd_sample,
     window_energies,
     window_spectrum_sample,
 )
@@ -38,21 +36,18 @@ def brute_force_start(values, window_len):
 
 
 class TestFindSupportStart:
+    # the locate stage: the argmax of the window energies, smallest start on ties
     def test_isolated_window(self):
-        assert find_support_start([0, 0, 5, 1, 0, 0, 0, 0], 2) == 2
+        assert np.argmax(window_energies([0, 0, 5, 1, 0, 0, 0, 0], 2)) == 2
 
     def test_wrap_around(self):
-        assert find_support_start([1, 0, 0, 0, 0, 0, 0, 3], 2) == 7
+        assert np.argmax(window_energies([1, 0, 0, 0, 0, 0, 0, 3], 2)) == 7
 
     def test_folded_example(self, example_256):
         # folding the known instance to 16 entries puts the window at 105 mod 16
         folded = periodize(example_256, 4)
-        assert find_support_start(folded, 6) == 9
+        assert np.argmax(window_energies(folded, 6)) == 9
         assert brute_force_start(folded, 6) == 9
-
-    def test_too_long_window_is_ambiguous(self):
-        with pytest.raises(AmbiguousSupport):
-            find_support_start(np.ones(8), 5)
 
     def test_rejects_zero_length(self):
         with pytest.raises(InvalidSupportLength):
@@ -64,7 +59,7 @@ class TestFindSupportStart:
         n = 1 << data.draw(st.integers(1, 7))
         window_len = data.draw(st.integers(1, n // 2))
         values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert find_support_start(values, window_len) == brute_force_start(values, window_len)
+        assert np.argmax(window_energies(values, window_len)) == brute_force_start(values, window_len)
 
     def test_brute_force_bulk(self):
         rng = np.random.default_rng(314)
@@ -72,51 +67,38 @@ class TestFindSupportStart:
             n = 1 << int(rng.integers(1, 7))
             window_len = int(rng.integers(1, n // 2 + 1))
             values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            assert find_support_start(values, window_len) == brute_force_start(
+            assert np.argmax(window_energies(values, window_len)) == brute_force_start(
                 values, window_len
             )
 
 
-class TestModInverse:
-    def test_identity(self):
-        assert mod_inverse_pow2(1, 4) == 1
-
-    def test_brute_forced_values(self):
-        assert mod_inverse_pow2(3, 4) == 11  # 3 * 11 = 33 = 1 mod 16
-        assert mod_inverse_pow2(7, 3) == 7  # 49 = 1 mod 8
-
-    def test_even_not_invertible(self):
-        with pytest.raises(NotInvertible):
-            mod_inverse_pow2(6, 5)
-
-    @given(a=st.integers(-(2**40), 2**40).filter(lambda v: v % 2), t=st.integers(1, 40))
-    def test_inverse_property(self, a, t):
-        inv = mod_inverse_pow2(a, t)
-        assert 0 <= inv < 1 << t
-        assert (a * inv) % (1 << t) == 1
-
-
 class TestResolveShift:
     def test_unit_quotient_means_no_shift(self):
-        assert resolve_shift(1.0 + 0j, 3, 5) == (0, 0)
+        assert _resolve_shift(1.0 + 0j, 7, 5) == (0, 0)
 
     def test_known_root_of_unity(self):
         quotient = np.exp(-2j * np.pi * 6 / 8)
-        shift, phase = resolve_shift(complex(quotient), 0, 3)
+        shift, phase = _resolve_shift(complex(quotient), 1, 3)
         assert (shift, phase) == (6, 6)
 
     def test_brute_force_all_shifts(self):
-        t, k = 4, 3
+        t, odd = 4, 7
         modulus = 1 << t
         for true_shift in range(modulus):
-            quotient = np.exp(-2j * np.pi * ((2 * k + 1) * true_shift % modulus) / modulus)
-            shift, _ = resolve_shift(complex(quotient), k, t)
+            quotient = np.exp(-2j * np.pi * (odd * true_shift % modulus) / modulus)
+            shift, _ = _resolve_shift(complex(quotient), odd, t)
             assert shift == true_shift
 
     def test_off_lattice_phase_rejected(self):
         quotient = np.exp(-2j * np.pi * (3 + 0.4) / 16)
         with pytest.raises(NoisyQuotient):
-            resolve_shift(complex(quotient), 0, 4)
+            _resolve_shift(complex(quotient), 1, 4)
+
+
+def probe_next_to_peak(acc, subsampled):
+    # the exact path's place stage: odd neighbors of the subsample's peak,
+    # with one probe per subsample entry at most
+    return _odd_probe(acc, _peak(acc, subsampled), 1, len(subsampled))
 
 
 class TestSelectOddSample:
@@ -125,16 +107,17 @@ class TestSelectOddSample:
         x = np.zeros(16, complex)
         x[0] = 1
         acc = CountingSpectrumAccessor(fft_forward(x))
-        k, value = select_odd_sample(acc, 1, acc.read(4 * np.arange(4)))
-        assert k == 0
+        odd, value = probe_next_to_peak(acc, acc.read(4 * np.arange(4)))
+        assert odd == 1
         assert value == pytest.approx(1.0)
 
     def test_example_value_is_nonzero(self, example_256):
         acc = CountingSpectrumAccessor(fft_forward(example_256))
-        k, value = select_odd_sample(acc, 3, acc.read(16 * np.arange(16)))
+        odd, value = probe_next_to_peak(acc, acc.read(16 * np.arange(16)))
         assert abs(value) > 0
         # returned value really is the odd-indexed spectrum entry
-        assert value == pytest.approx(complex(fft_forward(example_256)[2 * k + 1]))
+        assert odd % 2 == 1
+        assert value == pytest.approx(complex(fft_forward(example_256)[odd]))
 
     def test_costs_at_most_two_extra_reads(self):
         x, _ = gen_sparse_signal(1 << 10, 9, 5)
@@ -143,13 +126,8 @@ class TestSelectOddSample:
         stride = 1 << (10 - level - 1)
         acc.read(stride * np.arange(1 << (level + 1)))
         before = acc.read_count
-        select_odd_sample(acc, level, acc.read(stride * np.arange(1 << (level + 1))))
+        probe_next_to_peak(acc, acc.read(stride * np.arange(1 << (level + 1))))
         assert acc.read_count <= before + 2
-
-    def test_rejects_a_subsample_of_the_wrong_length(self, example_256):
-        acc = CountingSpectrumAccessor(fft_forward(example_256))
-        with pytest.raises(ValidationError, match="needs 16"):
-            select_odd_sample(acc, 3, acc.read(32 * np.arange(8)))
 
     def test_zero_neighbors_take_the_first_nonzero_odd_value_in_scan_order(self):
         # the stride-8 subsample peaks at 0; its neighbors 1 and 63 and the
@@ -159,8 +137,8 @@ class TestSelectOddSample:
         spectrum[0] = 4
         spectrum[5], spectrum[7] = 2j, 9
         acc = RecordingAccessor(spectrum)
-        k, value = select_odd_sample(acc, 2, acc.read(8 * np.arange(8)))
-        assert (k, value) == (2, 2j)
+        odd, value = probe_next_to_peak(acc, acc.read(8 * np.arange(8)))
+        assert (odd, value) == (5, 2j)
         # both neighbors in one call, then the scan, which skips index 1
         assert acc.calls[1:] == [[1, 63], [3], [5]]
 
@@ -171,10 +149,14 @@ class TestSelectOddSample:
         acc = CountingSpectrumAccessor(spectrum)
         subsampled = acc.read((32 >> level) * np.arange(2 << level))
         before = acc.read_count
-        with pytest.raises(ZeroSignal):
-            select_odd_sample(acc, level, subsampled)
+        assert probe_next_to_peak(acc, subsampled)[1] == 0
         # 2**(level+1) distinct odd probes: at level 0 both neighbors still
         assert acc.read_count - before == 2 << level
+        # which the exact path reports after its fold and probe reads
+        acc = CountingSpectrumAccessor(spectrum)
+        with pytest.raises(ZeroSignal, match=f"all {2 << level} odd-indexed"):
+            reconstruct_exact(acc, 1 << level)
+        assert acc.read_count == 4 << level
 
 
 class TestWindowSpectrumSample:
@@ -280,6 +262,15 @@ class TestReconstructExact:
         spectrum[0] = np.nan
         with pytest.raises(NonFiniteSpectrum):
             reconstruct_exact(CountingSpectrumAccessor(spectrum), 20)
+
+    def test_underflowing_quotient_is_degenerate(self):
+        # both the odd sample 1e-300 and the window transform 1e150 are
+        # nonzero, but their quotient underflows to 0, which fixes no shift
+        spectrum = np.zeros(16, complex)
+        spectrum[0] = spectrum[8] = 1e150
+        spectrum[1] = 1e-300
+        with pytest.raises(DegenerateQuotient, match="shift quotient is zero"):
+            reconstruct_exact(CountingSpectrumAccessor(spectrum), 1)
 
     def test_support_length_validation(self):
         acc = CountingSpectrumAccessor(np.zeros(16, complex))

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracle import RecordingAccessor, periodize
-from spfft.dft_core import CountingSpectrumAccessor, fft_forward, fft_inverse
-from spfft.errors import InvalidOffset, NonFiniteSpectrum, NoVectors, ValidationError
+from spfft.dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forward, fft_inverse
+from spfft.errors import InvalidOffset, NonFiniteSpectrum, ValidationError
 from spfft.signal_lab import NOISE_STREAM_SALT, NoiseSpec, add_noise, gen_sparse_signal
-from spfft.sparse_exact import ceil_log2, find_support_start, reconstruct_exact, window_spectrum_sample
-from spfft.sparse_noisy import (
-    average_support_values,
-    estimate_support_start,
-    offset_periodization,
-    reconstruct_noisy,
-    refine_support,
+from spfft.sparse_exact import (
+    _fold,
+    _peak,
+    ceil_log2,
+    reconstruct_exact,
+    window_energies,
+    window_spectrum_sample,
 )
+from spfft.sparse_noisy import _average, _double, _vote, offset_periodization, reconstruct_noisy
 
 
 def noisy_instance(n, m, snr_db, seed):
@@ -25,6 +26,23 @@ def noisy_instance(n, m, snr_db, seed):
         spectrum, NoiseSpec(seed=seed ^ NOISE_STREAM_SALT, snr_db=snr_db)
     )
     return x, supp, noisy, noise
+
+
+def vote(acc, m, max_vectors=8):
+    # the fold and locate stages of the noisy path
+    return _vote(acc, _fold(acc, ceil_log2(m))[1], m, max_vectors)
+
+
+def double(acc, folded, start, m, subsampled):
+    # the doubling stage from a folded start, probing next to the subsample's peak
+    window = folded[SupportDescriptor(start, m).indices(len(folded))]
+    return _double(acc, window, start, _peak(acc, subsampled))
+
+
+def average(vectors, offsets, supp):
+    # the averaging stage at N = 256: the window entries of each vector,
+    # cyclic mod its length, stand for supp's entries
+    return _average(vectors, offsets, supp.indices(len(vectors[0])), supp.indices(256), 256)
 
 
 class TestOffsetPeriodization:
@@ -64,18 +82,18 @@ class TestOffsetPeriodization:
 class TestEstimateSupportStart:
     def test_exact_data_agrees_immediately(self, example_256):
         acc = CountingSpectrumAccessor(fft_forward(example_256))
-        est = estimate_support_start(acc, 6, 3)
-        assert est.start == 9  # 105 mod 16
-        assert len(est.vectors) == 2
-        assert est.offsets == [0, 8]  # second vector sits between the stride combs
-        assert est.stable
+        votes, stable, vectors, offsets = vote(acc, 6)
+        assert votes[-1] == 9  # 105 mod 16
+        assert len(vectors) == 2
+        assert offsets == [0, 8]  # second vector sits between the stride combs
+        assert stable
 
     def test_matches_plain_detection_without_noise(self):
         x, _ = gen_sparse_signal(1 << 10, 13, 21)
         acc = CountingSpectrumAccessor(fft_forward(x))
         level = ceil_log2(13)
-        est = estimate_support_start(acc, 13, level)
-        assert est.start == find_support_start(periodize(x, level + 1), 13)
+        votes, _, _, _ = vote(acc, 13)
+        assert votes[-1] == np.argmax(window_energies(periodize(x, level + 1), 13))
 
     def test_budget_exhaustion_reports_unstable(self):
         # heavy noise and a 2-vector budget cannot reach agreement reliably;
@@ -84,10 +102,10 @@ class TestEstimateSupportStart:
         for seed in range(20):
             x, supp, noisy, _ = noisy_instance(1 << 10, 13, -10.0, seed)
             acc = CountingSpectrumAccessor(noisy)
-            est = estimate_support_start(acc, 13, ceil_log2(13), max_vectors=2)
-            assert len(est.vectors) <= 2
-            if est.votes[0] != est.votes[1]:
-                assert not est.stable
+            votes, stable, vectors, _ = vote(acc, 13, max_vectors=2)
+            assert len(vectors) <= 2
+            if votes[0] != votes[1]:
+                assert not stable
                 break
         else:
             pytest.fail("no disagreeing vote pair found across seeds")
@@ -97,15 +115,10 @@ class TestRefineSupport:
     def test_recovers_block_binary_digits(self, example_256):
         acc = CountingSpectrumAccessor(fft_forward(example_256))
         folded = periodize(example_256, 4)
-        first, shifts, blind = refine_support(folded, 9, acc, 6, acc.read(16 * np.arange(16)))
+        first, shifts, blind = double(acc, folded, 9, 6, acc.read(16 * np.arange(16)))
         assert first == 105
         assert shifts == [False, True, True, False]  # binary digits of (105-9)/16 = 6
         assert blind == []
-
-    def test_rejects_a_subsample_of_the_wrong_length(self, example_256):
-        acc = CountingSpectrumAccessor(fft_forward(example_256))
-        with pytest.raises(ValidationError, match="folded vector has 16"):
-            refine_support(periodize(example_256, 4), 9, acc, 6, acc.read(32 * np.arange(8)))
 
     @pytest.mark.parametrize("sign, moved", [(1, False), (-1, True)])
     def test_zero_neighbors_take_the_first_nonzero_odd_value_in_scan_order(self, sign, moved):
@@ -119,7 +132,7 @@ class TestRefineSupport:
         spectrum[7] = sign * window_spectrum_sample(folded[1:5], 1, 7, 16)
         spectrum[9] = 100
         acc = RecordingAccessor(spectrum)
-        first, shifts, blind = refine_support(folded, 1, acc, 4, acc.read(2 * np.arange(8)))
+        first, shifts, blind = double(acc, folded, 1, 4, acc.read(2 * np.arange(8)))
         assert shifts == [moved]
         assert blind == []
         assert first == 1 + 8 * moved
@@ -138,7 +151,7 @@ class TestRefineSupport:
         acc = CountingSpectrumAccessor(spectrum)
         subsampled = acc.read(stride * np.arange(fold_len))
         before = acc.read_count
-        first, shifts, blind = refine_support(folded, 0, acc, m, subsampled)
+        first, shifts, blind = double(acc, folded, 0, m, subsampled)
         levels = 6 - ceil_log2(m) - 1
         assert (first, shifts) == (0, [False] * levels)
         assert blind == list(range(ceil_log2(m) + 1, 6))
@@ -155,7 +168,7 @@ class TestRefineSupport:
         acc = CountingSpectrumAccessor(fft_forward(x))
         folded = periodize(x, level + 1)
         start = supp.first_index % fold_len
-        first, shifts, blind = refine_support(folded, start, acc, m, acc.read((n // fold_len) * np.arange(fold_len)))
+        first, shifts, blind = double(acc, folded, start, m, acc.read((n // fold_len) * np.arange(fold_len)))
         assert first == supp.first_index
         assert blind == []
         blocks = (supp.first_index - start) // fold_len
@@ -167,19 +180,15 @@ class TestAverageSupportValues:
         x, supp = gen_sparse_signal(256, 6, 13)
         acc = CountingSpectrumAccessor(fft_forward(x))
         z0 = offset_periodization(acc, 0, 3)
-        start = supp.first_index % 16
-        blocks = (supp.first_index - start) // 16
-        values = average_support_values([z0], [0], start, blocks, 6, 256)
-        assert np.allclose(values, z0[(start + np.arange(6)) % 16], atol=1e-12)
+        values = average([z0], [0], supp)
+        assert np.allclose(values, z0[(supp.first_index + np.arange(6)) % 16], atol=1e-12)
 
     def test_exact_data_identity_any_offsets(self):
         x, supp = gen_sparse_signal(256, 6, 14)
         acc = CountingSpectrumAccessor(fft_forward(x))
         offsets = [0, 8, 4, 2, 9]
         vectors = [offset_periodization(acc, off, 3) for off in offsets]
-        start = supp.first_index % 16
-        blocks = (supp.first_index - start) // 16
-        values = average_support_values(vectors, offsets, start, blocks, 6, 256)
+        values = average(vectors, offsets, supp)
         truth = x[supp.indices(256)]
         assert np.max(np.abs(values - truth)) <= 1e-10 * np.max(np.abs(truth))
 
@@ -189,10 +198,9 @@ class TestAverageSupportValues:
         x, supp = gen_sparse_signal(n, m, 99)
         spectrum = fft_forward(x)
         level = ceil_log2(m)
-        fold_len = 1 << (level + 1)
-        start = supp.first_index % fold_len
-        blocks = (supp.first_index - start) // fold_len
-        truth = x[supp.indices(n)]
+        window_idx = supp.indices(1 << (level + 1))
+        positions = supp.indices(n)
+        truth = x[positions]
         offsets = [0, 1 << 7, 1 << 6, 1 << 5]
         single_sq = quad_sq = 0.0
         trials = 1000
@@ -200,16 +208,12 @@ class TestAverageSupportValues:
             noisy, _ = add_noise(spectrum, NoiseSpec(seed=trial, snr_db=snr))
             acc = CountingSpectrumAccessor(noisy)
             vectors = [offset_periodization(acc, off, level) for off in offsets]
-            one = average_support_values(vectors[:1], offsets[:1], start, blocks, m, n)
-            four = average_support_values(vectors, offsets, start, blocks, m, n)
+            one = _average(vectors[:1], offsets[:1], window_idx, positions, n)
+            four = _average(vectors, offsets, window_idx, positions, n)
             single_sq += np.sum(np.abs(one - truth) ** 2)
             quad_sq += np.sum(np.abs(four - truth) ** 2)
         ratio = quad_sq / single_sq
         assert 0.25 / 1.5 <= ratio <= 0.25 * 1.5
-
-    def test_empty_vector_list_rejected(self):
-        with pytest.raises(NoVectors):
-            average_support_values([], [], 0, 0, 4, 64)
 
 
 class TestReconstructNoisy:
