@@ -14,7 +14,6 @@ from .errors import (
     DegenerateQuotient,
     FileFormatError,
     InvalidLength,
-    InvalidLevel,
     InvalidOffset,
     InvalidSupportLength,
     NoisyQuotient,
@@ -24,10 +23,9 @@ from .errors import (
     WrongDomain,
     ZeroSignal,
 )
-from .experiment import ExperimentConfig, reconstruct, run_bench, run_experiment, run_trial
+from .experiment import ExperimentConfig, TrialRecord, reconstruct, run_bench, run_experiment, run_trial
 from .signal_lab import (
     NoiseSpec,
-    TrialRecord,
     add_noise,
     error_l2_over_n,
     gen_sparse_signal,

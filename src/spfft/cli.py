@@ -47,10 +47,7 @@ def _cmd_gen(args) -> int:
     spectrum = fft_forward(signal)
     meta = [f"n={args.n}", f"m={args.m}", f"mu={support.first_index}", f"seed={args.seed}"]
     if args.snr is not None:
-        spectrum, _ = add_noise(
-            spectrum,
-            NoiseSpec(seed=args.seed ^ NOISE_STREAM_SALT, snr_db=args.snr, shape=args.noise_shape),
-        )
+        spectrum, _ = add_noise(spectrum, NoiseSpec(seed=args.seed ^ NOISE_STREAM_SALT, snr_db=args.snr))
         meta.append(f"snr_db={args.snr}")
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -68,7 +65,7 @@ def _cmd_reconstruct(args) -> int:
     accessor = CountingSpectrumAccessor(spectrum)
 
     tic = time.perf_counter()
-    result = reconstruct(accessor, args.m, args.algorithm, args.max_kappa)
+    result = reconstruct(accessor, args.m, args.algorithm)
     wall_ms = 1e3 * (time.perf_counter() - tic)
 
     report = (
@@ -130,7 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--m", type=int, required=True, help="support window length")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--snr", type=float, default=None, help="perturb the spectrum at this SNR (dB)")
-    gen.add_argument("--noise-shape", choices=("disc", "box"), default="disc")
     gen.add_argument("--out-prefix", required=True, help="writes PREFIX.{time,freq}.spf1 and PREFIX.meta.txt")
     gen.set_defaults(func=_cmd_gen)
 
@@ -138,7 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("input", help="frequency-domain SPF1 file")
     rec.add_argument("--m", type=int, required=True, help="known support length bound")
     rec.add_argument("--algorithm", choices=ALGORITHMS, default="exact")
-    rec.add_argument("--max-kappa", type=int, default=8, help="offset-vector budget of the noisy algorithm")
     rec.add_argument("--truth", default=None, help="time-domain SPF1 file to score against")
     rec.add_argument("--out", default=None, help="write the recovered vector here")
     rec.set_defaults(func=_cmd_reconstruct)

@@ -17,10 +17,6 @@ class InvalidLength(ValidationError):
     """Vector length is not a supported power of two."""
 
 
-class InvalidLevel(ValidationError):
-    """Folding level outside [0, log2(N)]."""
-
-
 class InvalidOffset(ValidationError):
     """Spectrum index or subsampling offset out of range."""
 
@@ -30,7 +26,9 @@ class InvalidSupportLength(ValidationError):
 
 
 class NonFiniteSpectrum(ValidationError):
-    """A spectrum value read by an algorithm is NaN or infinite."""
+    """A spectrum value read by an algorithm is NaN or infinite, or the
+    window energies taken from them are: finite values so large that
+    their inverse FFT overflows."""
 
 
 class CannotCalibrate(ValidationError):
@@ -52,7 +50,8 @@ class AlgorithmError(SpfftError):
 
 
 class DegenerateQuotient(AlgorithmError):
-    """The reference odd-indexed value vanished; the shift quotient is 0/0."""
+    """The shift quotient is undefined or zero: the reference odd-indexed
+    value vanished (0/0), or the quotient underflowed to 0."""
 
 
 class NoisyQuotient(AlgorithmError):

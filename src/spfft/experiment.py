@@ -20,7 +20,6 @@ from .errors import ValidationError
 from .signal_lab import (
     NOISE_STREAM_SALT,
     NoiseSpec,
-    TrialRecord,
     add_noise,
     error_l2_over_n,
     gen_sparse_signal,
@@ -37,6 +36,19 @@ CSV_HEADER = (
 )
 
 BENCH_HEADER = "N,m,algorithm,mean_ns,samples_used"
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """The scores of one reconstruction trial of the experiment harness."""
+
+    mu_correct: bool
+    err_sparse: float
+    err_ifft: float
+    samples_used: int
+    vectors_used: int
+    noise_inf: float
+    noise_l1_over_n: float
 
 
 @dataclass(frozen=True)
@@ -83,14 +95,12 @@ def trial_seed(seed: int, index: int) -> int:
     return (seed ^ index) & 0xFFFFFFFFFFFFFFFF
 
 
-def reconstruct(
-    accessor: CountingSpectrumAccessor, m: int, algorithm: str, max_vectors: int = 8
-) -> Reconstruction:
-    """Run one of ALGORITHMS; max_vectors is the noisy algorithm's budget."""
+def reconstruct(accessor: CountingSpectrumAccessor, m: int, algorithm: str) -> Reconstruction:
+    """Run one of ALGORITHMS."""
     if algorithm == "exact":
         return reconstruct_exact(accessor, m)
     if algorithm == "noisy":
-        return reconstruct_noisy(accessor, m, max_vectors)
+        return reconstruct_noisy(accessor, m)
     if algorithm == "ifft-baseline":
         return reconstruct_dense(accessor, m, "baseline")
     raise ValidationError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
@@ -115,9 +125,6 @@ def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> Trial
     err_ifft = err_sparse if result.mode == "baseline" else error_l2_over_n(truth, fft_inverse(noisy))
     noise_abs = np.abs(noise)
     return TrialRecord(
-        n=n,
-        m=m,
-        snr_db=snr_db,
         mu_correct=result.support.first_index == support.first_index,
         err_sparse=err_sparse,
         err_ifft=err_ifft,

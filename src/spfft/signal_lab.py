@@ -30,41 +30,20 @@ def philox_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Uniform complex noise at a target SNR.
+    """Noise drawn uniformly from a complex disc, scaled to a target SNR.
 
     snr_db is 20*log10(||spectrum||_2 / ||noise||_2), +inf for none;
     -inf, infinite noise, is not a noise level.
-    shape "disc" draws uniformly from the complex disc; "box" draws Re
-    and Im uniformly from a square inscribed in that disc.
     """
 
     seed: int
     snr_db: float
-    shape: str = "disc"
 
     def __post_init__(self):
         if math.isnan(self.snr_db):
             raise ValidationError("snr_db must not be NaN")
         if self.snr_db == -math.inf:
             raise ValidationError("snr_db must not be -inf")
-        if self.shape not in ("disc", "box"):
-            raise ValidationError(f"unknown noise shape {self.shape!r}")
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One reconstruction trial of the experiment harness."""
-
-    n: int
-    m: int
-    snr_db: float
-    mu_correct: bool
-    err_sparse: float
-    err_ifft: float
-    samples_used: int
-    vectors_used: int
-    noise_inf: float
-    noise_l1_over_n: float
 
 
 def gen_sparse_signal(n: int, m: int, seed: int) -> tuple[np.ndarray, SupportDescriptor]:
@@ -105,16 +84,6 @@ def _l2_norm(v) -> float:
     return math.sqrt(_energy(v))
 
 
-def _unit_noise(n: int, shape: str, rng: np.random.Generator) -> np.ndarray:
-    if shape == "disc":
-        radius = np.sqrt(rng.random(n))
-        angle = 2 * np.pi * rng.random(n)
-        return radius * np.exp(1j * angle)
-    # Box inscribed in the unit disc: component half-width 1/sqrt(2).
-    half = 1 / np.sqrt(2)
-    return half * (2 * rng.random(n) - 1) + 1j * half * (2 * rng.random(n) - 1)
-
-
 def add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     """Perturb a spectrum entrywise; returns (noisy, noise).
 
@@ -132,7 +101,8 @@ def add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     signal_norm = _l2_norm(spectrum)
     if signal_norm == 0:
         raise CannotCalibrate("cannot target a finite SNR on a zero spectrum")
-    unit = _unit_noise(n, spec.shape, rng)
+    # uniform on the unit disc: the radius is drawn first, then the angle
+    unit = np.sqrt(rng.random(n)) * np.exp(1j * (2 * np.pi * rng.random(n)))
     unit_norm = _l2_norm(unit)
     if unit_norm == 0:
         raise CannotCalibrate("degenerate zero noise draw")

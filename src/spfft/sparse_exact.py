@@ -5,7 +5,8 @@ recovered in stages, with L = ceil(log2 m):
 
 - fold: the spectrum read at stride 2**(J-L-1), inverse transformed,
   is the vector folded to length 2**(L+1) (_fold_level, _fold);
-- locate: the folded support starts at the argmax of window_energies;
+- locate: the folded support starts at the argmax of window_energies,
+  taken after scaling by a power of two (_scaled_energies);
 - place: one odd-indexed spectrum value next to the subsample's peak
   (_peak, _odd_probe), divided by the transform of the folded window
   there, is a root of unity whose exponent fixes which of the
@@ -20,6 +21,7 @@ package, is used.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ from .errors import (
     DegenerateQuotient,
     InvalidSupportLength,
     NoisyQuotient,
+    NonFiniteSpectrum,
     ValidationError,
     ZeroSignal,
 )
@@ -90,6 +93,9 @@ def window_energies(values, window_len: int) -> np.ndarray:
     ``out[k] = sum_{l=k}^{k+window_len-1} |values[l mod n]|^2``, evaluated
     with prefix sums: the O(n) sliding recursion
     ``e_{k+1} = e_k - |v_k|^2 + |v_{k+window_len}|^2`` in vector form.
+    NonFiniteSpectrum is raised when an energy is NaN or infinite: when
+    a value is, or when the squares overflow, which the algorithms avoid
+    by scaling each vector by a power of two first (_scaled_energies).
     """
     values = np.asarray(values, dtype=np.complex128)
     n = len(values)
@@ -97,7 +103,28 @@ def window_energies(values, window_len: int) -> np.ndarray:
         raise InvalidSupportLength(f"window length {window_len} outside [1, {n}]")
     sq = values.real**2 + values.imag**2
     prefix = np.concatenate([[0.0], np.cumsum(np.concatenate([sq, sq[:window_len]]))])
-    return prefix[window_len : window_len + n] - prefix[:n]
+    energies = prefix[window_len : window_len + n] - prefix[:n]
+    # the prefix sums do not decrease, and the last energy starts from the
+    # last one used, so it is finite exactly when every energy is
+    if not math.isfinite(energies[-1]):
+        raise NonFiniteSpectrum(f"window energies of {n} values are not finite")
+    return energies
+
+
+def _peak_exponent(values) -> int:
+    """e with the largest modulus of values in [2**(e-1), 2**e); 0 if they are all 0."""
+    return math.frexp(np.abs(values).max())[1]
+
+
+def _scaled_energies(values, window_len: int, e: int) -> np.ndarray:
+    """window_energies(values * 2**-e) for a contiguous complex128 vector.
+
+    With e = _peak_exponent(values) the largest square lies in [1/4, 1),
+    so the energies of finite values neither overflow nor all underflow.
+    At ordinary magnitudes the scaling is exact and keeps the argmax of
+    the energies; np.ldexp applies it where 2.0**-e itself would overflow.
+    """
+    return window_energies(np.ldexp(values.view(np.float64), -e).view(np.complex128), window_len)
 
 
 def window_spectrum_sample(window, first_index: int, freq_index: int, length: int) -> complex:
@@ -205,7 +232,8 @@ def reconstruct_dense(
     _fold_level(accessor, support_len)
     n = len(accessor)
     dense = fft_inverse(accessor.read_all())
-    support = SupportDescriptor(int(np.argmax(window_energies(dense, support_len))), support_len)
+    energies = _scaled_energies(dense, support_len, _peak_exponent(dense))
+    support = SupportDescriptor(int(np.argmax(energies)), support_len)
     result = Reconstruction(support, dense[support.indices(n)], n, accessor.read_count, mode)
     if mode == "baseline":
         result.__dict__["signal"] = dense  # the cached_property's slot
@@ -239,7 +267,7 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> E
             "sparse",
             fold_level=level,
         )
-    start = int(np.argmax(window_energies(folded, support_len)))
+    start = int(np.argmax(_scaled_energies(folded, support_len, _peak_exponent(folded))))
     window = folded[SupportDescriptor(start, support_len).indices(len(folded))]
 
     # A nonzero vector with at most 2**L <= N/4 support entries is not

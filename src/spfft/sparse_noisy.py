@@ -26,18 +26,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dft_core import CountingSpectrumAccessor, SupportDescriptor
-from .errors import InvalidOffset, ValidationError
+from .errors import InvalidOffset
 from .sparse_exact import (
     Reconstruction,
     _fold,
     _fold_level,
     _odd_probe,
     _peak,
+    _peak_exponent,
+    _scaled_energies,
     ceil_log2,
     reconstruct_dense,
-    window_energies,
     window_spectrum_sample,
 )
+
+#: Offset vectors the support vote may compute, the offset-0 one included;
+#: each costs 2**(L+1) spectrum reads and one short inverse FFT.
+MAX_VECTORS = 8
 
 
 @dataclass(frozen=True)
@@ -86,19 +91,21 @@ def _vote(accessor: CountingSpectrumAccessor, folded, m: int, max_vectors: int):
     first.  With stride 2**t, the offsets after 0 are 2**(t-1), ..., 2,
     1, 3, 5, 7, ...: consecutive offsets stay maximally separated, and
     the odd ones match the odd-index probes of the doubling stage, so
-    their reads overlap.
+    their reads overlap.  Every energy profile is scaled by the one
+    power of two that suits folded, so their sum keeps its proportions.
     """
     level = ceil_log2(m)
     t = accessor.log2_len - level - 1
     vectors = [folded]
     offsets = [0]
-    energy_sum = window_energies(folded, m)
+    e = _peak_exponent(folded)
+    energy_sum = _scaled_energies(folded, m, e)
     votes = [int(np.argmax(energy_sum))]
     more = itertools.chain((1 << r for r in reversed(range(t))), range(3, 1 << t, 2))
     for offset in itertools.islice(more, max_vectors - 1):
         vectors.append(offset_periodization(accessor, offset, level))
         offsets.append(offset)
-        energy_sum += window_energies(vectors[-1], m)
+        energy_sum += _scaled_energies(vectors[-1], m, e)
         votes.append(int(np.argmax(energy_sum)))
         if votes[-1] == votes[-2]:
             return votes, True, vectors, offsets
@@ -156,14 +163,10 @@ def _average(vectors, offsets, window_idx, positions, n: int) -> np.ndarray:
     return acc / len(vectors)
 
 
-def reconstruct_noisy(
-    accessor: CountingSpectrumAccessor,
-    support_len: int,
-    max_vectors: int = 8,
-) -> NoisyReconstruction:
+def reconstruct_noisy(accessor: CountingSpectrumAccessor, support_len: int) -> NoisyReconstruction:
     """Recover a vector with support length <= support_len from noisy data.
 
-    Stages: fold, locate by an energy vote over at most max_vectors
+    Stages: fold, locate by an energy vote over at most MAX_VECTORS
     offset vectors (each costs 2**(L+1) spectrum reads), place by
     doubling the folding up to the full length, then average the support
     values over every offset vector computed.  The result holds the
@@ -172,8 +175,6 @@ def reconstruct_noisy(
     within one of J the dense inverse FFT fallback is used (restricted
     to the best window).
     """
-    if max_vectors < 2:
-        raise ValidationError(f"max_vectors must be >= 2, got {max_vectors}")
     n = len(accessor)
     level = _fold_level(accessor, support_len)
     if level >= accessor.log2_len - 1:
@@ -181,7 +182,7 @@ def reconstruct_noisy(
         return NoisyReconstruction(**vars(reconstruct_dense(accessor, support_len)))
 
     subsampled, folded = _fold(accessor, level)
-    votes, stable, vectors, offsets = _vote(accessor, folded, support_len, max_vectors)
+    votes, stable, vectors, offsets = _vote(accessor, folded, support_len, MAX_VECTORS)
     window_idx = SupportDescriptor(votes[-1], support_len).indices(len(folded))
     first_index, shifts, blind = _double(
         accessor, folded[window_idx], votes[-1], _peak(accessor, subsampled)

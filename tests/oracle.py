@@ -12,7 +12,11 @@ import math
 import numpy as np
 
 from spfft.dft_core import CountingSpectrumAccessor, log2_length
-from spfft.errors import InvalidLevel, InvalidOffset
+from spfft.errors import InvalidOffset, ValidationError
+
+
+class InvalidLevel(ValidationError):
+    """Folding or shift level outside the range a reference operator allows."""
 
 
 def naive_dft(x) -> np.ndarray:

@@ -180,15 +180,6 @@ class TestReconstructCommand:
         main(["gen", "--n", "64", "--m", "4", "--seed", "1", "--out-prefix", str(prefix)])
         assert main(["reconstruct", f"{prefix}.freq.spf1", "--m", "0"]) == 2
 
-    def test_noisy_max_kappa_below_two_exits_2(self, tmp_path, capsys):
-        prefix = tmp_path / "case3"
-        main(["gen", "--n", "256", "--m", "6", "--seed", "1", "--out-prefix", str(prefix)])
-        capsys.readouterr()
-        argv = ["reconstruct", f"{prefix}.freq.spf1", "--m", "6", "--algorithm", "noisy"]
-        assert main(argv + ["--max-kappa", "1"]) == 2
-        assert "max_vectors must be >= 2" in capsys.readouterr().err
-        assert main(argv + ["--max-kappa", "2"]) == 0
-
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_non_finite_spectrum_exits_2(self, tmp_path, capsys, algorithm):
         x, _ = gen_sparse_signal(4096, 20, 3)
@@ -199,6 +190,19 @@ class TestReconstructCommand:
         assert main(["reconstruct", str(path), "--m", "20", "--algorithm", algorithm]) == 2
         captured = capsys.readouterr()
         assert "index 0 is not finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_spectrum_whose_window_energies_overflow_exits_2(self, tmp_path, capsys, algorithm):
+        # finite values whose inverse transform overflows
+        spectrum = np.ones(64, dtype=complex)
+        spectrum[::2] = 1.7e308
+        path = tmp_path / "huge.freq.spf1"
+        write_vector_file(path, spectrum, DOMAIN_FREQ)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["reconstruct", str(path), "--m", "2", "--algorithm", algorithm]) == 2
+        captured = capsys.readouterr()
+        assert "not finite" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("algorithm", ["exact", "noisy"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracle import modulation_check, naive_dft, periodize, subsample_spectrum
+from oracle import InvalidLevel, modulation_check, naive_dft, periodize, subsample_spectrum
 from spfft.dft_core import (
     CountingSpectrumAccessor,
     SupportDescriptor,
@@ -15,7 +15,6 @@ from spfft.dft_core import (
 )
 from spfft.errors import (
     InvalidLength,
-    InvalidLevel,
     InvalidOffset,
     InvalidSupportLength,
     NonFiniteSpectrum,

@@ -53,12 +53,22 @@ class TestReconstruct:
         assert via.support == direct.support
         assert via.samples_used == direct.samples_used
 
-    def test_max_vectors_reaches_the_noisy_algorithm(self):
-        spectrum = instance_spectrum(4096, 20, 3, 0.0)
-        via = reconstruct(CountingSpectrumAccessor(spectrum), 20, "noisy", max_vectors=3)
-        direct = reconstruct_noisy(CountingSpectrumAccessor(spectrum), 20, 3)
-        assert via.vectors_used == direct.vectors_used <= 3
-        assert np.array_equal(via.signal, direct.signal)
+    @pytest.mark.parametrize("k", [-1050, -1000, -800, -600, 600, 800, 1000])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_support_survives_power_of_two_scaling(self, algorithm, k):
+        # 2**k times the spectrum is 2**k times the signal: same support,
+        # though the window energies of the raw entries under- or overflow
+        for n, m, snr in ((4096, 20, math.inf), (4096, 20, 20.0), (64, 30, math.inf)):
+            if algorithm == "exact" and snr != math.inf:
+                continue
+            spectrum = instance_spectrum(n, m, 4, snr)
+            expected = reconstruct(CountingSpectrumAccessor(spectrum), m, algorithm).support
+            scaled = np.ldexp(spectrum.view(np.float64), k).view(np.complex128)
+            try:
+                got = reconstruct(CountingSpectrumAccessor(scaled), m, algorithm).support
+            except ValidationError:
+                continue
+            assert got == expected
 
     def test_unknown_algorithm_rejected(self):
         accessor = CountingSpectrumAccessor(np.zeros(64, complex))

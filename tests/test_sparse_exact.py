@@ -53,6 +53,10 @@ class TestFindSupportStart:
         with pytest.raises(InvalidSupportLength):
             window_energies(np.ones(8), 0)
 
+    def test_rejects_energies_that_overflow(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteSpectrum):
+            window_energies([1e200, 0, 0, 0], 2)
+
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_matches_brute_force(self, seed, data):
         rng = np.random.default_rng(seed)

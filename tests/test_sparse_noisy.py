@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from oracle import RecordingAccessor, periodize
 from spfft.dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forward, fft_inverse
-from spfft.errors import InvalidOffset, NonFiniteSpectrum, ValidationError
+from spfft.errors import InvalidOffset, NonFiniteSpectrum
 from spfft.signal_lab import NOISE_STREAM_SALT, NoiseSpec, add_noise, gen_sparse_signal
 from spfft.sparse_exact import (
     _fold,
@@ -16,7 +16,14 @@ from spfft.sparse_exact import (
     window_energies,
     window_spectrum_sample,
 )
-from spfft.sparse_noisy import _average, _double, _vote, offset_periodization, reconstruct_noisy
+from spfft.sparse_noisy import (
+    MAX_VECTORS,
+    _average,
+    _double,
+    _vote,
+    offset_periodization,
+    reconstruct_noisy,
+)
 
 
 def noisy_instance(n, m, snr_db, seed):
@@ -28,7 +35,7 @@ def noisy_instance(n, m, snr_db, seed):
     return x, supp, noisy, noise
 
 
-def vote(acc, m, max_vectors=8):
+def vote(acc, m, max_vectors=MAX_VECTORS):
     # the fold and locate stages of the noisy path
     return _vote(acc, _fold(acc, ceil_log2(m))[1], m, max_vectors)
 
@@ -245,14 +252,13 @@ class TestReconstructNoisy:
         for seed in range(20):
             n, m = 1 << 12, 11
             x, supp, noisy, _ = noisy_instance(n, m, 10.0, 3000 + seed)
-            max_vectors = 8
-            rec = reconstruct_noisy(CountingSpectrumAccessor(noisy), m, max_vectors)
+            rec = reconstruct_noisy(CountingSpectrumAccessor(noisy), m)
             level = ceil_log2(m)
             fold_len = 1 << (level + 1)
             levels = 12 - level - 1
             assert rec.samples_used <= rec.vectors_used * fold_len + levels * m
             assert len(rec.doubling_shifts) == levels
-            assert rec.vectors_used <= max_vectors
+            assert rec.vectors_used <= MAX_VECTORS
 
     def test_signal_vanishes_outside_window(self):
         x, supp, noisy, _ = noisy_instance(1 << 10, 7, 15.0, 4321)
@@ -277,14 +283,6 @@ class TestReconstructNoisy:
         assert reconstruct_noisy(CountingSpectrumAccessor(noisy), 7).mode == "sparse"
         _, _, noisy, _ = noisy_instance(64, 30, 25.0, 5)
         assert reconstruct_noisy(CountingSpectrumAccessor(noisy), 30).mode == "fallback"
-
-    def test_rejects_max_vectors_below_two(self):
-        _, _, noisy, _ = noisy_instance(1 << 10, 7, 15.0, 4321)
-        with pytest.raises(ValidationError, match="max_vectors must be >= 2"):
-            reconstruct_noisy(CountingSpectrumAccessor(noisy), 7, max_vectors=1)
-        # also before the dense fallback is chosen
-        with pytest.raises(ValidationError, match="max_vectors must be >= 2"):
-            reconstruct_noisy(CountingSpectrumAccessor(noisy), 1 << 10, max_vectors=1)
 
     def test_non_finite_spectrum_rejected(self):
         _, _, noisy, _ = noisy_instance(4096, 20, 20.0, 3)
