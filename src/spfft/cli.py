@@ -12,8 +12,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .dft_core import CountingSpectrumAccessor, fft_forward
-from .errors import AlgorithmError, FileFormatError, ValidationError, WrongDomain
+from .errors import AlgorithmError, SpfftError, ValidationError, WrongDomain
 from .experiment import (
     ALGORITHMS,
     ExperimentConfig,
@@ -28,18 +30,13 @@ from .spf1 import DOMAIN_FREQ, DOMAIN_TIME, read_vector_file, write_vector_file
 DEFAULT_EXPERIMENT_N = 1 << 16
 
 
-def _int_list(text: str) -> list[int]:
+def _number_list(text: str, kind: type) -> list:
+    """The comma-separated values of text as kind (int or float); empty parts are skipped."""
     try:
-        return [int(part) for part in text.split(",") if part]
+        return [kind(part) for part in text.split(",") if part]
     except ValueError as exc:
-        raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise ValidationError(f"expected comma-separated numbers, got {text!r}") from exc
+        noun = "integers" if kind is int else "numbers"
+        raise ValidationError(f"expected comma-separated {noun}, got {text!r}") from exc
 
 
 def _cmd_gen(args) -> int:
@@ -99,7 +96,7 @@ def _cmd_experiment(args) -> int:
     config = ExperimentConfig(
         n=args.n,
         m=args.m,
-        snr_list=tuple(_float_list(args.snr)),
+        snr_list=tuple(_number_list(args.snr, float)),
         trials=args.trials,
         seed=args.seed,
         algorithm=args.algorithm,
@@ -109,7 +106,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    _emit(run_bench(_int_list(args.n), _int_list(args.m), args.trials, args.seed), args.out)
+    _emit(run_bench(_number_list(args.n, int), _number_list(args.m, int), args.trials, args.seed), args.out)
     return 0
 
 
@@ -166,16 +163,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except ValidationError as exc:
+        # the error line below says what overflowed; numpy's warnings would precede it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
+    except (SpfftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except AlgorithmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 2 if isinstance(exc, ValidationError) else 4 if isinstance(exc, AlgorithmError) else 3
 
 
 if __name__ == "__main__":

@@ -26,9 +26,9 @@ class InvalidSupportLength(ValidationError):
 
 
 class NonFiniteSpectrum(ValidationError):
-    """A spectrum value read by an algorithm is NaN or infinite, or the
-    window energies taken from them are: finite values so large that
-    their inverse FFT overflows."""
+    """A spectrum value read by an algorithm is NaN or infinite, or finite
+    values are so large that their window energies or inverse FFT, or a
+    doubling comparison of the noisy path, overflow."""
 
 
 class CannotCalibrate(ValidationError):

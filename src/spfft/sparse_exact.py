@@ -258,30 +258,25 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> E
         return ExactReconstruction(**vars(reconstruct_dense(accessor, support_len)), fold_level=level)
 
     subsampled, folded = _fold(accessor, level)
-    if not folded.any():
-        return ExactReconstruction(
-            SupportDescriptor(0, support_len),
-            np.zeros(support_len, dtype=np.complex128),
-            n,
-            accessor.read_count,
-            "sparse",
-            fold_level=level,
-        )
-    start = int(np.argmax(_scaled_energies(folded, support_len, _peak_exponent(folded))))
-    window = folded[SupportDescriptor(start, support_len).indices(len(folded))]
+    start = shift = phase_index = 0
+    if not folded.any():  # the zero vector: nothing to place
+        window = np.zeros(support_len, dtype=np.complex128)
+    else:
+        start = int(np.argmax(_scaled_energies(folded, support_len, _peak_exponent(folded))))
+        window = folded[SupportDescriptor(start, support_len).indices(len(folded))]
 
-    # A nonzero vector with at most 2**L <= N/4 support entries is not
-    # zero at all of 2**(L+1) distinct odd indices.
-    odd, odd_value = _odd_probe(accessor, _peak(accessor, subsampled), 1, len(subsampled))
-    if odd_value == 0:
-        raise ZeroSignal(f"all {len(subsampled)} odd-indexed spectrum values probed are zero")
-    reference = window_spectrum_sample(window, start, odd, n)
-    if reference == 0:
-        raise DegenerateQuotient("window transform vanished at the chosen odd index")
-    quotient = odd_value / reference
-    if quotient == 0:  # underflow: odd_value is nonzero, but tiny next to reference
-        raise DegenerateQuotient("shift quotient is zero")
-    shift, phase_index = _resolve_shift(quotient, odd, accessor.log2_len - level - 1)
+        # A nonzero vector with at most 2**L <= N/4 support entries is not
+        # zero at all of 2**(L+1) distinct odd indices.
+        odd, odd_value = _odd_probe(accessor, _peak(accessor, subsampled), 1, len(subsampled))
+        if odd_value == 0:
+            raise ZeroSignal(f"all {len(subsampled)} odd-indexed spectrum values probed are zero")
+        reference = window_spectrum_sample(window, start, odd, n)
+        if reference == 0:
+            raise DegenerateQuotient("window transform vanished at the chosen odd index")
+        quotient = odd_value / reference
+        if quotient == 0:  # underflow: odd_value is nonzero, but tiny next to reference
+            raise DegenerateQuotient("shift quotient is zero")
+        shift, phase_index = _resolve_shift(quotient, odd, accessor.log2_len - level - 1)
 
     return ExactReconstruction(
         SupportDescriptor((start + len(folded) * shift) % n, support_len),

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dft_core import CountingSpectrumAccessor, SupportDescriptor
-from .errors import InvalidOffset
+from .errors import InvalidOffset, NonFiniteSpectrum
 from .sparse_exact import (
     Reconstruction,
     _fold,
@@ -140,7 +140,10 @@ def _double(accessor: CountingSpectrumAccessor, window, start: int, peak: int):
             blind.append(j)
         odd_index = probe // probe_stride  # odd by construction
         predicted = window_spectrum_sample(window, first_index, odd_index, 2 << j)
-        move = abs(predicted - measured) > abs(predicted + measured)
+        try:
+            move = abs(predicted - measured) > abs(predicted + measured)
+        except OverflowError as exc:  # a modulus above the float maximum
+            raise NonFiniteSpectrum(f"doubling comparison at level {j} overflows") from exc
         shifts.append(bool(move))
         if move:
             first_index += 1 << j

@@ -1,5 +1,6 @@
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -199,11 +200,21 @@ class TestReconstructCommand:
         spectrum[::2] = 1.7e308
         path = tmp_path / "huge.freq.spf1"
         write_vector_file(path, spectrum, DOMAIN_FREQ)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["reconstruct", str(path), "--m", "2", "--algorithm", algorithm]) == 2
-        captured = capsys.readouterr()
-        assert "not finite" in captured.err
-        assert captured.out == ""
+        assert [str(w.message) for w in caught] == []  # no numpy RuntimeWarning before the error
+        count = 64 if algorithm == "ifft-baseline" else 4
+        assert capsys.readouterr() == ("", f"error: window energies of {count} values are not finite\n")
+
+    def test_doubling_comparison_that_overflows_exits_2(self, tmp_path, capsys, doubling_overflow_spectrum):
+        path = tmp_path / "near-max.freq.spf1"
+        write_vector_file(path, doubling_overflow_spectrum, DOMAIN_FREQ)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["reconstruct", str(path), "--m", "1", "--algorithm", "noisy"]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr() == ("", "error: doubling comparison at level 7 overflows\n")
 
     @pytest.mark.parametrize("algorithm", ["exact", "noisy"])
     def test_non_finite_value_never_read_is_ignored(self, tmp_path, capsys, algorithm):
@@ -306,6 +317,18 @@ class TestExperimentCommand:
         assert float(row[8]) == 0.0  # no offset vectors on the exact path
         assert float(row[7]) <= 4 * 5 + 2
 
+    def test_overflow_in_a_worker_thread_gives_one_error_line(self, capsys):
+        # noise near the float maximum: the trials' transforms overflow in the pool threads
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["experiment", "--n", "64", "--m", "4", "--snr=-6125", "--trials", "2"]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr() == ("", "error: window energies of 8 values are not finite\n")
+
+    def test_unparsable_snr_list_exits_2(self, capsys):
+        assert main(["experiment", "--n", "64", "--m", "4", "--snr", "x,1", "--trials", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: expected comma-separated numbers, got 'x,1'\n")
+
     def test_empty_snr_list_exits_2(self, tmp_path):
         assert main(["experiment", "--n", "1024", "--m", "5", "--snr", "", "--trials", "1"]) == 2
 
@@ -336,3 +359,9 @@ class TestBenchCommand:
 
     def test_rejects_non_power_of_two(self):
         assert main(["bench", "--n", "1000", "--m", "5", "--trials", "1"]) == 2
+
+    def test_bad_support_length_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--n", "64", "--m", "0", "--trials", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: support length 0 outside [1, 64]\n")
+        assert not out.exists()

@@ -243,6 +243,9 @@ class TestReconstructExact:
         assert not rec.signal.any()
         assert rec.support.first_index == 0
         assert rec.samples_used == 8  # stops after the folded read
+        assert rec.values.dtype == np.complex128 and rec.values.tobytes() == bytes(4 * 16)
+        assert rec.block_shift == rec.phase_index == 0
+        assert rec.fold_level == 2 and rec.mode == "sparse"
 
     @pytest.mark.parametrize("m", [48, 64, 128])
     def test_dense_fallback(self, m):

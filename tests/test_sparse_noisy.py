@@ -290,6 +290,11 @@ class TestReconstructNoisy:
         with pytest.raises(NonFiniteSpectrum):
             reconstruct_noisy(CountingSpectrumAccessor(noisy), 20)
 
+    def test_doubling_comparison_that_overflows_is_rejected(self, doubling_overflow_spectrum):
+        # |predicted - measured| exceeds the float maximum at level 7
+        with pytest.raises(NonFiniteSpectrum, match="^doubling comparison at level 7 overflows$"):
+            reconstruct_noisy(CountingSpectrumAccessor(doubling_overflow_spectrum), 1)
+
     def test_zero_signal_total(self):
         rec = reconstruct_noisy(CountingSpectrumAccessor(np.zeros(256, complex)), 6)
         assert not rec.signal.any()
