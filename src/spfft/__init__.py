@@ -32,7 +32,6 @@ from .signal_lab import (
     philox_rng,
 )
 from .sparse_exact import (
-    ExactReconstruction,
     Reconstruction,
     ceil_log2,
     reconstruct_dense,
@@ -41,7 +40,6 @@ from .sparse_exact import (
     window_spectrum_sample,
 )
 from .sparse_noisy import (
-    NoisyReconstruction,
     offset_periodization,
     reconstruct_noisy,
 )

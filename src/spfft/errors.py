@@ -33,7 +33,8 @@ class NonFiniteSpectrum(ValidationError):
 
 class CannotCalibrate(ValidationError):
     """A target SNR cannot be realized (zero spectrum, zero noise draw, or a
-    noise scale outside the float range)."""
+    noise scale outside the float range), or a trial's scores at it are
+    not finite."""
 
 
 class WrongDomain(ValidationError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dft_core import CountingSpectrumAccessor, fft_forward, fft_inverse, log2_length
-from .errors import ValidationError
+from .errors import CannotCalibrate, ValidationError
 from .signal_lab import (
     NOISE_STREAM_SALT,
     NoiseSpec,
@@ -114,7 +114,11 @@ def reconstruction_error(truth, result: Reconstruction) -> float:
 
 
 def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> TrialRecord:
-    """Generate, perturb, reconstruct, and score one instance."""
+    """Generate, perturb, reconstruct, and score one instance.
+
+    CannotCalibrate is raised when a score is not finite: noise near the
+    float maximum makes the error norms overflow.
+    """
     truth, support = gen_sparse_signal(n, m, seed)
     spectrum = fft_forward(truth)
     noisy, noise = add_noise(
@@ -124,14 +128,18 @@ def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> Trial
     err_sparse = reconstruction_error(truth, result)
     err_ifft = err_sparse if result.mode == "baseline" else error_l2_over_n(truth, fft_inverse(noisy))
     noise_abs = np.abs(noise)
+    noise_inf = float(np.max(noise_abs)) if len(noise) else 0.0
+    noise_l1_over_n = float(np.sum(noise_abs)) / n
+    if not np.isfinite([err_sparse, err_ifft, noise_inf, noise_l1_over_n]).all():
+        raise CannotCalibrate(f"the scores of a trial at {snr_db} dB SNR are not finite")
     return TrialRecord(
         mu_correct=result.support.first_index == support.first_index,
         err_sparse=err_sparse,
         err_ifft=err_ifft,
         samples_used=result.samples_used,
         vectors_used=result.vectors_used,
-        noise_inf=float(np.max(noise_abs)) if len(noise) else 0.0,
-        noise_l1_over_n=float(np.sum(noise_abs)) / n,
+        noise_inf=noise_inf,
+        noise_l1_over_n=noise_l1_over_n,
     )
 
 

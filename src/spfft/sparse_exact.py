@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +50,14 @@ class Reconstruction:
     "sparse" for the sublinear algorithms, "fallback" when they handed
     over to the dense inverse FFT (support length above N/4), and
     "baseline" for the dense inverse FFT requested as such.
-    vectors_used counts the offset vectors of the noisy algorithm.
+    The window's placement is support.first_index.  The rest is set by
+    the noisy algorithm only: vectors_used counts its offset vectors;
+    votes_stable is False when its support vote exhausted the budget
+    without two consecutive agreements (the last vote is still used --
+    a best-effort answer, not an error); blind_levels lists the doubling
+    levels j (a move there is by 2**j) whose probes all read zero, so
+    that their "no move" was not decided by the data, and is empty on
+    data that fit the model.
     """
 
     support: SupportDescriptor
@@ -59,27 +66,13 @@ class Reconstruction:
     samples_used: int
     mode: str
     vectors_used: int = 0
+    votes_stable: bool = True
+    blind_levels: list[int] = field(default_factory=list)
 
     @functools.cached_property
     def signal(self) -> np.ndarray:
         """The length-n vector: values on the support window, zeros elsewhere."""
         return self.support.embed(self.values, self.n)
-
-
-@dataclass(frozen=True, kw_only=True)
-class ExactReconstruction(Reconstruction):
-    """Result of reconstruct_exact.
-
-    On the sparse path samples_used is at most 2**(fold_level+1) + 2
-    when the data fit the model, and 2**(fold_level+2) on any input.
-    block_shift and phase_index are the resolved window placement
-    (number of fold-length blocks) and the root-of-unity exponent it was
-    derived from; both are 0 on the dense fallback path.
-    """
-
-    fold_level: int
-    block_shift: int = 0
-    phase_index: int = 0
 
 
 def ceil_log2(m: int) -> int:
@@ -196,13 +189,13 @@ def _odd_probe(
     return int(probes[0]), 0j
 
 
-def _resolve_shift(quotient: complex, odd: int, t: int) -> tuple[int, int]:
+def _resolve_shift(quotient: complex, odd: int, t: int) -> int:
     """Invert ``quotient = exp(-2i*pi * odd * shift / 2**t)`` for the shift.
 
     Rounds the phase to the nearest 2**t-th root of unity; a phase more
     than a quarter step away means the data cannot have come from an
-    exact spectrum, and NoisyQuotient is raised.  Returns
-    (block_shift, phase_index).
+    exact spectrum, and NoisyQuotient is raised.  Returns the shift in
+    [0, 2**t).
     """
     modulus = 1 << t
     steps = -np.angle(quotient) * modulus / (2 * np.pi)
@@ -212,8 +205,7 @@ def _resolve_shift(quotient: complex, odd: int, t: int) -> tuple[int, int]:
             f"phase {steps:.6f} steps is {abs(steps - nearest):.3f} from the nearest "
             f"root-of-unity lattice point; data are not an exact spectrum"
         )
-    phase_index = int(nearest) % modulus
-    return phase_index * pow(odd, -1, modulus) % modulus, phase_index
+    return int(nearest) * pow(odd, -1, modulus) % modulus
 
 
 def reconstruct_dense(
@@ -240,25 +232,25 @@ def reconstruct_dense(
     return result
 
 
-def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> ExactReconstruction:
+def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> Reconstruction:
     """Recover a vector with support length <= support_len from exact data.
 
-    With L = ceil_log2(support_len) < J-1, the sparse path consumes at
-    most 2**(L+1) + 2 < 4*support_len + 2 distinct spectrum values on
-    such data, and never more than 2**(L+2) on any input; for
-    L >= J-1 a single dense inverse FFT is the cheapest correct option
-    and is used as the fallback.  The result holds the support_len
-    window values; the N-length vector is built only when its signal
-    is read.
+    With L = ceil_log2(support_len) < J-1, the sparse path's
+    samples_used is at most 2**(L+1) + 2 < 4*support_len + 2 on such
+    data, and never more than 2**(L+2) on any input; for L >= J-1 a
+    single dense inverse FFT is the cheapest correct option and is used
+    as the fallback.  The result holds the support_len window values,
+    placed at support.first_index = start + 2**(L+1) * shift, with start
+    the folded support start and shift the one the quotient resolved;
+    the N-length vector is built only when its signal is read.
     """
     n = len(accessor)
     level = _fold_level(accessor, support_len)
     if level >= accessor.log2_len - 1:
-        # a fresh fallback result's __dict__ holds exactly its fields
-        return ExactReconstruction(**vars(reconstruct_dense(accessor, support_len)), fold_level=level)
+        return reconstruct_dense(accessor, support_len)
 
     subsampled, folded = _fold(accessor, level)
-    start = shift = phase_index = 0
+    start = shift = 0
     if not folded.any():  # the zero vector: nothing to place
         window = np.zeros(support_len, dtype=np.complex128)
     else:
@@ -276,15 +268,12 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> E
         quotient = odd_value / reference
         if quotient == 0:  # underflow: odd_value is nonzero, but tiny next to reference
             raise DegenerateQuotient("shift quotient is zero")
-        shift, phase_index = _resolve_shift(quotient, odd, accessor.log2_len - level - 1)
+        shift = _resolve_shift(quotient, odd, accessor.log2_len - level - 1)
 
-    return ExactReconstruction(
+    return Reconstruction(
         SupportDescriptor((start + len(folded) * shift) % n, support_len),
         window,
         n,
         accessor.read_count,
         "sparse",
-        fold_level=level,
-        block_shift=shift,
-        phase_index=phase_index,
     )

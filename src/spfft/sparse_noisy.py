@@ -21,7 +21,6 @@ The stages of the exact-data algorithm (sparse_exact), made robust:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,26 +44,6 @@ from .sparse_exact import (
 MAX_VECTORS = 8
 
 
-@dataclass(frozen=True)
-class NoisyReconstruction(Reconstruction):
-    """Result of reconstruct_noisy, with per-stage diagnostics.
-
-    start_votes holds the folded-support votes in the order they were
-    cast; doubling_shifts has one entry per doubling level (True means
-    the window moved by half the new period); votes_stable is False when
-    the vote loop exhausted its budget without two consecutive
-    agreements (the last vote is still used -- a best-effort answer, not
-    an error).  blind_levels lists the doubling levels j (a move there
-    is by 2**j) whose probes all read zero, so that their "no move" was
-    not decided by the data; it is empty on data that fit the model.
-    """
-
-    start_votes: list[int] = field(default_factory=list)
-    doubling_shifts: list[bool] = field(default_factory=list)
-    votes_stable: bool = True
-    blind_levels: list[int] = field(default_factory=list)
-
-
 def offset_periodization(
     accessor: CountingSpectrumAccessor, offset: int, fold_level: int
 ) -> np.ndarray:
@@ -86,13 +65,14 @@ def _vote(accessor: CountingSpectrumAccessor, folded, m: int, max_vectors: int):
 
     The first vote uses the energies of folded, the offset-0 vector,
     alone; each later vote uses the running sum of all energy profiles
-    computed so far.  Returns (votes, stable, vectors, offsets): stable
-    is True when the last two votes agree, False when the budget ran out
-    first.  With stride 2**t, the offsets after 0 are 2**(t-1), ..., 2,
-    1, 3, 5, 7, ...: consecutive offsets stay maximally separated, and
-    the odd ones match the odd-index probes of the doubling stage, so
-    their reads overlap.  Every energy profile is scaled by the one
-    power of two that suits folded, so their sum keeps its proportions.
+    computed so far.  Returns (start, stable, vectors, offsets): start
+    is the last vote, stable is True when it agrees with the one before,
+    False when the budget ran out first.  With stride 2**t, the offsets
+    after 0 are 2**(t-1), ..., 2, 1, 3, 5, 7, ...: consecutive offsets
+    stay maximally separated, and the odd ones match the odd-index
+    probes of the doubling stage, so their reads overlap.  Every energy
+    profile is scaled by the one power of two that suits folded, so
+    their sum keeps its proportions.
     """
     level = ceil_log2(m)
     t = accessor.log2_len - level - 1
@@ -100,16 +80,16 @@ def _vote(accessor: CountingSpectrumAccessor, folded, m: int, max_vectors: int):
     offsets = [0]
     e = _peak_exponent(folded)
     energy_sum = _scaled_energies(folded, m, e)
-    votes = [int(np.argmax(energy_sum))]
+    vote = int(np.argmax(energy_sum))
     more = itertools.chain((1 << r for r in reversed(range(t))), range(3, 1 << t, 2))
     for offset in itertools.islice(more, max_vectors - 1):
         vectors.append(offset_periodization(accessor, offset, level))
         offsets.append(offset)
         energy_sum += _scaled_energies(vectors[-1], m, e)
-        votes.append(int(np.argmax(energy_sum)))
-        if votes[-1] == votes[-2]:
-            return votes, True, vectors, offsets
-    return votes, False, vectors, offsets
+        previous, vote = vote, int(np.argmax(energy_sum))
+        if vote == previous:
+            return vote, True, vectors, offsets
+    return vote, False, vectors, offsets
 
 
 def _double(accessor: CountingSpectrumAccessor, window, start: int, peak: int):
@@ -124,14 +104,12 @@ def _double(accessor: CountingSpectrumAccessor, window, start: int, peak: int):
     decision reliable deep into the noise (an arbitrary or measured-max
     probe does not).  Each level makes at most m distinct reads; one
     whose probes all read zero, like a tie, goes to "no move".  Returns
-    (first_index, shifts, blind_levels): shifts[i] is the decision at
-    level L+1+i, and blind_levels lists the levels j whose probes all
-    read zero.
+    (first_index, blind_levels), blind_levels listing the levels j whose
+    probes all read zero.
     """
     j_top = accessor.log2_len
     m = len(window)
     first_index = start
-    shifts: list[bool] = []
     blind: list[int] = []
     for j in range(ceil_log2(m) + 1, j_top):
         probe_stride = 1 << (j_top - j - 1)
@@ -144,10 +122,9 @@ def _double(accessor: CountingSpectrumAccessor, window, start: int, peak: int):
             move = abs(predicted - measured) > abs(predicted + measured)
         except OverflowError as exc:  # a modulus above the float maximum
             raise NonFiniteSpectrum(f"doubling comparison at level {j} overflows") from exc
-        shifts.append(bool(move))
         if move:
             first_index += 1 << j
-    return first_index, shifts, blind
+    return first_index, blind
 
 
 def _average(vectors, offsets, window_idx, positions, n: int) -> np.ndarray:
@@ -166,41 +143,38 @@ def _average(vectors, offsets, window_idx, positions, n: int) -> np.ndarray:
     return acc / len(vectors)
 
 
-def reconstruct_noisy(accessor: CountingSpectrumAccessor, support_len: int) -> NoisyReconstruction:
+def reconstruct_noisy(accessor: CountingSpectrumAccessor, support_len: int) -> Reconstruction:
     """Recover a vector with support length <= support_len from noisy data.
 
     Stages: fold, locate by an energy vote over at most MAX_VECTORS
     offset vectors (each costs 2**(L+1) spectrum reads), place by
     doubling the folding up to the full length, then average the support
     values over every offset vector computed.  The result holds the
-    support_len averaged window values; its signal, built only when
-    read, is exactly zero outside the detected window.  For fold levels
-    within one of J the dense inverse FFT fallback is used (restricted
-    to the best window).
+    support_len averaged window values, placed at support.first_index,
+    the voted start grown by the doubling moves; its signal, built only
+    when read, is exactly zero outside the detected window.
+    vectors_used, votes_stable and blind_levels report the vote and
+    the doubling.  For fold levels within one of J the dense inverse
+    FFT fallback is used (restricted to the best window).
     """
     n = len(accessor)
     level = _fold_level(accessor, support_len)
     if level >= accessor.log2_len - 1:
-        # a fresh fallback result's __dict__ holds exactly its fields
-        return NoisyReconstruction(**vars(reconstruct_dense(accessor, support_len)))
+        return reconstruct_dense(accessor, support_len)
 
     subsampled, folded = _fold(accessor, level)
-    votes, stable, vectors, offsets = _vote(accessor, folded, support_len, MAX_VECTORS)
-    window_idx = SupportDescriptor(votes[-1], support_len).indices(len(folded))
-    first_index, shifts, blind = _double(
-        accessor, folded[window_idx], votes[-1], _peak(accessor, subsampled)
-    )
+    start, stable, vectors, offsets = _vote(accessor, folded, support_len, MAX_VECTORS)
+    window_idx = SupportDescriptor(start, support_len).indices(len(folded))
+    first_index, blind = _double(accessor, folded[window_idx], start, _peak(accessor, subsampled))
     support = SupportDescriptor(first_index % n, support_len)
     values = _average(vectors, offsets, window_idx, support.indices(n), n)
-    return NoisyReconstruction(
+    return Reconstruction(
         support,
         values,
         n,
         accessor.read_count,
         "sparse",
         len(vectors),
-        start_votes=votes,
-        doubling_shifts=shifts,
         votes_stable=stable,
         blind_levels=blind,
     )

@@ -6,7 +6,7 @@ import pytest
 
 from spfft import cli
 from spfft.dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forward
-from spfft.errors import ValidationError
+from spfft.errors import CannotCalibrate, ValidationError
 from spfft.experiment import ALGORITHMS, ExperimentConfig, reconstruct, run_experiment, run_trial
 from spfft.signal_lab import NOISE_STREAM_SALT, NoiseSpec, add_noise, error_l2_over_n, gen_sparse_signal
 from spfft.spf1 import read_vector_file
@@ -122,6 +122,23 @@ class TestBaselineExperiment:
         record = run_trial(256, 6, 10.0, 9, "ifft-baseline")
         assert record.err_sparse == record.err_ifft
         assert record.samples_used == 256
+
+
+class TestNonFiniteScores:
+    # noise near the float maximum: the error norms overflow to inf below
+    # about -3080 dB, and at -6120 dB the noise l1 sum as well
+    @pytest.mark.parametrize(
+        "algorithm, snr_db", [("noisy", -6120.0), ("noisy", -6000.0), ("ifft-baseline", -6000.0)]
+    )
+    def test_trial_with_a_score_that_overflows_is_rejected(self, algorithm, snr_db):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(CannotCalibrate, match="^the scores of a trial at .* dB SNR are not finite$"):
+                run_trial(64, 4, snr_db, 3, algorithm)
+
+    def test_large_finite_scores_are_kept(self):
+        record = run_trial(64, 4, -3000.0, 3, "noisy")
+        assert 1e148 < record.err_sparse < math.inf
+        assert 1e150 < record.noise_l1_over_n < math.inf
 
 
 def forbid_embed(monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,7 @@ from spfft.errors import (
 )
 from spfft.signal_lab import gen_sparse_signal
 from spfft.sparse_exact import (
+    Reconstruction,
     _odd_probe,
     _peak,
     _resolve_shift,
@@ -23,6 +26,14 @@ from spfft.sparse_exact import (
     window_energies,
     window_spectrum_sample,
 )
+from spfft.sparse_noisy import reconstruct_noisy
+
+ENTRY_POINTS = {
+    "exact": reconstruct_exact,
+    "noisy": reconstruct_noisy,
+    "dense-fallback": lambda accessor, m: reconstruct_dense(accessor, m, "fallback"),
+    "dense-baseline": lambda accessor, m: reconstruct_dense(accessor, m, "baseline"),
+}
 
 
 def brute_force_start(values, window_len):
@@ -78,19 +89,18 @@ class TestFindSupportStart:
 
 class TestResolveShift:
     def test_unit_quotient_means_no_shift(self):
-        assert _resolve_shift(1.0 + 0j, 7, 5) == (0, 0)
+        assert _resolve_shift(1.0 + 0j, 7, 5) == 0
 
     def test_known_root_of_unity(self):
         quotient = np.exp(-2j * np.pi * 6 / 8)
-        shift, phase = _resolve_shift(complex(quotient), 1, 3)
-        assert (shift, phase) == (6, 6)
+        assert _resolve_shift(complex(quotient), 1, 3) == 6
 
     def test_brute_force_all_shifts(self):
         t, odd = 4, 7
         modulus = 1 << t
         for true_shift in range(modulus):
             quotient = np.exp(-2j * np.pi * (odd * true_shift % modulus) / modulus)
-            shift, _ = _resolve_shift(complex(quotient), odd, t)
+            shift = _resolve_shift(complex(quotient), odd, t)
             assert shift == true_shift
 
     def test_off_lattice_phase_rejected(self):
@@ -207,13 +217,37 @@ class TestReconstructDense:
             reconstruct_dense(acc, 4, "sparse")
 
 
+class TestResultType:
+    # N=4096, m=20 runs the sparse algorithms; N=64, m=30 their dense fallback
+    @pytest.mark.parametrize("n, m", [(4096, 20), (64, 30)])
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_every_entry_point_returns_a_reconstruction(self, entry, n, m):
+        x, _ = gen_sparse_signal(n, m, 5)
+        rec = ENTRY_POINTS[entry](CountingSpectrumAccessor(fft_forward(x)), m)
+        assert type(rec) is Reconstruction
+
+    @pytest.mark.parametrize("entry", ["exact", "noisy"])
+    def test_sparse_fallback_is_the_dense_result(self, entry):
+        x, _ = gen_sparse_signal(64, 30, 5)
+        spectrum = fft_forward(x)
+        got = ENTRY_POINTS[entry](CountingSpectrumAccessor(spectrum), 30)
+        want = reconstruct_dense(CountingSpectrumAccessor(spectrum), 30)
+        assert got.mode == "fallback"
+        assert dataclasses.fields(got) == dataclasses.fields(want)
+        for field in dataclasses.fields(got):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+            else:
+                assert a == b, field.name
+
+
 class TestReconstructExact:
     def test_known_example(self, example_256):
         acc = CountingSpectrumAccessor(fft_forward(example_256))
         rec = reconstruct_exact(acc, 6)
         assert rec.support.first_index == 105
-        assert rec.block_shift == 6  # 105 = 9 + 16 * 6
-        assert rec.fold_level == 3
+        assert rec.support.first_index >> 4 == 6  # 105 = 9 + 16 * 6
         assert rec.samples_used == 18 <= 4 * 6 + 2
         assert np.max(np.abs(rec.signal - example_256)) <= 1e-9 * 8
 
@@ -244,8 +278,7 @@ class TestReconstructExact:
         assert rec.support.first_index == 0
         assert rec.samples_used == 8  # stops after the folded read
         assert rec.values.dtype == np.complex128 and rec.values.tobytes() == bytes(4 * 16)
-        assert rec.block_shift == rec.phase_index == 0
-        assert rec.fold_level == 2 and rec.mode == "sparse"
+        assert rec.mode == "sparse"
 
     @pytest.mark.parametrize("m", [48, 64, 128])
     def test_dense_fallback(self, m):

@@ -89,8 +89,8 @@ class TestOffsetPeriodization:
 class TestEstimateSupportStart:
     def test_exact_data_agrees_immediately(self, example_256):
         acc = CountingSpectrumAccessor(fft_forward(example_256))
-        votes, stable, vectors, offsets = vote(acc, 6)
-        assert votes[-1] == 9  # 105 mod 16
+        start, stable, vectors, offsets = vote(acc, 6)
+        assert start == 9  # 105 mod 16
         assert len(vectors) == 2
         assert offsets == [0, 8]  # second vector sits between the stride combs
         assert stable
@@ -99,8 +99,8 @@ class TestEstimateSupportStart:
         x, _ = gen_sparse_signal(1 << 10, 13, 21)
         acc = CountingSpectrumAccessor(fft_forward(x))
         level = ceil_log2(13)
-        votes, _, _, _ = vote(acc, 13)
-        assert votes[-1] == np.argmax(window_energies(periodize(x, level + 1), 13))
+        start, _, _, _ = vote(acc, 13)
+        assert start == np.argmax(window_energies(periodize(x, level + 1), 13))
 
     def test_budget_exhaustion_reports_unstable(self):
         # heavy noise and a 2-vector budget cannot reach agreement reliably;
@@ -109,9 +109,10 @@ class TestEstimateSupportStart:
         for seed in range(20):
             x, supp, noisy, _ = noisy_instance(1 << 10, 13, -10.0, seed)
             acc = CountingSpectrumAccessor(noisy)
-            votes, stable, vectors, _ = vote(acc, 13, max_vectors=2)
+            start, stable, vectors, _ = vote(acc, 13, max_vectors=2)
             assert len(vectors) <= 2
-            if votes[0] != votes[1]:
+            # the first vote is the argmax of the offset-0 vector's energies alone
+            if np.argmax(window_energies(vectors[0], 13)) != start:
                 assert not stable
                 break
         else:
@@ -122,9 +123,8 @@ class TestRefineSupport:
     def test_recovers_block_binary_digits(self, example_256):
         acc = CountingSpectrumAccessor(fft_forward(example_256))
         folded = periodize(example_256, 4)
-        first, shifts, blind = double(acc, folded, 9, 6, acc.read(16 * np.arange(16)))
-        assert first == 105
-        assert shifts == [False, True, True, False]  # binary digits of (105-9)/16 = 6
+        first, blind = double(acc, folded, 9, 6, acc.read(16 * np.arange(16)))
+        assert first == 105  # moves by 32 and 64: (105-9)/16 = 6 = 0b0110
         assert blind == []
 
     @pytest.mark.parametrize("sign, moved", [(1, False), (-1, True)])
@@ -139,8 +139,7 @@ class TestRefineSupport:
         spectrum[7] = sign * window_spectrum_sample(folded[1:5], 1, 7, 16)
         spectrum[9] = 100
         acc = RecordingAccessor(spectrum)
-        first, shifts, blind = double(acc, folded, 1, 4, acc.read(2 * np.arange(8)))
-        assert shifts == [moved]
+        first, blind = double(acc, folded, 1, 4, acc.read(2 * np.arange(8)))
         assert blind == []
         assert first == 1 + 8 * moved
         assert acc.calls[1:] == [[5, 3], [1], [7]]
@@ -158,9 +157,9 @@ class TestRefineSupport:
         acc = CountingSpectrumAccessor(spectrum)
         subsampled = acc.read(stride * np.arange(fold_len))
         before = acc.read_count
-        first, shifts, blind = double(acc, folded, 0, m, subsampled)
+        first, blind = double(acc, folded, 0, m, subsampled)
         levels = 6 - ceil_log2(m) - 1
-        assert (first, shifts) == (0, [False] * levels)
+        assert first == 0
         assert blind == list(range(ceil_log2(m) + 1, 6))
         assert acc.read_count - before == levels * m
 
@@ -175,11 +174,9 @@ class TestRefineSupport:
         acc = CountingSpectrumAccessor(fft_forward(x))
         folded = periodize(x, level + 1)
         start = supp.first_index % fold_len
-        first, shifts, blind = double(acc, folded, start, m, acc.read((n // fold_len) * np.arange(fold_len)))
+        first, blind = double(acc, folded, start, m, acc.read((n // fold_len) * np.arange(fold_len)))
         assert first == supp.first_index
         assert blind == []
-        blocks = (supp.first_index - start) // fold_len
-        assert shifts == [bool((blocks >> b) & 1) for b in range(len(shifts))]
 
 
 class TestAverageSupportValues:
@@ -257,7 +254,6 @@ class TestReconstructNoisy:
             fold_len = 1 << (level + 1)
             levels = 12 - level - 1
             assert rec.samples_used <= rec.vectors_used * fold_len + levels * m
-            assert len(rec.doubling_shifts) == levels
             assert rec.vectors_used <= MAX_VECTORS
 
     def test_signal_vanishes_outside_window(self):
@@ -311,7 +307,7 @@ class TestReconstructNoisy:
         x = np.tile(gen_sparse_signal(2048, 20, 3)[0], 2)
         rec = reconstruct_noisy(CountingSpectrumAccessor(fft_forward(x)), 20)
         assert rec.blind_levels == [11]
-        assert rec.doubling_shifts[-1] is False
+        assert rec.support.first_index >> 11 & 1 == 0
 
     def test_window_values_are_the_signal_on_its_support(self):
         x, supp, noisy, _ = noisy_instance(1 << 10, 7, 15.0, 4321)
