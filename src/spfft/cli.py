@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .dft_core import CountingSpectrumAccessor, fft_forward
+from .dft_core import CountingSpectrumAccessor
 from .errors import AlgorithmError, SpfftError, ValidationError, WrongDomain
 from .experiment import (
     ALGORITHMS,
@@ -24,7 +25,7 @@ from .experiment import (
     run_bench,
     run_experiment,
 )
-from .signal_lab import NOISE_STREAM_SALT, NoiseSpec, add_noise, gen_sparse_signal
+from .signal_lab import gen_instance
 from .spf1 import DOMAIN_FREQ, DOMAIN_TIME, read_vector_file, write_vector_file
 
 DEFAULT_EXPERIMENT_N = 1 << 16
@@ -40,11 +41,10 @@ def _number_list(text: str, kind: type) -> list:
 
 
 def _cmd_gen(args) -> int:
-    signal, support = gen_sparse_signal(args.n, args.m, args.seed)
-    spectrum = fft_forward(signal)
+    snr = math.inf if args.snr is None else args.snr
+    signal, support, spectrum, _ = gen_instance(args.n, args.m, args.seed, snr)
     meta = [f"n={args.n}", f"m={args.m}", f"mu={support.first_index}", f"seed={args.seed}"]
     if args.snr is not None:
-        spectrum, _ = add_noise(spectrum, NoiseSpec(seed=args.seed ^ NOISE_STREAM_SALT, snr_db=args.snr))
         meta.append(f"snr_db={args.snr}")
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)

@@ -8,6 +8,7 @@ CSV is byte-identical regardless of scheduling.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -15,16 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft_core import CountingSpectrumAccessor, fft_forward, fft_inverse, log2_length
+from .dft_core import CountingSpectrumAccessor, fft_inverse, log2_length
 from .errors import CannotCalibrate, ValidationError
-from .signal_lab import (
-    NOISE_STREAM_SALT,
-    NoiseSpec,
-    add_noise,
-    error_l2_over_n,
-    gen_sparse_signal,
-    window_error_l2_over_n,
-)
+from .signal_lab import error_l2_over_n, gen_instance, window_error_l2_over_n
 from .sparse_exact import Reconstruction, reconstruct_dense, reconstruct_exact
 from .sparse_noisy import reconstruct_noisy
 
@@ -49,6 +43,8 @@ class TrialRecord:
     vectors_used: int
     noise_inf: float
     noise_l1_over_n: float
+    sparse_ns: int
+    dense_ns: int
 
 
 @dataclass(frozen=True)
@@ -116,17 +112,25 @@ def reconstruction_error(truth, result: Reconstruction) -> float:
 def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> TrialRecord:
     """Generate, perturb, reconstruct, and score one instance.
 
-    CannotCalibrate is raised when a score is not finite: noise near the
-    float maximum makes the error norms overflow.
+    sparse_ns times the reconstruction, dense_ns the dense inverse FFT
+    that err_ifft scores; for ifft-baseline the reconstruction is that
+    inverse, and dense_ns = sparse_ns.  CannotCalibrate is raised when a
+    score is not finite: noise near the float maximum makes the noise l1
+    sum overflow.
     """
-    truth, support = gen_sparse_signal(n, m, seed)
-    spectrum = fft_forward(truth)
-    noisy, noise = add_noise(
-        spectrum, NoiseSpec(seed=seed ^ NOISE_STREAM_SALT, snr_db=snr_db)
-    )
-    result = reconstruct(CountingSpectrumAccessor(noisy), m, algorithm)
+    truth, support, noisy, noise = gen_instance(n, m, seed, snr_db)
+    accessor = CountingSpectrumAccessor(noisy)
+    tic = time.perf_counter_ns()
+    result = reconstruct(accessor, m, algorithm)
+    sparse_ns = time.perf_counter_ns() - tic
     err_sparse = reconstruction_error(truth, result)
-    err_ifft = err_sparse if result.mode == "baseline" else error_l2_over_n(truth, fft_inverse(noisy))
+    if result.mode == "baseline":
+        err_ifft, dense_ns = err_sparse, sparse_ns
+    else:
+        tic = time.perf_counter_ns()
+        dense = fft_inverse(noisy)
+        dense_ns = time.perf_counter_ns() - tic
+        err_ifft = error_l2_over_n(truth, dense)
     noise_abs = np.abs(noise)
     noise_inf = float(np.max(noise_abs)) if len(noise) else 0.0
     noise_l1_over_n = float(np.sum(noise_abs)) / n
@@ -140,6 +144,8 @@ def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> Trial
         vectors_used=result.vectors_used,
         noise_inf=noise_inf,
         noise_l1_over_n=noise_l1_over_n,
+        sparse_ns=sparse_ns,
+        dense_ns=dense_ns,
     )
 
 
@@ -195,36 +201,24 @@ def run_experiment(config: ExperimentConfig) -> str:
 def run_bench(n_list, m_list, trials: int, seed: int) -> str:
     """Time the sparse exact path against the dense inverse FFT.
 
-    Each (n, m) cell makes one untimed warm-up call of both paths;
-    BLAS threads are left at the library default.  The samples_used
-    column reports the worst case over the trials (n for the dense
-    rows).
+    Each (n, m) cell runs one untimed warm-up trial, then `trials`
+    noiseless exact run_trial calls, trial i on trial_seed(seed, i)
+    with i running on across cells; mean_ns is the mean of their
+    sparse_ns (exact rows) or dense_ns (ifft rows).  BLAS threads are
+    left at the library default.  The samples_used column reports the
+    worst case over the trials (n for the dense rows).
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     lines = [BENCH_HEADER]
     index = 0
     for n in n_list:
-        log2_length(n)  # even for an empty m_list; gen_sparse_signal checks each m
+        log2_length(n)  # even for an empty m_list; run_trial checks each m
         for m in m_list:
-            sparse_ns = []
-            dense_ns = []
-            samples = 0
-            for t in range(trials):
-                truth, _ = gen_sparse_signal(n, m, trial_seed(seed, index))
-                index += 1
-                spectrum = fft_forward(truth)
-                if t == 0:
-                    reconstruct_exact(CountingSpectrumAccessor(spectrum), m)
-                    fft_inverse(spectrum)
-                accessor = CountingSpectrumAccessor(spectrum)
-                tic = time.perf_counter_ns()
-                result = reconstruct_exact(accessor, m)
-                sparse_ns.append(time.perf_counter_ns() - tic)
-                samples = max(samples, result.samples_used)
-                tic = time.perf_counter_ns()
-                fft_inverse(spectrum)
-                dense_ns.append(time.perf_counter_ns() - tic)
-            lines.append(f"{n},{m},exact,{round(sum(sparse_ns) / trials)},{samples}")
-            lines.append(f"{n},{m},ifft,{round(sum(dense_ns) / trials)},{n}")
+            run_trial(n, m, math.inf, trial_seed(seed, index), "exact")  # the warm-up
+            records = [run_trial(n, m, math.inf, trial_seed(seed, index + t), "exact") for t in range(trials)]
+            index += trials
+            samples = max(r.samples_used for r in records)
+            lines.append(f"{n},{m},exact,{round(sum(r.sparse_ns for r in records) / trials)},{samples}")
+            lines.append(f"{n},{m},ifft,{round(sum(r.dense_ns for r in records) / trials)},{n}")
     return "\n".join(lines) + "\n"

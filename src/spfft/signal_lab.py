@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft_core import SupportDescriptor, log2_length
+from .dft_core import SupportDescriptor, fft_forward, log2_length
 from .errors import CannotCalibrate, InvalidSupportLength, ValidationError
 
 #: Nonzero floor for the two window endpoints, so the generated support
@@ -69,19 +69,25 @@ def gen_sparse_signal(n: int, m: int, seed: int) -> tuple[np.ndarray, SupportDes
     return x, support
 
 
-def _energy(v) -> float:
-    """Squared Euclidean norm of a complex vector as one dot over its float64 view.
+def _root_sum_squares(*parts) -> float:
+    """Euclidean norm of complex vectors taken together.
 
-    numpy.linalg's norm takes two strided dots over the real and imaginary
-    parts of complex input, which stall under threaded OpenBLAS; the
-    contiguous view needs one.
+    Each part's squares are summed as one dot over its contiguous
+    float64 view: numpy.linalg's norm takes two strided dots over the
+    real and imaginary parts of complex input, which stall under
+    threaded OpenBLAS.  Only when that sum overflows (silently) are the
+    parts summed again scaled by 2**-e, with 2**e just above their
+    largest real or imaginary part, and the root scaled back by 2**e, so
+    that a norm the float range holds is returned finite.
     """
-    flat = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
-    return float(flat @ flat)
-
-
-def _l2_norm(v) -> float:
-    return math.sqrt(_energy(v))
+    flats = [np.ascontiguousarray(part, dtype=np.complex128).view(np.float64) for part in parts]
+    with np.errstate(over="ignore"):
+        total = sum(float(flat @ flat) for flat in flats)
+    if total != math.inf:
+        return math.sqrt(total)
+    e = math.frexp(max(float(np.abs(flat).max(initial=0.0)) for flat in flats))[1]
+    scaled = [np.ldexp(flat, -e) for flat in flats]
+    return math.ldexp(math.sqrt(sum(float(flat @ flat) for flat in scaled)), e)
 
 
 def add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -98,12 +104,12 @@ def add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     rng = philox_rng(spec.seed)
     if math.isinf(spec.snr_db) and spec.snr_db > 0:
         return spectrum.copy(), np.zeros(n, dtype=np.complex128)
-    signal_norm = _l2_norm(spectrum)
+    signal_norm = _root_sum_squares(spectrum)
     if signal_norm == 0:
         raise CannotCalibrate("cannot target a finite SNR on a zero spectrum")
     # uniform on the unit disc: the radius is drawn first, then the angle
     unit = np.sqrt(rng.random(n)) * np.exp(1j * (2 * np.pi * rng.random(n)))
-    unit_norm = _l2_norm(unit)
+    unit_norm = _root_sum_squares(unit)
     if unit_norm == 0:
         raise CannotCalibrate("degenerate zero noise draw")
     try:
@@ -116,13 +122,30 @@ def add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     return spectrum + noise, noise
 
 
+def gen_instance(
+    n: int, m: int, seed: int, snr_db: float
+) -> tuple[np.ndarray, SupportDescriptor, np.ndarray, np.ndarray]:
+    """One random instance: (truth, support, spectrum, noise).
+
+    truth and support are gen_sparse_signal(n, m, seed); spectrum is the
+    forward FFT of truth perturbed by add_noise at snr_db, noise the
+    perturbation, drawn from the stream seed ^ NOISE_STREAM_SALT (at
+    snr_db = +inf the exact spectrum and zero noise).  `spfft gen` and
+    every experiment trial draw their instances here, so a trial's seed
+    replays it.
+    """
+    truth, support = gen_sparse_signal(n, m, seed)
+    spectrum, noise = add_noise(fft_forward(truth), NoiseSpec(seed=seed ^ NOISE_STREAM_SALT, snr_db=snr_db))
+    return truth, support, spectrum, noise
+
+
 def error_l2_over_n(x, y) -> float:
     """Euclidean norm of the difference, divided by the length."""
     x = np.asarray(x, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
     if x.shape != y.shape:
         raise ValidationError(f"length mismatch: {x.shape} vs {y.shape}")
-    return _l2_norm(x - y) / len(x)
+    return _root_sum_squares(x - y) / len(x)
 
 
 def window_error_l2_over_n(truth, support: SupportDescriptor, values, n: int) -> float:
@@ -140,5 +163,4 @@ def window_error_l2_over_n(truth, support: SupportDescriptor, values, n: int) ->
     start = support.first_index % n
     end = start + support.length
     outside = (truth[end - n : start],) if end > n else (truth[:start], truth[end:])
-    off_energy = sum(_energy(part) for part in outside)
-    return math.sqrt(off_energy + _energy(truth[support.indices(n)] - values)) / n
+    return _root_sum_squares(*outside, truth[support.indices(n)] - values) / n

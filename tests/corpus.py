@@ -32,7 +32,7 @@ if __name__ == "__main__":
 import numpy as np
 
 from spfft.dft_core import CountingSpectrumAccessor, fft_forward
-from spfft.signal_lab import NOISE_STREAM_SALT, NoiseSpec, add_noise, gen_sparse_signal
+from spfft.signal_lab import gen_instance, gen_sparse_signal
 from spfft.sparse_exact import reconstruct_dense, reconstruct_exact
 from spfft.sparse_noisy import reconstruct_noisy
 
@@ -58,13 +58,7 @@ PROJECTION_SEED = 20150901
 
 def instance(n, m, seed, snr_db):
     """The spectrum of the experiment trial with this seed and SNR."""
-    x, _ = gen_sparse_signal(n, m, seed)
-    noisy, _ = add_noise(fft_forward(x), NoiseSpec(seed=seed ^ NOISE_STREAM_SALT, snr_db=snr_db))
-    return noisy
-
-
-def _scaled(spectrum, k):
-    return np.ldexp(spectrum.view(np.float64), k).view(np.complex128)
+    return gen_instance(n, m, seed, snr_db)[2]
 
 
 def cases():
@@ -105,7 +99,7 @@ def cases():
         for b, (n, m, snr) in enumerate(bases):
             for seed in (1, 2, 3):
                 spectrum = instance(n, m, 5000 + 10 * b + seed, snr)
-                yield f"scaled/{k}/{n}/{m}/{snr:g}/{seed}", _scaled(spectrum, k), m
+                yield f"scaled/{k}/{n}/{m}/{snr:g}/{seed}", np.ldexp(spectrum.view(np.float64), k).view(np.complex128), m
     for peak in (1.0e308, 1.5e308, 1.7e308):
         for m in (1, 2, 4):
             spectrum = np.ones(64, dtype=np.complex128)

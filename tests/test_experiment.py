@@ -4,11 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from spfft import cli
+from spfft import cli, experiment
 from spfft.dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forward
 from spfft.errors import CannotCalibrate, ValidationError
-from spfft.experiment import ALGORITHMS, ExperimentConfig, reconstruct, run_experiment, run_trial
-from spfft.signal_lab import NOISE_STREAM_SALT, NoiseSpec, add_noise, error_l2_over_n, gen_sparse_signal
+from spfft.experiment import ALGORITHMS, ExperimentConfig, TrialRecord, reconstruct, run_experiment, run_trial, trial_seed
+from spfft.signal_lab import error_l2_over_n, gen_instance, gen_sparse_signal
 from spfft.spf1 import read_vector_file
 from spfft.sparse_exact import reconstruct_dense, reconstruct_exact
 from spfft.sparse_noisy import reconstruct_noisy
@@ -21,9 +21,7 @@ DIRECT = {
 
 
 def instance_spectrum(n, m, seed, snr_db):
-    x, _ = gen_sparse_signal(n, m, seed)
-    noisy, _ = add_noise(fft_forward(x), NoiseSpec(seed=seed ^ NOISE_STREAM_SALT, snr_db=snr_db))
-    return noisy
+    return gen_instance(n, m, seed, snr_db)[2]
 
 
 class TestReconstruct:
@@ -125,10 +123,11 @@ class TestBaselineExperiment:
 
 
 class TestNonFiniteScores:
-    # noise near the float maximum: the error norms overflow to inf below
-    # about -3080 dB, and at -6120 dB the noise l1 sum as well
+    # noise near the float maximum: the noise l1 sum overflows to inf below
+    # about -6100 dB; the error norms, whose squares overflow from about
+    # -3080 dB, are scaled by a power of two first and stay finite
     @pytest.mark.parametrize(
-        "algorithm, snr_db", [("noisy", -6120.0), ("noisy", -6000.0), ("ifft-baseline", -6000.0)]
+        "algorithm, snr_db", [("noisy", -6120.0), ("noisy", -6110.0), ("ifft-baseline", -6110.0)]
     )
     def test_trial_with_a_score_that_overflows_is_rejected(self, algorithm, snr_db):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -136,9 +135,60 @@ class TestNonFiniteScores:
                 run_trial(64, 4, snr_db, 3, algorithm)
 
     def test_large_finite_scores_are_kept(self):
-        record = run_trial(64, 4, -3000.0, 3, "noisy")
-        assert 1e148 < record.err_sparse < math.inf
-        assert 1e150 < record.noise_l1_over_n < math.inf
+        for snr_db in (-3000.0, -3100.0, -6000.0):
+            record = run_trial(64, 4, snr_db, 3, "noisy")
+            # the noise is about 10**(-snr_db/20) times the spectrum, whose entries are about 10
+            assert 10 ** (-snr_db / 20 - 2) < record.err_sparse < math.inf
+            assert 10 ** (-snr_db / 20) < record.noise_l1_over_n < math.inf
+
+
+class TestReplay:
+    """`spfft gen --seed <trial_seed(seed, i)> --snr <level>` writes trial i's instance."""
+
+    @pytest.mark.parametrize(
+        "n, m, snr_db, seed, index, algorithm",
+        [
+            (4096, 20, math.inf, 11, 3, "exact"),
+            (1024, 5, 10.0, 7, 12, "noisy"),
+            (64, 4, 0.0, 2**40 + 3, 1, "noisy"),
+        ],
+    )
+    def test_gen_writes_the_trial_spectrum(self, tmp_path, capsys, n, m, snr_db, seed, index, algorithm):
+        replay = trial_seed(seed, index)
+        prefix = tmp_path / "trial"
+        argv = ["gen", "--n", str(n), "--m", str(m), "--seed", str(replay), "--snr", str(snr_db)]
+        assert cli.main([*argv, "--out-prefix", str(prefix)]) == 0
+        payload, _ = read_vector_file(f"{prefix}.freq.spf1")
+        assert np.asarray(payload).tobytes() == gen_instance(n, m, replay, snr_db)[2].tobytes()
+        capsys.readouterr()
+        assert cli.main(["reconstruct", f"{prefix}.freq.spf1", "--m", str(m), "--algorithm", algorithm]) == 0
+        reported = int(re.search(r"samples_used=(\d+)", capsys.readouterr().out).group(1))
+        assert reported == run_trial(n, m, snr_db, replay, algorithm).samples_used
+
+
+class TestTrialTimes:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_times_are_positive_integers(self, algorithm):
+        record = run_trial(1024, 5, math.inf if algorithm == "exact" else 10.0, 3, algorithm)
+        assert type(record.sparse_ns) is int and record.sparse_ns > 0
+        assert type(record.dense_ns) is int and record.dense_ns > 0
+        if algorithm == "ifft-baseline":
+            assert record.dense_ns == record.sparse_ns
+
+    def test_bench_averages_the_times_of_run_trial(self, monkeypatch):
+        calls = []
+
+        def fake_trial(n, m, snr_db, seed, algorithm):
+            calls.append((n, m, snr_db, seed, algorithm))
+            k = len(calls)
+            return TrialRecord(True, 0.0, 0.0, m + k, 0, 0.0, 0.0, sparse_ns=2 * k, dense_ns=10 * k)
+
+        monkeypatch.setattr(experiment, "run_trial", fake_trial)
+        csv = experiment.run_bench([64, 128], [4], 2, 5)
+        # per cell one warm-up trial, then the trials, whose seeds run on across cells
+        cells = ((64, 0), (64, 0), (64, 1), (128, 2), (128, 2), (128, 3))
+        assert calls == [(n, 4, math.inf, trial_seed(5, i), "exact") for n, i in cells]
+        assert csv.split("\n")[1:] == ["64,4,exact,5,7", "64,4,ifft,25,64", "128,4,exact,11,10", "128,4,ifft,55,128", ""]
 
 
 def forbid_embed(monkeypatch):

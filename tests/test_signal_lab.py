@@ -165,6 +165,11 @@ class TestErrorMetrics:
         want = np.linalg.norm(x - y) / n
         assert abs(error_l2_over_n(x, y) - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_norm_whose_squares_overflow_is_finite(self, scale):
+        x = np.full(4, scale * (3 + 4j))
+        assert error_l2_over_n(x, np.zeros(4)) == pytest.approx(scale * 5 * 2 / 4, rel=1e-15)
+
 
 class TestWindowError:
     """window_error_l2_over_n against the dense error of result.signal."""
@@ -201,6 +206,14 @@ class TestWindowError:
         assert window_error_l2_over_n(truth, zero.support, zero.values, zero.n) == pytest.approx(
             np.linalg.norm(truth) / (1 << 10), rel=1e-12
         )
+
+    def test_parts_whose_squares_overflow_share_one_scale(self):
+        # 1e300 in each of the two slices outside the window 5..6 and a
+        # miss of 1e300 inside it: all three parts count
+        truth = np.zeros(16, complex)
+        truth[[0, 5, 15]] = 1e300
+        got = window_error_l2_over_n(truth, SupportDescriptor(5, 2), np.zeros(2), 16)
+        assert got == pytest.approx(math.sqrt(3) * 1e300 / 16, rel=1e-15)
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):

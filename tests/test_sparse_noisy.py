@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from oracle import RecordingAccessor, periodize
 from spfft.dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forward, fft_inverse
 from spfft.errors import InvalidOffset, NonFiniteSpectrum
-from spfft.signal_lab import NOISE_STREAM_SALT, NoiseSpec, add_noise, gen_sparse_signal
+from spfft.signal_lab import NoiseSpec, add_noise, gen_instance, gen_sparse_signal
 from spfft.sparse_exact import (
     _fold,
     _peak,
@@ -27,12 +27,7 @@ from spfft.sparse_noisy import (
 
 
 def noisy_instance(n, m, snr_db, seed):
-    x, supp = gen_sparse_signal(n, m, seed)
-    spectrum = fft_forward(x)
-    noisy, noise = add_noise(
-        spectrum, NoiseSpec(seed=seed ^ NOISE_STREAM_SALT, snr_db=snr_db)
-    )
-    return x, supp, noisy, noise
+    return gen_instance(n, m, seed, snr_db)
 
 
 def vote(acc, m, max_vectors=MAX_VECTORS):
