@@ -95,23 +95,22 @@ def add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
 
     The noise is drawn at unit scale and rescaled so the realized SNR
     hits the target exactly (up to rounding); an SNR of +inf means no
-    noise.  CannotCalibrate is raised when the target cannot be hit: a
+    noise, and then noisy is the input array itself (as complex128), not
+    a copy.  CannotCalibrate is raised when the target cannot be hit: a
     zero spectrum, or a noise scale that the float range cannot hold.
     """
     spectrum = np.asarray(spectrum, dtype=np.complex128)
     n = len(spectrum)
     log2_length(n)
-    rng = philox_rng(spec.seed)
-    if math.isinf(spec.snr_db) and spec.snr_db > 0:
-        return spectrum.copy(), np.zeros(n, dtype=np.complex128)
+    if spec.snr_db == math.inf:
+        return spectrum, np.zeros(n, dtype=np.complex128)
     signal_norm = _root_sum_squares(spectrum)
     if signal_norm == 0:
         raise CannotCalibrate("cannot target a finite SNR on a zero spectrum")
     # uniform on the unit disc: the radius is drawn first, then the angle
+    rng = philox_rng(spec.seed)
     unit = np.sqrt(rng.random(n)) * np.exp(1j * (2 * np.pi * rng.random(n)))
     unit_norm = _root_sum_squares(unit)
-    if unit_norm == 0:
-        raise CannotCalibrate("degenerate zero noise draw")
     try:
         scale = signal_norm / (unit_norm * 10 ** (spec.snr_db / 20))
     except (OverflowError, ZeroDivisionError):

@@ -250,13 +250,10 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> R
         return reconstruct_dense(accessor, support_len)
 
     subsampled, folded = _fold(accessor, level)
-    start = shift = 0
-    if not folded.any():  # the zero vector: nothing to place
-        window = np.zeros(support_len, dtype=np.complex128)
-    else:
-        start = int(np.argmax(_scaled_energies(folded, support_len, _peak_exponent(folded))))
-        window = folded[SupportDescriptor(start, support_len).indices(len(folded))]
-
+    start = int(np.argmax(_scaled_energies(folded, support_len, _peak_exponent(folded))))
+    window = folded[SupportDescriptor(start, support_len).indices(len(folded))]
+    shift = 0
+    if folded.any():  # the zero vector, at start 0, has nothing to place
         # A nonzero vector with at most 2**L <= N/4 support entries is not
         # zero at all of 2**(L+1) distinct odd indices.
         odd, odd_value = _odd_probe(accessor, _peak(accessor, subsampled), 1, len(subsampled))

@@ -60,8 +60,8 @@ def offset_periodization(
     return _fold(accessor, fold_level, offset)[1]
 
 
-def _vote(accessor: CountingSpectrumAccessor, folded, m: int, max_vectors: int):
-    """Vote on the folded support start over at most max_vectors offset vectors.
+def _vote(accessor: CountingSpectrumAccessor, folded, m: int):
+    """Vote on the folded support start over at most MAX_VECTORS offset vectors.
 
     The first vote uses the energies of folded, the offset-0 vector,
     alone; each later vote uses the running sum of all energy profiles
@@ -82,7 +82,7 @@ def _vote(accessor: CountingSpectrumAccessor, folded, m: int, max_vectors: int):
     energy_sum = _scaled_energies(folded, m, e)
     vote = int(np.argmax(energy_sum))
     more = itertools.chain((1 << r for r in reversed(range(t))), range(3, 1 << t, 2))
-    for offset in itertools.islice(more, max_vectors - 1):
+    for offset in itertools.islice(more, MAX_VECTORS - 1):
         vectors.append(offset_periodization(accessor, offset, level))
         offsets.append(offset)
         energy_sum += _scaled_energies(vectors[-1], m, e)
@@ -163,7 +163,7 @@ def reconstruct_noisy(accessor: CountingSpectrumAccessor, support_len: int) -> R
         return reconstruct_dense(accessor, support_len)
 
     subsampled, folded = _fold(accessor, level)
-    start, stable, vectors, offsets = _vote(accessor, folded, support_len, MAX_VECTORS)
+    start, stable, vectors, offsets = _vote(accessor, folded, support_len)
     window_idx = SupportDescriptor(start, support_len).indices(len(folded))
     first_index, blind = _double(accessor, folded[window_idx], start, _peak(accessor, subsampled))
     support = SupportDescriptor(first_index % n, support_len)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -34,13 +33,20 @@ _HEADER = struct.Struct("<4sHBBQ")
 
 
 def write_vector_file(path, values, domain: int) -> None:
-    """Write a complex vector; the payload is exactly 16*N bytes."""
+    """Write a complex vector; the payload is exactly 16*N bytes.
+
+    The payload is copied once, before the file is opened: values may
+    map the file being overwritten (read_vector_file of path), which
+    opening truncates.
+    """
     if domain not in (DOMAIN_TIME, DOMAIN_FREQ):
         raise FileFormatError(f"domain flag must be 0 or 1, got {domain}")
     payload = np.ascontiguousarray(values, dtype="<c16")
     log2_length(len(payload))
-    header = _HEADER.pack(MAGIC, VERSION, domain, 0, len(payload))
-    Path(path).write_bytes(header + payload.tobytes())
+    data = payload.tobytes()
+    with open(path, "wb") as f:
+        f.write(_HEADER.pack(MAGIC, VERSION, domain, 0, len(payload)))
+        f.write(data)
 
 
 def read_vector_file(path) -> tuple[np.ndarray, int]:

@@ -46,6 +46,14 @@ class TestVectorFile:
         back, _ = read_vector_file(path)
         assert back.tobytes() == values.astype(np.complex128).tobytes()
 
+    def test_rewriting_a_mapped_file_keeps_its_bytes(self, tmp_path):
+        # values maps the file that the write truncates
+        path = tmp_path / "same.spf1"
+        write_vector_file(path, random_vector(1 << 12, 3), DOMAIN_FREQ)
+        before = path.read_bytes()
+        write_vector_file(path, read_vector_file(path)[0], DOMAIN_FREQ)
+        assert path.read_bytes() == before
+
     def test_layout_is_fixed(self, tmp_path):
         path = tmp_path / "layout.spf1"
         write_vector_file(path, np.array([1 + 2j, 3 - 4j]), DOMAIN_FREQ)
@@ -325,6 +333,19 @@ class TestExperimentCommand:
             assert main(["experiment", "--n", "64", "--m", "4", "--snr=-6125", "--trials", "2"]) == 2
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr() == ("", "error: the scores of a trial at -6125.0 dB SNR are not finite\n")
+
+    @pytest.mark.parametrize(
+        "threads, message",
+        [
+            ("abc", "SPFFT_THREADS must be an integer, got 'abc'"),
+            ("0", "SPFFT_THREADS must be >= 1, got 0"),
+            ("-1", "SPFFT_THREADS must be >= 1, got -1"),
+        ],
+    )
+    def test_bad_thread_count_exits_2(self, monkeypatch, capsys, threads, message):
+        monkeypatch.setenv("SPFFT_THREADS", threads)
+        assert main(["experiment", "--n", "64", "--m", "4", "--trials", "1"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_unparsable_snr_list_exits_2(self, capsys):
         assert main(["experiment", "--n", "64", "--m", "4", "--snr", "x,1", "--trials", "1"]) == 2

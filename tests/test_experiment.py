@@ -4,9 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from spfft import cli, experiment
+from spfft import cli, experiment, signal_lab
 from spfft.dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forward
-from spfft.errors import CannotCalibrate, ValidationError
+from spfft.errors import CannotCalibrate, InvalidLength, InvalidSupportLength, ValidationError
 from spfft.experiment import ALGORITHMS, ExperimentConfig, TrialRecord, reconstruct, run_experiment, run_trial, trial_seed
 from spfft.signal_lab import error_l2_over_n, gen_instance, gen_sparse_signal
 from spfft.spf1 import read_vector_file
@@ -120,6 +120,29 @@ class TestBaselineExperiment:
         record = run_trial(256, 6, 10.0, 9, "ifft-baseline")
         assert record.err_sparse == record.err_ifft
         assert record.samples_used == 256
+
+
+class TestExperimentChecks:
+    @pytest.mark.parametrize(
+        "n, m, error, message",
+        [
+            (100, 4, InvalidLength, "length must be a power of two, got 100"),
+            (64, 0, InvalidSupportLength, "support length 0 outside [1, 64]"),
+            (64, 65, InvalidSupportLength, "support length 65 outside [1, 64]"),
+        ],
+    )
+    def test_bad_sizes_fail_before_any_spectrum_is_built(self, monkeypatch, n, m, error, message):
+        def refuse(x):
+            raise AssertionError("a spectrum was built")
+
+        monkeypatch.setattr(signal_lab, "fft_forward", refuse)
+        with pytest.raises(error) as caught:
+            run_experiment(ExperimentConfig(n, m, (10.0, math.inf), 2, 0, "noisy"))
+        assert str(caught.value) == message
+
+    def test_unknown_algorithm_fails_in_the_config(self):
+        with pytest.raises(ValidationError, match="algorithm must be one of"):
+            ExperimentConfig(64, 4, (10.0,), 1, 0, "dense")
 
 
 class TestNonFiniteScores:

@@ -98,6 +98,11 @@ class TestAddNoise:
         assert np.array_equal(noisy, s)
         assert not noise.any()
 
+    def test_infinite_snr_returns_the_spectrum_itself(self):
+        s = fft_forward(gen_sparse_signal(64, 5, 2)[0])
+        noisy, _ = add_noise(s, NoiseSpec(seed=0, snr_db=math.inf))
+        assert np.shares_memory(noisy, s)
+
     @given(
         snr=st.sampled_from([0.0, 5.0, 13.0, 20.0, 37.5, 50.0]),
         seed=st.integers(0, 2**32 - 1),

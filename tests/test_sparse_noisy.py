@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracle import RecordingAccessor, periodize
+from spfft import sparse_noisy
 from spfft.dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forward, fft_inverse
 from spfft.errors import InvalidOffset, NonFiniteSpectrum
 from spfft.signal_lab import NoiseSpec, add_noise, gen_instance, gen_sparse_signal
@@ -30,9 +31,9 @@ def noisy_instance(n, m, snr_db, seed):
     return gen_instance(n, m, seed, snr_db)
 
 
-def vote(acc, m, max_vectors=MAX_VECTORS):
+def vote(acc, m):
     # the fold and locate stages of the noisy path
-    return _vote(acc, _fold(acc, ceil_log2(m))[1], m, max_vectors)
+    return _vote(acc, _fold(acc, ceil_log2(m))[1], m)
 
 
 def double(acc, folded, start, m, subsampled):
@@ -97,14 +98,14 @@ class TestEstimateSupportStart:
         start, _, _, _ = vote(acc, 13)
         assert start == np.argmax(window_energies(periodize(x, level + 1), 13))
 
-    def test_budget_exhaustion_reports_unstable(self):
+    def test_budget_exhaustion_reports_unstable(self, monkeypatch):
         # heavy noise and a 2-vector budget cannot reach agreement reliably;
         # crafted so the two votes differ
-        rng = np.random.default_rng(0)
+        monkeypatch.setattr(sparse_noisy, "MAX_VECTORS", 2)
         for seed in range(20):
             x, supp, noisy, _ = noisy_instance(1 << 10, 13, -10.0, seed)
             acc = CountingSpectrumAccessor(noisy)
-            start, stable, vectors, _ = vote(acc, 13, max_vectors=2)
+            start, stable, vectors, _ = vote(acc, 13)
             assert len(vectors) <= 2
             # the first vote is the argmax of the offset-0 vector's energies alone
             if np.argmax(window_energies(vectors[0], 13)) != start:
