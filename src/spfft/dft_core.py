@@ -34,6 +34,19 @@ def log2_length(n: int) -> int:
     return j
 
 
+def as_vector(x) -> np.ndarray:
+    """x as a complex128 array, which must be one-dimensional with a valid length.
+
+    The one vector contract of the package's entry points: InvalidLength
+    names the shape of anything else.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim != 1:
+        raise InvalidLength(f"expected a one-dimensional vector, got shape {x.shape}")
+    log2_length(len(x))
+    return x
+
+
 def fft_forward(x) -> np.ndarray:
     """Forward FFT via numpy.fft, restricted to the package's lengths.
 
@@ -47,16 +60,12 @@ def fft_forward(x) -> np.ndarray:
     np.ndarray
         The unscaled forward transform under the exp(-2i*pi/N) kernel.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    log2_length(len(x))
-    return np.fft.fft(x)
+    return np.fft.fft(as_vector(x))
 
 
 def fft_inverse(s) -> np.ndarray:
     """Inverse FFT: conjugate kernel with the 1/N factor."""
-    s = np.asarray(s, dtype=np.complex128)
-    log2_length(len(s))
-    return np.fft.ifft(s)
+    return np.fft.ifft(as_vector(s))
 
 
 @dataclass(frozen=True)
@@ -108,8 +117,8 @@ class CountingSpectrumAccessor:
     """
 
     def __init__(self, spectrum):
-        self._values = np.asarray(spectrum, dtype=np.complex128)
-        self._log2_len = log2_length(len(self._values))
+        self._values = as_vector(spectrum)
+        self._log2_len = len(self._values).bit_length() - 1
         self._seen: set[int] = set()
         self._read_all = False
 
@@ -125,13 +134,8 @@ class CountingSpectrumAccessor:
         """Number of distinct spectrum indices read so far."""
         return len(self._values) if self._read_all else len(self._seen)
 
-    @property
-    def accessed_indices(self) -> set[int]:
-        return set(range(len(self._values))) if self._read_all else set(self._seen)
-
-    def read(self, indices):
-        """Read one index (int) or many (array); counts new distinct indices."""
-        scalar = np.isscalar(indices)
+    def read(self, indices) -> np.ndarray:
+        """The values at an index or an index array, as an array; counts new distinct indices."""
         idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
         if idx.size and (idx.min() < 0 or idx.max() >= len(self._values)):
             raise InvalidOffset(
@@ -141,7 +145,7 @@ class CountingSpectrumAccessor:
         _require_finite(values, idx)
         if not self._read_all:
             self._seen.update(idx.tolist())
-        return values[0] if scalar else values
+        return values
 
     def read_all(self) -> np.ndarray:
         """Read the whole spectrum (the dense path), as a read-only view."""

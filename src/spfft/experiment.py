@@ -61,7 +61,7 @@ class ExperimentConfig:
     snr_list: tuple[float, ...]
     trials: int
     seed: int
-    algorithm: str = "noisy"
+    algorithm: str
 
     def __post_init__(self):
         if self.trials < 1:
@@ -116,9 +116,10 @@ def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> Trial
 
     sparse_ns times the reconstruction, dense_ns the dense inverse FFT
     that err_ifft scores; for ifft-baseline the reconstruction is that
-    inverse, and dense_ns = sparse_ns.  CannotCalibrate is raised when a
-    score is not finite: noise near the float maximum makes the noise l1
-    sum overflow.
+    inverse, and dense_ns = sparse_ns.  At snr_db = +inf the noise
+    scores are 0.0 without a look at the (zero) noise.  CannotCalibrate
+    is raised when a score is not finite: noise near the float maximum
+    makes the noise l1 sum overflow.
     """
     truth, support, noisy, noise = gen_instance(n, m, seed, snr_db)
     accessor = CountingSpectrumAccessor(noisy)
@@ -133,9 +134,12 @@ def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> Trial
         dense = fft_inverse(noisy)
         dense_ns = time.perf_counter_ns() - tic
         err_ifft = error_l2_over_n(truth, dense)
-    noise_abs = np.abs(noise)
-    noise_inf = float(np.max(noise_abs))
-    noise_l1_over_n = float(np.sum(noise_abs)) / n
+    if snr_db == math.inf:  # no noise was drawn
+        noise_inf = noise_l1_over_n = 0.0
+    else:
+        noise_abs = np.abs(noise)
+        noise_inf = float(np.max(noise_abs))
+        noise_l1_over_n = float(np.sum(noise_abs)) / n
     if not np.isfinite([err_sparse, err_ifft, noise_inf, noise_l1_over_n]).all():
         raise CannotCalibrate(f"the scores of a trial at {snr_db} dB SNR are not finite")
     return TrialRecord(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft_core import SupportDescriptor, fft_forward, log2_length
+from .dft_core import SupportDescriptor, as_vector, fft_forward, log2_length
 from .errors import CannotCalibrate, InvalidSupportLength, ValidationError
 
 #: Nonzero floor for the two window endpoints, so the generated support
@@ -64,9 +64,7 @@ def gen_sparse_signal(n: int, m: int, seed: int) -> tuple[np.ndarray, SupportDes
         while abs(values[end]) < ENDPOINT_MIN_MODULUS:
             values[end] = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
     support = SupportDescriptor(first_index, m)
-    x = np.zeros(n, dtype=np.complex128)
-    x[support.indices(n)] = values
-    return x, support
+    return support.embed(values, n), support
 
 
 def _root_sum_squares(*parts) -> float:
@@ -99,9 +97,8 @@ def add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     a copy.  CannotCalibrate is raised when the target cannot be hit: a
     zero spectrum, or a noise scale that the float range cannot hold.
     """
-    spectrum = np.asarray(spectrum, dtype=np.complex128)
+    spectrum = as_vector(spectrum)
     n = len(spectrum)
-    log2_length(n)
     if spec.snr_db == math.inf:
         return spectrum, np.zeros(n, dtype=np.complex128)
     signal_norm = _root_sum_squares(spectrum)
@@ -140,8 +137,8 @@ def gen_instance(
 
 def error_l2_over_n(x, y) -> float:
     """Euclidean norm of the difference, divided by the length."""
-    x = np.asarray(x, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
+    x = as_vector(x)
+    y = as_vector(y)
     if x.shape != y.shape:
         raise ValidationError(f"length mismatch: {x.shape} vs {y.shape}")
     return _root_sum_squares(x - y) / len(x)

@@ -183,7 +183,7 @@ def _odd_probe(
             break
         if q not in tried:
             tried.add(q)
-            value = accessor.read(q)
+            value = accessor.read([q])[0]
             if value != 0:
                 return q, complex(value)
     return int(probes[0]), 0j

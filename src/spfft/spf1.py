@@ -21,7 +21,7 @@ import struct
 
 import numpy as np
 
-from .dft_core import log2_length
+from .dft_core import as_vector, log2_length
 from .errors import FileFormatError, InvalidLength
 
 MAGIC = b"SPF1"
@@ -41,9 +41,8 @@ def write_vector_file(path, values, domain: int) -> None:
     """
     if domain not in (DOMAIN_TIME, DOMAIN_FREQ):
         raise FileFormatError(f"domain flag must be 0 or 1, got {domain}")
-    payload = np.ascontiguousarray(values, dtype="<c16")
-    log2_length(len(payload))
-    data = payload.tobytes()
+    payload = as_vector(values)
+    data = payload.astype("<c16", copy=False).tobytes()
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, VERSION, domain, 0, len(payload)))
         f.write(data)

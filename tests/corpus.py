@@ -6,11 +6,12 @@ with a declared support length m: exact data, noisy data from 0 to
 supports longer than m, spectra scaled by 2**-1050 to 2**1000, spectra
 near the float maximum, ones whose noisy doubling comparison overflows,
 and NaN values.  Every case runs reconstruct_exact, reconstruct_noisy
-and reconstruct_dense in both modes, each on a fresh accessor, and
-record() reduces each call to one record: the discrete outcome, a hash
-of the distinct indices read, and the values as their L2 norm and one
-fixed seeded projection of their direction (raw bytes would change with
-the FFT build).  test_corpus.py compares the records with the file.
+and reconstruct_dense in both modes, each on a fresh recording
+accessor (oracle.RecordingAccessor), and record() reduces each call to
+one record: the discrete outcome, a hash of the distinct indices read,
+and the values as their L2 norm and one fixed seeded projection of
+their direction (raw bytes would change with the FFT build).
+test_corpus.py compares the records with the file.
 
     PYTHONPATH=src python tests/corpus.py --write   # regenerate the file
 
@@ -21,6 +22,7 @@ which records changed and why, as for the golden experiment rows.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -31,7 +33,8 @@ if __name__ == "__main__":
 
 import numpy as np
 
-from spfft.dft_core import CountingSpectrumAccessor, fft_forward
+from oracle import RecordingAccessor
+from spfft.dft_core import fft_forward
 from spfft.signal_lab import gen_instance, gen_sparse_signal
 from spfft.sparse_exact import reconstruct_dense, reconstruct_exact
 from spfft.sparse_noisy import reconstruct_noisy
@@ -142,18 +145,18 @@ def _norm_and_projection(values) -> tuple[float, complex]:
     return math.ldexp(norm, e), complex(weights.view(np.complex128) @ (scaled / norm))
 
 
-def reads_digest(accessor) -> str:
+def reads_digest(accessor: RecordingAccessor) -> str:
     """Short hash of the sorted distinct indices the accessor has read."""
     if accessor.read_count == len(accessor):
         indices = np.arange(len(accessor), dtype=np.int64)
     else:
-        indices = np.sort(np.fromiter(accessor.accessed_indices, dtype=np.int64))
+        indices = np.unique(np.fromiter(itertools.chain.from_iterable(accessor.calls), dtype=np.int64))
     return hashlib.blake2b(indices.tobytes(), digest_size=8).hexdigest()
 
 
 def record(name, run, spectrum, m) -> list:
     """The record of run on a fresh accessor of the spectrum."""
-    accessor = CountingSpectrumAccessor(spectrum)
+    accessor = RecordingAccessor(spectrum)
     try:
         with np.errstate(all="ignore"):
             result = RUNS[run](accessor, m)

@@ -178,7 +178,6 @@ class TestCountingAccessor:
         acc.read(0)
         acc.read(1)
         assert acc.read_count == 2
-        assert acc.accessed_indices == {0, 1}
 
     def test_vectorized_reads_deduplicate(self):
         acc = CountingSpectrumAccessor(np.arange(16) + 0j)
@@ -255,7 +254,6 @@ class TestCountingAccessor:
                 acc.read(op if isinstance(op, int) else np.array(op, dtype=np.int64))
                 seen[op] = True
             assert acc.read_count == int(np.count_nonzero(seen))
-            assert acc.accessed_indices == set(np.flatnonzero(seen).tolist())
 
     def test_read_after_read_all_adds_nothing(self):
         acc = CountingSpectrumAccessor(np.arange(8) + 0j)
@@ -264,7 +262,6 @@ class TestCountingAccessor:
         acc.read(np.array([2, 6, 6]))
         acc.read(3)
         assert acc.read_count == 8
-        assert acc.accessed_indices == set(range(8))
 
     def test_construction_does_not_scale_with_length(self):
         spectrum = np.zeros(1 << 20, complex)

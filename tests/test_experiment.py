@@ -165,6 +165,19 @@ class TestNonFiniteScores:
             assert 10 ** (-snr_db / 20) < record.noise_l1_over_n < math.inf
 
 
+class TestNoiselessScores:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_noise_is_not_scored_at_infinite_snr(self, monkeypatch, algorithm):
+        def without_noise(n, m, seed, snr_db):
+            truth, support, spectrum, noise = gen_instance(n, m, seed, snr_db)
+            return truth, support, spectrum, None if snr_db == math.inf else noise
+
+        monkeypatch.setattr(experiment, "gen_instance", without_noise)
+        record = run_trial(1024, 5, math.inf, 3, algorithm)
+        assert record.noise_inf == record.noise_l1_over_n == 0.0
+        assert run_trial(1024, 5, 10.0, 3, algorithm).noise_inf > 0
+
+
 class TestReplay:
     """`spfft gen --seed <trial_seed(seed, i)> --snr <level>` writes trial i's instance."""
 
@@ -221,8 +234,22 @@ def forbid_embed(monkeypatch):
     monkeypatch.setattr(SupportDescriptor, "embed", refuse)
 
 
+def count_embed(monkeypatch) -> list:
+    """The lengths of the vectors SupportDescriptor.embed builds from now on."""
+    calls = []
+    embed = SupportDescriptor.embed
+
+    def counting(self, values, n):
+        calls.append(n)
+        return embed(self, values, n)
+
+    monkeypatch.setattr(SupportDescriptor, "embed", counting)
+    return calls
+
+
 class TestDenseVectorOnDemand:
-    """SupportDescriptor.embed builds the length-N vector only when signal is read."""
+    """SupportDescriptor.embed builds a result's length-N vector only when signal is read
+    (gen_sparse_signal builds each truth with it)."""
 
     @pytest.mark.parametrize("n, m", [(4096, 20), (64, 30)])
     def test_reconstructions_do_not_embed(self, monkeypatch, n, m):
@@ -236,9 +263,10 @@ class TestDenseVectorOnDemand:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_experiment_does_not_embed(self, monkeypatch, algorithm):
         snrs = (math.inf,) if algorithm == "exact" else (10.0, math.inf)
-        forbid_embed(monkeypatch)
+        calls = count_embed(monkeypatch)
         csv = run_experiment(ExperimentConfig(1024, 10, snrs, 3, 1, algorithm))
         assert len(csv.strip().split("\n")) == 1 + len(snrs)
+        assert calls == [1024] * (3 * len(snrs))  # one truth per trial, no result's signal
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_cli_reconstruct_without_out_does_not_embed(self, monkeypatch, tmp_path, capsys, algorithm):
@@ -259,15 +287,8 @@ class TestDenseVectorOnDemand:
         assert err == pytest.approx(error_l2_over_n(truth, result.signal), rel=1e-12)
 
     def test_signal_is_built_once_when_read(self, monkeypatch):
-        calls = []
-        embed = SupportDescriptor.embed
-
-        def counting(self, values, n):
-            calls.append(n)
-            return embed(self, values, n)
-
-        monkeypatch.setattr(SupportDescriptor, "embed", counting)
         x, _ = gen_sparse_signal(4096, 20, 8)
+        calls = count_embed(monkeypatch)
         result = reconstruct_exact(CountingSpectrumAccessor(fft_forward(x)), 20)
         assert calls == []
         signal = result.signal
