@@ -34,6 +34,15 @@ def log2_length(n: int) -> int:
     return j
 
 
+def support_length(m, n: int) -> int:
+    """m as an int for a valid support length 1 <= m <= n, raising InvalidSupportLength otherwise."""
+    if not isinstance(m, (int, np.integer)):
+        raise InvalidSupportLength(f"support length must be an integer, got {type(m).__name__}")
+    if not 1 <= m <= n:
+        raise InvalidSupportLength(f"support length {m} outside [1, {n}]")
+    return int(m)
+
+
 def as_vector(x) -> np.ndarray:
     """x as a complex128 array, which must be one-dimensional with a valid length.
 
@@ -45,6 +54,14 @@ def as_vector(x) -> np.ndarray:
         raise InvalidLength(f"expected a one-dimensional vector, got shape {x.shape}")
     log2_length(len(x))
     return x
+
+
+def as_window(values, length: int) -> np.ndarray:
+    """values as a complex128 array, which must hold one value per window entry."""
+    values = np.asarray(values, dtype=np.complex128)
+    if values.shape != (length,):
+        raise InvalidSupportLength(f"expected {length} window values, got shape {values.shape}")
+    return values
 
 
 def fft_forward(x) -> np.ndarray:
@@ -70,29 +87,28 @@ def fft_inverse(s) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SupportDescriptor:
-    """Cyclic index window {(first_index + r) mod N : r = 0..length-1}."""
+    """Cyclic index window {(first_index + r) mod N : r = 0..length-1}.
+
+    Both fields are integers, first_index >= 0 and 1 <= length <= 2**30.
+    """
 
     first_index: int
     length: int
 
     def __post_init__(self):
-        if self.length < 1:
-            raise InvalidSupportLength(f"support length must be >= 1, got {self.length}")
-        if self.first_index < 0:
-            raise InvalidSupportLength(f"first index must be >= 0, got {self.first_index}")
+        support_length(self.length, 1 << MAX_LOG2_LEN)
+        if not isinstance(self.first_index, (int, np.integer)) or self.first_index < 0:
+            raise InvalidSupportLength(f"first index must be an integer >= 0, got {self.first_index!r}")
 
     def indices(self, n: int) -> np.ndarray:
         """The window as explicit indices into a length-n vector."""
-        if self.length > n:
-            raise InvalidSupportLength(
-                f"support length {self.length} exceeds vector length {n}"
-            )
+        support_length(self.length, n)
         return (self.first_index + np.arange(self.length, dtype=np.int64)) % n
 
     def embed(self, values, n: int) -> np.ndarray:
         """Length-n vector holding values on the window and zeros elsewhere."""
         out = np.zeros(n, dtype=np.complex128)
-        out[self.indices(n)] = values
+        out[self.indices(n)] = as_window(values, self.length)
         return out
 
 

@@ -22,7 +22,8 @@ class InvalidOffset(ValidationError):
 
 
 class InvalidSupportLength(ValidationError):
-    """Support length outside [1, N]."""
+    """Support length that is not an integer in [1, N], or window values
+    that are not one per window entry."""
 
 
 class NonFiniteSpectrum(ValidationError):

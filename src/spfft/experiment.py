@@ -29,6 +29,9 @@ CSV_HEADER = (
     "mean_noise_inf,mean_noise_l1_over_N,mean_samples,mean_kappa_vectors"
 )
 
+#: The TrialRecord fields whose means fill the CSV columns after mu_correct_pct.
+MEAN_FIELDS = ("err_sparse", "err_ifft", "noise_inf", "noise_l1_over_n", "samples_used", "vectors_used")
+
 BENCH_HEADER = "N,m,algorithm,mean_ns,samples_used"
 
 
@@ -161,20 +164,9 @@ def _g17(value: float) -> str:
 
 def summarize(records: list[TrialRecord], snr_db: float) -> str:
     """One CSV row aggregating the records of a single SNR level."""
-    trials = len(records)
-    pct = 100.0 * sum(r.mu_correct for r in records) / trials
-    cols = [
-        _g17(snr_db),
-        str(trials),
-        _g17(pct),
-        _g17(float(np.mean([r.err_sparse for r in records]))),
-        _g17(float(np.mean([r.err_ifft for r in records]))),
-        _g17(float(np.mean([r.noise_inf for r in records]))),
-        _g17(float(np.mean([r.noise_l1_over_n for r in records]))),
-        _g17(float(np.mean([r.samples_used for r in records]))),
-        _g17(float(np.mean([r.vectors_used for r in records]))),
-    ]
-    return ",".join(cols)
+    pct = 100.0 * sum(r.mu_correct for r in records) / len(records)
+    means = [np.mean([getattr(r, name) for r in records]) for name in MEAN_FIELDS]
+    return ",".join([_g17(snr_db), str(len(records)), *map(_g17, [pct, *means])])
 
 
 def run_experiment(config: ExperimentConfig) -> str:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft_core import SupportDescriptor, as_vector, fft_forward, log2_length
-from .errors import CannotCalibrate, InvalidSupportLength, ValidationError
+from .dft_core import SupportDescriptor, as_vector, as_window, fft_forward, log2_length, support_length
+from .errors import CannotCalibrate, ValidationError
 
 #: Nonzero floor for the two window endpoints, so the generated support
 #: length is exactly the requested one.
@@ -55,8 +55,7 @@ def gen_sparse_signal(n: int, m: int, seed: int) -> tuple[np.ndarray, SupportDes
     cannot collapse below m.  Deterministic given the seed.
     """
     log2_length(n)
-    if not 1 <= m <= n:
-        raise InvalidSupportLength(f"support length {m} outside [1, {n}]")
+    support_length(m, n)
     rng = philox_rng(seed)
     first_index = int(rng.integers(0, n))
     values = rng.uniform(-10, 10, m) + 1j * rng.uniform(-10, 10, m)
@@ -70,22 +69,23 @@ def gen_sparse_signal(n: int, m: int, seed: int) -> tuple[np.ndarray, SupportDes
 def _root_sum_squares(*parts) -> float:
     """Euclidean norm of complex vectors taken together.
 
-    Each part's squares are summed as one dot over its contiguous
-    float64 view: numpy.linalg's norm takes two strided dots over the
-    real and imaginary parts of complex input, which stall under
-    threaded OpenBLAS.  Only when that sum overflows (silently) are the
-    parts summed again scaled by 2**-e, with 2**e just above their
-    largest real or imaginary part, and the root scaled back by 2**e, so
-    that a norm the float range holds is returned finite.
+    Each part's squares are summed by one single-threaded numpy
+    reduction (einsum) over its contiguous float64 view, so the last bit
+    does not depend on the BLAS thread count, as a threaded dot's does;
+    add_noise's scale, hence every noisy instance, rests on it.  Only
+    when that sum overflows (silently) are the parts summed again scaled
+    by 2**-e, with 2**e just above their largest real or imaginary part,
+    and the root scaled back by 2**e, so that a norm the float range
+    holds is returned finite.
     """
     flats = [np.ascontiguousarray(part, dtype=np.complex128).view(np.float64) for part in parts]
     with np.errstate(over="ignore"):
-        total = sum(float(flat @ flat) for flat in flats)
+        total = sum(float(np.einsum("i,i->", flat, flat)) for flat in flats)
     if total != math.inf:
         return math.sqrt(total)
     e = math.frexp(max(float(np.abs(flat).max(initial=0.0)) for flat in flats))[1]
     scaled = [np.ldexp(flat, -e) for flat in flats]
-    return math.ldexp(math.sqrt(sum(float(flat @ flat) for flat in scaled)), e)
+    return math.ldexp(math.sqrt(sum(float(np.einsum("i,i->", flat, flat)) for flat in scaled)), e)
 
 
 def add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -159,4 +159,4 @@ def window_error_l2_over_n(truth, support: SupportDescriptor, values, n: int) ->
     start = support.first_index % n
     end = start + support.length
     outside = (truth[end - n : start],) if end > n else (truth[:start], truth[end:])
-    return _root_sum_squares(*outside, truth[support.indices(n)] - values) / n
+    return _root_sum_squares(*outside, truth[support.indices(n)] - as_window(values, support.length)) / n

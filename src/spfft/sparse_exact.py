@@ -4,7 +4,7 @@ A length-N vector that vanishes outside a cyclic window of m entries is
 recovered in stages, with L = ceil(log2 m):
 
 - fold: the spectrum read at stride 2**(J-L-1), inverse transformed,
-  is the vector folded to length 2**(L+1) (_fold_level, _fold);
+  is the vector folded to length 2**(L+1) (_fold);
 - locate: the folded support starts at the argmax of window_energies,
   taken after scaling by a power of two (_scaled_energies);
 - place: one odd-indexed spectrum value next to the subsample's peak
@@ -21,12 +21,13 @@ package, is used.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_inverse
+from .dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_inverse, support_length
 from .errors import (
     DegenerateQuotient,
     InvalidSupportLength,
@@ -132,14 +133,6 @@ def window_spectrum_sample(window, first_index: int, freq_index: int, length: in
     return complex(window @ np.exp((-2j * np.pi / length) * exponents))
 
 
-def _fold_level(accessor: CountingSpectrumAccessor, m: int) -> int:
-    """The fold level L = ceil(log2 m), once 1 <= m <= N is checked."""
-    n = len(accessor)
-    if not 1 <= m <= n:
-        raise InvalidSupportLength(f"support length {m} outside [1, {n}]")
-    return ceil_log2(m)
-
-
 def _fold(accessor: CountingSpectrumAccessor, level: int, offset: int = 0):
     """(subsampled, folded) at fold level `level`, for 0 <= offset < stride.
 
@@ -163,10 +156,10 @@ def _odd_probe(
 ) -> tuple[int, complex]:
     """(index, value) of the larger of spectrum[center +- probe_stride].
 
-    center is an even multiple of probe_stride.  Both neighbors are read
-    in one call, cut to budget entries; the right one wins ties.  Only if
-    all are exactly zero are the odd multiples probe_stride*(2k+1) read
-    in turn, skipping those tried, until one is nonzero or budget
+    center is an even multiple of probe_stride < N/2.  Both neighbors
+    are read in one call, cut to budget entries; the right one wins ties.
+    Only if all are exactly zero are the odd multiples probe_stride*(2k+1)
+    read in turn, skipping the neighbors, until one is nonzero or budget
     distinct indices were probed; else (right neighbor, 0) is returned.
     A window of at most budget entries with a nonzero transform is
     nonzero at one of any budget distinct frequencies.
@@ -177,15 +170,11 @@ def _odd_probe(
     pick = int(np.argmax(np.abs(values)))
     if values[pick] != 0:
         return int(probes[pick]), complex(values[pick])
-    tried = set(probes.tolist())
-    for q in range(probe_stride, n, 2 * probe_stride):
-        if len(tried) >= budget:
-            break
-        if q not in tried:
-            tried.add(q)
-            value = accessor.read([q])[0]
-            if value != 0:
-                return q, complex(value)
+    scan = (q for q in range(probe_stride, n, 2 * probe_stride) if q not in probes)
+    for q in itertools.islice(scan, budget - len(probes)):
+        value = accessor.read([q])[0]
+        if value != 0:
+            return q, complex(value)
     return int(probes[0]), 0j
 
 
@@ -214,18 +203,20 @@ def reconstruct_dense(
     """Dense inverse FFT of the whole spectrum, with its max-energy window.
 
     The window is the cyclic support_len-window of largest energy,
-    smallest start on ties, and values holds the inverse FFT on it.  In
+    smallest start on ties, and values holds the inverse FFT on it; at
+    support_len = N every window is the whole vector, and start 0 is
+    taken, so that values is the inverse FFT unrotated.  In
     "fallback" mode signal is zero outside the window, as the sparse
     algorithms promise; in "baseline" mode signal is the dense inverse
     FFT whole, as the comparison baseline.
     """
     if mode not in ("fallback", "baseline"):
         raise ValidationError(f"dense mode must be 'fallback' or 'baseline', got {mode!r}")
-    _fold_level(accessor, support_len)
     n = len(accessor)
+    support_length(support_len, n)
     dense = fft_inverse(accessor.read_all())
-    energies = _scaled_energies(dense, support_len, _peak_exponent(dense))
-    support = SupportDescriptor(int(np.argmax(energies)), support_len)
+    energies = _scaled_energies(dense, support_len, _peak_exponent(dense))  # raises if they overflow
+    support = SupportDescriptor(int(np.argmax(energies)) if support_len < n else 0, support_len)
     result = Reconstruction(support, dense[support.indices(n)], n, accessor.read_count, mode)
     if mode == "baseline":
         result.__dict__["signal"] = dense  # the cached_property's slot
@@ -245,7 +236,7 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> R
     the N-length vector is built only when its signal is read.
     """
     n = len(accessor)
-    level = _fold_level(accessor, support_len)
+    level = ceil_log2(support_length(support_len, n))
     if level >= accessor.log2_len - 1:
         return reconstruct_dense(accessor, support_len)
 

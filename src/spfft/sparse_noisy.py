@@ -24,12 +24,11 @@ import itertools
 
 import numpy as np
 
-from .dft_core import CountingSpectrumAccessor, SupportDescriptor
+from .dft_core import CountingSpectrumAccessor, SupportDescriptor, support_length
 from .errors import InvalidOffset, NonFiniteSpectrum
 from .sparse_exact import (
     Reconstruction,
     _fold,
-    _fold_level,
     _odd_probe,
     _peak,
     _peak_exponent,
@@ -136,11 +135,9 @@ def _average(vectors, offsets, window_idx, positions, n: int) -> np.ndarray:
     it and averaging leaves the signal untouched for exact data and
     shrinks the noise variance by the vector count.
     """
-    acc = np.zeros(len(window_idx), dtype=np.complex128)
-    for vector, offset in zip(vectors, offsets):
-        exponents = (offset * positions) % n
-        acc += vector[window_idx] * np.exp((2j * np.pi / n) * exponents)
-    return acc / len(vectors)
+    phases = np.exp((2j * np.pi / n) * (np.outer(offsets, positions) % n))
+    # row by row, as a running sum: numpy's pairwise sum would round differently
+    return sum(np.take(vectors, window_idx, axis=1) * phases) / len(vectors)
 
 
 def reconstruct_noisy(accessor: CountingSpectrumAccessor, support_len: int) -> Reconstruction:
@@ -158,7 +155,7 @@ def reconstruct_noisy(accessor: CountingSpectrumAccessor, support_len: int) -> R
     FFT fallback is used (restricted to the best window).
     """
     n = len(accessor)
-    level = _fold_level(accessor, support_len)
+    level = ceil_log2(support_length(support_len, n))
     if level >= accessor.log2_len - 1:
         return reconstruct_dense(accessor, support_len)
 

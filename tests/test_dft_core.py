@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,6 +13,7 @@ from spfft.dft_core import (
     fft_forward,
     fft_inverse,
     log2_length,
+    support_length,
 )
 from spfft.errors import (
     InvalidLength,
@@ -289,3 +291,30 @@ class TestSupportDescriptor:
             SupportDescriptor(0, 0)
         with pytest.raises(InvalidSupportLength):
             SupportDescriptor(0, 4).indices(2)
+
+    @pytest.mark.parametrize("first_index, length", [(0, 2.5), (0, "2"), (1.0, 2), (-1, 2)])
+    def test_fields_are_integers_in_range(self, first_index, length):
+        with pytest.raises(InvalidSupportLength):
+            SupportDescriptor(first_index, length)
+
+    @pytest.mark.parametrize("values", [[1, 2, 3], np.ones((2, 4)), 1.0])
+    def test_embed_needs_one_value_per_entry(self, values):
+        message = f"expected 4 window values, got shape {np.shape(values)}"
+        with pytest.raises(InvalidSupportLength, match=re.escape(message)):
+            SupportDescriptor(6, 4).embed(values, 8)
+
+
+class TestSupportLength:
+    def test_valid_lengths(self):
+        assert support_length(1, 8) == 1
+        assert support_length(np.int64(8), 8) == 8
+
+    @pytest.mark.parametrize("m", [0, 9, -1])
+    def test_range_message(self, m):
+        with pytest.raises(InvalidSupportLength, match=rf"^support length {m} outside \[1, 8\]$"):
+            support_length(m, 8)
+
+    @pytest.mark.parametrize("m, kind", [(2.5, "float"), (3.0, "float"), ("3", "str"), (None, "NoneType")])
+    def test_integers_only(self, m, kind):
+        with pytest.raises(InvalidSupportLength, match=f"must be an integer, got {kind}"):
+            support_length(m, 8)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from spfft.signal_lab import (
     window_error_l2_over_n,
 )
 from spfft.sparse_exact import Reconstruction, reconstruct_exact
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # frozen output of gen_sparse_signal(64, 5, seed=42); guards the RNG contract
 GOLDEN_SEED42_START = 19
@@ -90,6 +96,11 @@ class TestGenSparseSignal:
         with pytest.raises(InvalidSupportLength):
             gen_sparse_signal(64, 65, 1)
 
+    @pytest.mark.parametrize("m", [2.5, 3.0, "3"])
+    def test_rejects_non_integer_support_length(self, m):
+        with pytest.raises(InvalidSupportLength, match="support length must be an integer"):
+            gen_sparse_signal(64, m, 1)
+
 
 class TestAddNoise:
     def test_infinite_snr_is_identity(self):
@@ -144,6 +155,21 @@ class TestAddNoise:
             total += np.max(np.abs(noise))
         mean_inf = total / draws
         assert 6.751 / 1.5 <= mean_inf <= 6.751 * 1.5
+
+
+class TestBlasThreads:
+    def test_noisy_instance_does_not_depend_on_the_blas_thread_count(self):
+        # a threaded BLAS dot rounds the noise norm differently with 1 and 2 threads at this length
+        script = (
+            "import sys; from spfft.signal_lab import gen_instance; "
+            "sys.stdout.buffer.write(gen_instance(2**18, 20, 5, 20.0)[2].tobytes())"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=SRC)
+            outputs.append(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True).stdout)
+        assert len(outputs[0]) == 16 * 2**18
+        assert outputs[0] == outputs[1]
 
 
 class TestErrorMetrics:
@@ -223,6 +249,10 @@ class TestWindowError:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             window_error_l2_over_n(np.zeros(8), SupportDescriptor(0, 2), np.zeros(2), 16)
+
+    def test_value_count_mismatch(self):
+        with pytest.raises(InvalidSupportLength, match=r"expected 4 window values, got shape \(3,\)"):
+            window_error_l2_over_n(np.zeros(8), SupportDescriptor(6, 4), np.ones(3), 8)
 
 
 class TestOracleInverse:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from spfft.errors import (
     ValidationError,
     ZeroSignal,
 )
-from spfft.signal_lab import gen_sparse_signal
+from spfft.signal_lab import gen_instance, gen_sparse_signal
 from spfft.sparse_exact import (
     Reconstruction,
     _odd_probe,
@@ -215,6 +216,41 @@ class TestReconstructDense:
             reconstruct_dense(acc, 0, "baseline")
         with pytest.raises(ValidationError):
             reconstruct_dense(acc, 4, "sparse")
+
+
+class TestSupportLength:
+    """Every entry point checks m, an integer in [1, N], before it reads the spectrum."""
+
+    @pytest.mark.parametrize("m", [2.5, 3.0, "3", np.float64(3)], ids=["2.5", "3.0", "str", "float64"])
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_non_integer_m_is_invalid(self, entry, m):
+        acc = CountingSpectrumAccessor(fft_forward(gen_sparse_signal(64, 3, 5)[0]))
+        with pytest.raises(InvalidSupportLength, match="support length must be an integer"):
+            ENTRY_POINTS[entry](acc, m)
+        assert acc.read_count == 0
+
+    @pytest.mark.parametrize("m", [0, 65])
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_out_of_range_m_keeps_its_message(self, entry, m):
+        acc = CountingSpectrumAccessor(np.zeros(64, complex))
+        with pytest.raises(InvalidSupportLength, match=rf"^support length {m} outside \[1, 64\]$"):
+            ENTRY_POINTS[entry](acc, m)
+        assert acc.read_count == 0
+
+    def test_numpy_integer_m_is_accepted(self):
+        x, supp = gen_sparse_signal(64, 3, 5)
+        rec = reconstruct_exact(CountingSpectrumAccessor(fft_forward(x)), np.int64(3))
+        assert rec.support == supp
+
+    # seed 2264 is the corpus case fallback/256/256, whose windows of largest
+    # energy (all of them the whole vector) started at 13 (exact) and 199 (10 dB)
+    @pytest.mark.parametrize("snr_db", [math.inf, 10.0])
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_full_length_support_is_the_dense_vector_unrotated(self, entry, snr_db):
+        spectrum = gen_instance(256, 256, 2264, snr_db)[2]
+        rec = ENTRY_POINTS[entry](CountingSpectrumAccessor(spectrum), 256)
+        assert rec.support.first_index == 0
+        assert np.array_equal(rec.values, fft_inverse(spectrum))
 
 
 class TestResultType:

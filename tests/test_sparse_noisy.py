@@ -216,6 +216,24 @@ class TestAverageSupportValues:
         assert 0.25 / 1.5 <= ratio <= 0.25 * 1.5
 
 
+    @pytest.mark.parametrize("m", [1, 3, 20, 50])
+    @pytest.mark.parametrize("count", [1, 2, 4, 8])
+    def test_bit_identical_to_a_running_sum(self, m, count):
+        # the reference: each vector's phase-corrected window added in turn
+        n = 1 << 16
+        rng = np.random.default_rng(1000 * m + count)
+        fold_len = 2 << ceil_log2(m)
+        vectors = [rng.standard_normal(fold_len) + 1j * rng.standard_normal(fold_len) for _ in range(count)]
+        offsets = [0, 4, 2, 1, 3, 5, 7, 9][:count]
+        window_idx = SupportDescriptor(int(rng.integers(fold_len)), m).indices(fold_len)
+        positions = SupportDescriptor(int(rng.integers(n)), m).indices(n)
+        acc = np.zeros(m, dtype=np.complex128)
+        for vector, offset in zip(vectors, offsets):
+            acc += vector[window_idx] * np.exp((2j * np.pi / n) * ((offset * positions) % n))
+        got = _average(vectors, offsets, window_idx, positions, n)
+        assert got.tobytes() == (acc / count).tobytes()
+
+
 class TestReconstructNoisy:
     def test_zero_noise_matches_exact_algorithm(self):
         rng = np.random.default_rng(77)

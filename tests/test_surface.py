@@ -29,7 +29,7 @@ ERRORS = {
 
 #: Public in their modules, not re-exported by spfft.
 MODULE_ONLY = {
-    "dft_core": ("MAX_LOG2_LEN", "log2_length"),
+    "dft_core": ("MAX_LOG2_LEN", "log2_length", "support_length", "as_window"),
     "experiment": ("TrialRecord", "run_trial", "run_bench"),
     "signal_lab": ("error_l2_over_n", "philox_rng"),
     "sparse_exact": ("ceil_log2", "window_energies", "window_spectrum_sample"),
