@@ -6,7 +6,7 @@ recovered in stages, with L = ceil(log2 m):
 - fold: the spectrum read at stride 2**(J-L-1), inverse transformed,
   is the vector folded to length 2**(L+1) (_fold);
 - locate: the folded support starts at the argmax of window_energies,
-  taken after scaling by a power of two (_scaled_energies);
+  taken after scaling by a power of two (_locate);
 - place: one odd-indexed spectrum value next to the subsample's peak
   (_peak, _odd_probe), divided by the transform of the folded window
   there, is a root of unity whose exponent fixes which of the
@@ -52,10 +52,11 @@ class Reconstruction:
     over to the dense inverse FFT (support length above N/4), and
     "baseline" for the dense inverse FFT requested as such.
     The window's placement is support.first_index.  The rest is set by
-    the noisy algorithm only: vectors_used counts its offset vectors;
-    votes_stable is False when its support vote exhausted the budget
-    without two consecutive agreements (the last vote is still used --
-    a best-effort answer, not an error); blind_levels lists the doubling
+    the noisy algorithm only: vectors_used is the length of its grown
+    fold over the first fold length 2**(L+1): 2, 4 or 8;
+    votes_stable is False when the growth stopped before two consecutive
+    support starts agreed (the last start is still used -- a best-effort
+    answer, not an error); blind_levels lists the doubling
     levels j (a move there is by 2**j) whose probes all read zero, so
     that their "no move" was not decided by the data, and is empty on
     data that fit the model.
@@ -89,7 +90,7 @@ def window_energies(values, window_len: int) -> np.ndarray:
     ``e_{k+1} = e_k - |v_k|^2 + |v_{k+window_len}|^2`` in vector form.
     NonFiniteSpectrum is raised when an energy is NaN or infinite: when
     a value is, or when the squares overflow, which the algorithms avoid
-    by scaling each vector by a power of two first (_scaled_energies).
+    by scaling each vector by a power of two first (_locate).
     """
     values = np.asarray(values, dtype=np.complex128)
     n = len(values)
@@ -105,20 +106,19 @@ def window_energies(values, window_len: int) -> np.ndarray:
     return energies
 
 
-def _peak_exponent(values) -> int:
-    """e with the largest modulus of values in [2**(e-1), 2**e); 0 if they are all 0."""
-    return math.frexp(np.abs(values).max())[1]
+def _locate(values, window_len: int) -> int:
+    """Start of the max-energy cyclic window_len-window of values, the first on ties.
 
-
-def _scaled_energies(values, window_len: int, e: int) -> np.ndarray:
-    """window_energies(values * 2**-e) for a contiguous complex128 vector.
-
-    With e = _peak_exponent(values) the largest square lies in [1/4, 1),
-    so the energies of finite values neither overflow nor all underflow.
-    At ordinary magnitudes the scaling is exact and keeps the argmax of
-    the energies; np.ldexp applies it where 2.0**-e itself would overflow.
+    values, a contiguous complex128 vector, is scaled by 2**-e first,
+    with e the exponent of its largest modulus (in [2**(e-1), 2**e); 0
+    if all are 0): the largest square then lies in [1/4, 1), so the
+    energies of finite values neither overflow nor all underflow.  At
+    ordinary magnitudes the scaling is exact and keeps the argmax of the
+    energies; np.ldexp applies it where 2.0**-e itself would overflow.
     """
-    return window_energies(np.ldexp(values.view(np.float64), -e).view(np.complex128), window_len)
+    e = math.frexp(np.abs(values).max())[1]
+    scaled = np.ldexp(values.view(np.float64), -e).view(np.complex128)
+    return int(np.argmax(window_energies(scaled, window_len)))
 
 
 def window_spectrum_sample(window, first_index: int, freq_index: int, length: int) -> complex:
@@ -130,7 +130,8 @@ def window_spectrum_sample(window, first_index: int, freq_index: int, length: in
     window = np.asarray(window, dtype=np.complex128)
     offsets = first_index + np.arange(len(window), dtype=np.int64)
     exponents = (freq_index * offsets) % length
-    return complex(window @ np.exp((-2j * np.pi / length) * exponents))
+    # summed by numpy in one thread; a BLAS dot rounds differently with the thread count
+    return complex((window * np.exp((-2j * np.pi / length) * exponents)).sum())
 
 
 def _fold(accessor: CountingSpectrumAccessor, level: int, offset: int = 0):
@@ -215,8 +216,8 @@ def reconstruct_dense(
     n = len(accessor)
     support_length(support_len, n)
     dense = fft_inverse(accessor.read_all())
-    energies = _scaled_energies(dense, support_len, _peak_exponent(dense))  # raises if they overflow
-    support = SupportDescriptor(int(np.argmax(energies)) if support_len < n else 0, support_len)
+    start = _locate(dense, support_len)  # raises if the energies overflow
+    support = SupportDescriptor(start if support_len < n else 0, support_len)
     result = Reconstruction(support, dense[support.indices(n)], n, accessor.read_count, mode)
     if mode == "baseline":
         result.__dict__["signal"] = dense  # the cached_property's slot
@@ -241,7 +242,7 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> R
         return reconstruct_dense(accessor, support_len)
 
     subsampled, folded = _fold(accessor, level)
-    start = int(np.argmax(_scaled_energies(folded, support_len, _peak_exponent(folded))))
+    start = _locate(folded, support_len)
     window = folded[SupportDescriptor(start, support_len).indices(len(folded))]
     shift = 0
     if folded.any():  # the zero vector, at start 0, has nothing to place

@@ -2,25 +2,23 @@
 
 The stages of the exact-data algorithm (sparse_exact), made robust:
 
-- fold: as on exact data, plus one more folded vector per offset,
-  each the inverse FFT of the spectrum read at the same stride but a
-  different offset (offset_periodization).  On exact data every such
-  vector has entrywise the modulus of the folded signal.
-- locate: the window energies of the vectors are summed, and their
-  argmax voted on, until two consecutive votes agree or the budget of
-  vectors runs out (_vote).
-- place: the folding length is doubled one level at a time, each level
-  deciding "shift by half a period or not" from the sign agreement
-  between a predicted and a measured odd-indexed value, probed next to
-  the spectral peak as on exact data (_double).
-- average: the support entries are averaged over all offset vectors,
-  after undoing each vector's per-entry phase, which divides the noise
-  variance by the number of vectors (_average).
+- fold and locate: as on exact data, the folded vector of length
+  2**(L+1) and the start of its max-energy window (_locate).
+- grow: the fold is doubled in length, one level at a time, from the
+  spectrum read at half the stride (offset_periodization, _join), until
+  two consecutive starts agree or the fold is MAX_VECTORS times its
+  first length (_grow).  Each longer fold averages twice as many spectrum
+  values per entry, which halves the noise variance of its entries, and
+  fixes one more low bit of the start.
+- place: the folding length is doubled further, one level at a time,
+  each level deciding "shift by half a period or not" from the sign
+  agreement between a predicted and a measured odd-indexed value,
+  probed next to the spectral peak as on exact data (_double).
+
+The support values are the grown fold's window.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -29,17 +27,17 @@ from .errors import InvalidOffset, NonFiniteSpectrum
 from .sparse_exact import (
     Reconstruction,
     _fold,
+    _locate,
     _odd_probe,
     _peak,
-    _peak_exponent,
-    _scaled_energies,
     ceil_log2,
     reconstruct_dense,
     window_spectrum_sample,
 )
 
-#: Offset vectors the support vote may compute, the offset-0 one included;
-#: each costs 2**(L+1) spectrum reads and one short inverse FFT.
+#: Largest multiple of the first fold length 2**(L+1) that the fold may
+#: grow to; each doubling of the fold costs as many spectrum reads and
+#: as long an inverse FFT as the fold it doubles.
 MAX_VECTORS = 8
 
 
@@ -59,46 +57,59 @@ def offset_periodization(
     return _fold(accessor, fold_level, offset)[1]
 
 
-def _vote(accessor: CountingSpectrumAccessor, folded, m: int):
-    """Vote on the folded support start over at most MAX_VECTORS offset vectors.
+def _join(folded, odd) -> np.ndarray:
+    """The fold of twice the length from folded, of length Q, and its odd half.
 
-    The first vote uses the energies of folded, the offset-0 vector,
-    alone; each later vote uses the running sum of all energy profiles
-    computed so far.  Returns (start, stable, vectors, offsets): start
-    is the last vote, stable is True when it agrees with the one before,
-    False when the budget ran out first.  With stride 2**t, the offsets
-    after 0 are 2**(t-1), ..., 2, 1, 3, 5, 7, ...: consecutive offsets
-    stay maximally separated, and the odd ones match the odd-index
-    probes of the doubling stage, so their reads overlap.  Every energy
-    profile is scaled by the one power of two that suits folded, so
-    their sum keeps its proportions.
+    odd is offset_periodization at half the stride of folded: the
+    difference of the two halves of the longer fold, each entry k turned
+    by exp(-i*pi*k/Q).  One radix-2 butterfly undoes that.  Both inputs
+    are halved before the twiddle product, so that no partial sum
+    overflows where the longer fold is finite; one that is not finite
+    is returned as such (_locate's energy check rejects it), without a
+    numpy warning.
+    """
+    q = len(folded)
+    half = folded / 2
+    turned = np.exp((1j * np.pi / q) * np.arange(q)) * (odd / 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate([half + turned, half - turned])
+
+
+def _grow(accessor: CountingSpectrumAccessor, folded, m: int):
+    """Double the folded vector until its support start settles.
+
+    folded is the fold at level L = ceil_log2(m).  Each step reads the
+    spectrum at the odd multiples of half the current stride, new
+    indices all, and joins their inverse FFT with the current fold of
+    length Q into the fold of length 2Q (_join).  The start is located
+    again, and the growth stops when it agrees with the one before mod
+    Q, when the fold is MAX_VECTORS times its first length, or when it
+    has the full length N.  Returns (folded, level, start, stable): the
+    grown fold, its level (2**(level+1) entries), the start in it, and
+    whether the growth stopped on agreement.
     """
     level = ceil_log2(m)
-    t = accessor.log2_len - level - 1
-    vectors = [folded]
-    offsets = [0]
-    e = _peak_exponent(folded)
-    energy_sum = _scaled_energies(folded, m, e)
-    vote = int(np.argmax(energy_sum))
-    more = itertools.chain((1 << r for r in reversed(range(t))), range(3, 1 << t, 2))
-    for offset in itertools.islice(more, MAX_VECTORS - 1):
-        vectors.append(offset_periodization(accessor, offset, level))
-        offsets.append(offset)
-        energy_sum += _scaled_energies(vectors[-1], m, e)
-        previous, vote = vote, int(np.argmax(energy_sum))
-        if vote == previous:
-            return vote, True, vectors, offsets
-    return vote, False, vectors, offsets
+    start = _locate(folded, m)
+    longest = min(MAX_VECTORS * len(folded), len(accessor))
+    stable = False
+    while not stable and len(folded) < longest:
+        q = len(folded)
+        folded = _join(folded, offset_periodization(accessor, len(accessor) // q // 2, level))
+        level += 1
+        previous, start = start, _locate(folded, m)
+        stable = start % q == previous
+    return folded, level, start, stable
 
 
-def _double(accessor: CountingSpectrumAccessor, window, start: int, peak: int):
+def _double(accessor: CountingSpectrumAccessor, window, start: int, peak: int, level: int):
     """Grow the support start from the folded vector to the full length.
 
-    window holds the m folded entries from start on.  At each level j
-    the folded support either stays at start or moves by 2**j.  The two
-    cases flip the sign of every odd-indexed spectrum value of the
-    level-(j+1) folding, so one such value decides.  It is probed right
-    next to peak, the spectral peak of the offset-0 subsample: there the
+    window holds the m entries from start on of the vector folded to
+    length 2**(level+1).  At each level j > level the folded support
+    either stays at start or moves by 2**j.  The two cases flip the
+    sign of every odd-indexed spectrum value of the level-(j+1)
+    folding, so one such value decides.  It is probed right next to
+    peak, the spectral peak of the offset-0 subsample: there the
     underlying magnitude is near its maximum, which keeps the sign
     decision reliable deep into the noise (an arbitrary or measured-max
     probe does not).  Each level makes at most m distinct reads; one
@@ -110,7 +121,7 @@ def _double(accessor: CountingSpectrumAccessor, window, start: int, peak: int):
     m = len(window)
     first_index = start
     blind: list[int] = []
-    for j in range(ceil_log2(m) + 1, j_top):
+    for j in range(level + 1, j_top):
         probe_stride = 1 << (j_top - j - 1)
         probe, measured = _odd_probe(accessor, peak, probe_stride, m)
         if measured == 0:
@@ -126,33 +137,20 @@ def _double(accessor: CountingSpectrumAccessor, window, start: int, peak: int):
     return first_index, blind
 
 
-def _average(vectors, offsets, window_idx, positions, n: int) -> np.ndarray:
-    """Phase-corrected mean of the support entries across offset vectors.
-
-    window_idx are the entries of the window in every offset vector,
-    positions the indices in [0, n) they stand for.  Each offset vector
-    carries the support values multiplied by a known unit phase; undoing
-    it and averaging leaves the signal untouched for exact data and
-    shrinks the noise variance by the vector count.
-    """
-    phases = np.exp((2j * np.pi / n) * (np.outer(offsets, positions) % n))
-    # row by row, as a running sum: numpy's pairwise sum would round differently
-    return sum(np.take(vectors, window_idx, axis=1) * phases) / len(vectors)
-
-
 def reconstruct_noisy(accessor: CountingSpectrumAccessor, support_len: int) -> Reconstruction:
     """Recover a vector with support length <= support_len from noisy data.
 
-    Stages: fold, locate by an energy vote over at most MAX_VECTORS
-    offset vectors (each costs 2**(L+1) spectrum reads), place by
-    doubling the folding up to the full length, then average the support
-    values over every offset vector computed.  The result holds the
-    support_len averaged window values, placed at support.first_index,
-    the voted start grown by the doubling moves; its signal, built only
-    when read, is exactly zero outside the detected window.
-    vectors_used, votes_stable and blind_levels report the vote and
-    the doubling.  For fold levels within one of J the dense inverse
-    FFT fallback is used (restricted to the best window).
+    Stages: fold, locate, grow the fold up to MAX_VECTORS times its
+    first length 2**(L+1) (each doubling costs as many spectrum reads
+    as the fold it doubles) until the located start settles, place by
+    doubling the folding up to the full length.  The result holds the
+    support_len window values of the grown fold, placed at
+    support.first_index, the start in the grown fold moved by the
+    doubling; its signal, built only when read, is exactly zero outside
+    the detected window.  vectors_used (the grown fold's length over
+    2**(L+1)), votes_stable and blind_levels report the growth and the
+    doubling.  For fold levels within one of J the dense inverse FFT
+    fallback is used (restricted to the best window).
     """
     n = len(accessor)
     level = ceil_log2(support_length(support_len, n))
@@ -160,18 +158,16 @@ def reconstruct_noisy(accessor: CountingSpectrumAccessor, support_len: int) -> R
         return reconstruct_dense(accessor, support_len)
 
     subsampled, folded = _fold(accessor, level)
-    start, stable, vectors, offsets = _vote(accessor, folded, support_len)
-    window_idx = SupportDescriptor(start, support_len).indices(len(folded))
-    first_index, blind = _double(accessor, folded[window_idx], start, _peak(accessor, subsampled))
-    support = SupportDescriptor(first_index % n, support_len)
-    values = _average(vectors, offsets, window_idx, support.indices(n), n)
+    grown, grown_level, start, stable = _grow(accessor, folded, support_len)
+    window = grown[SupportDescriptor(start, support_len).indices(len(grown))]
+    first_index, blind = _double(accessor, window, start, _peak(accessor, subsampled), grown_level)
     return Reconstruction(
-        support,
-        values,
+        SupportDescriptor(first_index % n, support_len),
+        window,
         n,
         accessor.read_count,
         "sparse",
-        len(vectors),
+        len(grown) // len(folded),
         votes_stable=stable,
         blind_levels=blind,
     )

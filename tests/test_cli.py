@@ -327,13 +327,14 @@ class TestExperimentCommand:
         assert float(row[7]) <= 4 * 5 + 2
 
     def test_overflow_in_a_worker_thread_gives_one_error_line(self, capsys):
-        # noise near the float maximum: the trials' transforms and scores overflow in
-        # the pool threads; the first trial's scores are reported, as pool.map keeps order
+        # noise near the float maximum: the trials' transforms overflow in the pool
+        # threads; the first trial's error, in its grown fold of 32 values, is
+        # reported, as pool.map keeps order (the second trial's names 8 values)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["experiment", "--n", "64", "--m", "4", "--snr=-6125", "--trials", "2"]) == 2
         assert [str(w.message) for w in caught] == []
-        assert capsys.readouterr() == ("", "error: the scores of a trial at -6125.0 dB SNR are not finite\n")
+        assert capsys.readouterr() == ("", "error: window energies of 32 values are not finite\n")
 
     @pytest.mark.parametrize(
         "threads, message",

@@ -78,7 +78,7 @@ class TestReconstruct:
 # rows only; any change to the sparse paths must leave these unchanged
 GOLDEN = {
     ("noisy", 20, (0.0, 10.0, 20.0, math.inf)): [
-        "0,20,100,0.0033884370253651078,0.0090374928069015988,52.417120669719452,34.892823789148487,147.44999999999999,2.1499999999999999",
+        "0,20,90,0.003486257693582121,0.0090374928069015988,52.417120669719452,34.892823789148473,144.30000000000001,2.1000000000000001",
         "10,20,100,0.0010634468827080555,0.0027513975755803994,15.912931023079363,10.628377851452985,138,2",
         "20,20,100,0.00033946680379188068,0.00089600090743813341,5.1857952634279743,3.4603205033326083,138,2",
         "inf,20,100,1.4680845524637653e-18,2.9772856973766374e-18,0,0,138,2",

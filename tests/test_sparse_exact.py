@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,8 @@ from spfft.sparse_exact import (
     window_spectrum_sample,
 )
 from spfft.sparse_noisy import reconstruct_noisy
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 ENTRY_POINTS = {
     "exact": reconstruct_exact,
@@ -186,6 +192,20 @@ class TestWindowSpectrumSample:
             assert window_spectrum_sample(window, 10, freq, n) == pytest.approx(
                 complex(spectrum[freq]), rel=1e-10
             )
+
+    def test_does_not_depend_on_the_blas_thread_count(self):
+        # a threaded BLAS dot rounds this sum differently with 1 and 2 threads
+        script = (
+            "import sys, numpy as np; from spfft.sparse_exact import window_spectrum_sample; "
+            "rng = np.random.default_rng(3); w = rng.standard_normal(2**14) + 1j * rng.standard_normal(2**14); "
+            "sys.stdout.buffer.write(np.complex128(window_spectrum_sample(w, 5, 12345, 2**20)).tobytes())"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=SRC)
+            outputs.append(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True).stdout)
+        assert len(outputs[0]) == 16
+        assert outputs[0] == outputs[1]
 
 
 class TestReconstructDense:

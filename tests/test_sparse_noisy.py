@@ -19,9 +19,9 @@ from spfft.sparse_exact import (
 )
 from spfft.sparse_noisy import (
     MAX_VECTORS,
-    _average,
     _double,
-    _vote,
+    _grow,
+    _join,
     offset_periodization,
     reconstruct_noisy,
 )
@@ -31,21 +31,21 @@ def noisy_instance(n, m, snr_db, seed):
     return gen_instance(n, m, seed, snr_db)
 
 
-def vote(acc, m):
-    # the fold and locate stages of the noisy path
-    return _vote(acc, _fold(acc, ceil_log2(m))[1], m)
+def grow(acc, m):
+    # the fold, locate and grow stages of the noisy path
+    return _grow(acc, _fold(acc, ceil_log2(m))[1], m)
 
 
 def double(acc, folded, start, m, subsampled):
     # the doubling stage from a folded start, probing next to the subsample's peak
     window = folded[SupportDescriptor(start, m).indices(len(folded))]
-    return _double(acc, window, start, _peak(acc, subsampled))
+    return _double(acc, window, start, _peak(acc, subsampled), len(folded).bit_length() - 2)
 
 
-def average(vectors, offsets, supp):
-    # the averaging stage at N = 256: the window entries of each vector,
-    # cyclic mod its length, stand for supp's entries
-    return _average(vectors, offsets, supp.indices(len(vectors[0])), supp.indices(256), 256)
+def join(acc, folded, level):
+    # the level-(level+1) fold from the level-`level` one and the odd half of its reads
+    stride = len(acc) >> (level + 1)
+    return _join(folded, offset_periodization(acc, stride // 2, level))
 
 
 class TestOffsetPeriodization:
@@ -83,36 +83,55 @@ class TestOffsetPeriodization:
 
 
 class TestEstimateSupportStart:
-    def test_exact_data_agrees_immediately(self, example_256):
-        acc = CountingSpectrumAccessor(fft_forward(example_256))
-        start, stable, vectors, offsets = vote(acc, 6)
-        assert start == 9  # 105 mod 16
-        assert len(vectors) == 2
-        assert offsets == [0, 8]  # second vector sits between the stride combs
-        assert stable
+    def test_exact_data_agrees_after_one_step(self, example_256):
+        acc = RecordingAccessor(fft_forward(example_256))
+        grown, level, start, stable = grow(acc, 6)
+        assert (level, start, stable) == (4, 9, True)  # 105 mod 32
+        # one step reads the offsets 0 and stride/2 = 8: the multiples of 8
+        assert sorted(i for call in acc.calls for i in call) == list(range(0, 256, 8))
+        assert np.allclose(grown, periodize(example_256, 5), atol=1e-12)
 
     def test_matches_plain_detection_without_noise(self):
         x, _ = gen_sparse_signal(1 << 10, 13, 21)
         acc = CountingSpectrumAccessor(fft_forward(x))
         level = ceil_log2(13)
-        start, _, _, _ = vote(acc, 13)
-        assert start == np.argmax(window_energies(periodize(x, level + 1), 13))
+        _, _, start, _ = grow(acc, 13)
+        assert start == np.argmax(window_energies(periodize(x, level + 2), 13))
 
     def test_budget_exhaustion_reports_unstable(self, monkeypatch):
-        # heavy noise and a 2-vector budget cannot reach agreement reliably;
-        # crafted so the two votes differ
+        # heavy noise and a 2x budget cannot reach agreement reliably;
+        # crafted so the two starts differ
         monkeypatch.setattr(sparse_noisy, "MAX_VECTORS", 2)
         for seed in range(20):
             x, supp, noisy, _ = noisy_instance(1 << 10, 13, -10.0, seed)
             acc = CountingSpectrumAccessor(noisy)
-            start, stable, vectors, _ = vote(acc, 13)
-            assert len(vectors) <= 2
-            # the first vote is the argmax of the offset-0 vector's energies alone
-            if np.argmax(window_energies(vectors[0], 13)) != start:
+            folded = _fold(acc, ceil_log2(13))[1]
+            grown, _, start, stable = _grow(acc, folded, 13)
+            assert len(grown) == 2 * len(folded)
+            # the first start is the argmax of the first fold's energies alone
+            if np.argmax(window_energies(folded, 13)) != start % len(folded):
                 assert not stable
                 break
         else:
-            pytest.fail("no disagreeing vote pair found across seeds")
+            pytest.fail("no disagreeing pair of starts found across seeds")
+
+    def test_fold_multiple_is_a_power_of_two_within_the_cap(self):
+        multiples = set()
+        for seed in range(40):
+            _, _, noisy, _ = noisy_instance(1 << 12, 11, -5.0, seed)
+            rec = reconstruct_noisy(CountingSpectrumAccessor(noisy), 11)
+            assert rec.vectors_used in (2, 4, 8)
+            assert rec.vectors_used <= MAX_VECTORS
+            multiples.add(rec.vectors_used)
+        assert len(multiples) > 1  # the growth does not always stop at one length
+
+    def test_growth_stops_at_the_full_length(self):
+        # N = 16, m = 4: the first fold has 8 entries, and one step reads the rest
+        x, _ = gen_sparse_signal(16, 4, 8)
+        acc = CountingSpectrumAccessor(fft_forward(x))
+        grown, level, _, _ = grow(acc, 4)
+        assert (len(grown), level, acc.read_count) == (16, 3, 16)
+        assert np.allclose(grown, x, atol=1e-12)
 
 
 class TestRefineSupport:
@@ -175,63 +194,63 @@ class TestRefineSupport:
         assert blind == []
 
 
-class TestAverageSupportValues:
-    def test_single_offset_zero_returns_window(self):
-        x, supp = gen_sparse_signal(256, 6, 13)
+class TestGrownFoldValues:
+    @pytest.mark.parametrize("j, m, seed", [(8, 6, 14), (10, 1, 3), (12, 20, 5), (12, 33, 6)])
+    def test_exact_data_window_is_the_truth(self, j, m, seed):
+        n = 1 << j
+        x, supp = gen_sparse_signal(n, m, seed)
         acc = CountingSpectrumAccessor(fft_forward(x))
-        z0 = offset_periodization(acc, 0, 3)
-        values = average([z0], [0], supp)
-        assert np.allclose(values, z0[(supp.first_index + np.arange(6)) % 16], atol=1e-12)
-
-    def test_exact_data_identity_any_offsets(self):
-        x, supp = gen_sparse_signal(256, 6, 14)
-        acc = CountingSpectrumAccessor(fft_forward(x))
-        offsets = [0, 8, 4, 2, 9]
-        vectors = [offset_periodization(acc, off, 3) for off in offsets]
-        values = average(vectors, offsets, supp)
-        truth = x[supp.indices(256)]
+        level = ceil_log2(m)
+        folded = _fold(acc, level)[1]
+        for step in range(3):
+            folded = join(acc, folded, level + step)
+            assert np.allclose(folded, periodize(x, level + step + 2), atol=1e-12 * np.abs(x).max())
+        values = folded[supp.indices(len(folded))]
+        truth = x[supp.indices(n)]
         assert np.max(np.abs(values - truth)) <= 1e-10 * np.max(np.abs(truth))
 
-    def test_averaging_shrinks_noise_variance(self):
-        # four offsets should cut the error energy to ~1/4 of one offset
+    def test_growing_4x_shrinks_noise_variance(self):
+        # a fold grown 4x should cut the window error energy to ~1/4 of the first fold's
         n, m, snr = 1 << 12, 8, 10.0
         x, supp = gen_sparse_signal(n, m, 99)
         spectrum = fft_forward(x)
         level = ceil_log2(m)
-        window_idx = supp.indices(1 << (level + 1))
-        positions = supp.indices(n)
-        truth = x[positions]
-        offsets = [0, 1 << 7, 1 << 6, 1 << 5]
+        truth = x[supp.indices(n)]
         single_sq = quad_sq = 0.0
-        trials = 1000
-        for trial in range(trials):
+        for trial in range(1000):
             noisy, _ = add_noise(spectrum, NoiseSpec(seed=trial, snr_db=snr))
             acc = CountingSpectrumAccessor(noisy)
-            vectors = [offset_periodization(acc, off, level) for off in offsets]
-            one = _average(vectors[:1], offsets[:1], window_idx, positions, n)
-            four = _average(vectors, offsets, window_idx, positions, n)
-            single_sq += np.sum(np.abs(one - truth) ** 2)
-            quad_sq += np.sum(np.abs(four - truth) ** 2)
+            first = _fold(acc, level)[1]
+            grown = join(acc, join(acc, first, level), level + 1)
+            single_sq += np.sum(np.abs(first[supp.indices(len(first))] - truth) ** 2)
+            quad_sq += np.sum(np.abs(grown[supp.indices(len(grown))] - truth) ** 2)
         ratio = quad_sq / single_sq
         assert 0.25 / 1.5 <= ratio <= 0.25 * 1.5
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (0.9e308 * (1 + 1j), 0.05e308 * (1 - 0.5j)),  # folded + turned odd is 1.8e308 * (1 + 1j)
+            (0.9e308, -0.9e308 * (np.arange(8) % 4 != 0)),  # turned odd has parts of 1.8e308
+            (1.0e308, 1e-300),
+        ],
+    )
+    def test_a_finite_longer_fold_does_not_overflow(self, first, second):
+        # the halves of the longer fold are first and second; folded and odd are finite
+        q = 8
+        halves = np.broadcast_to(first, q).astype(complex), np.broadcast_to(second, q).astype(complex)
+        turn = np.exp((-1j * np.pi / q) * np.arange(q))
+        folded, odd = halves[0] + halves[1], turn * halves[0] - turn * halves[1]
+        assert np.isfinite(folded).all() and np.isfinite(odd).all()
+        got = _join(folded, odd)  # a RuntimeWarning fails the suite
+        assert np.max(np.abs(got - np.concatenate(halves))) <= 1e-15 * np.abs(first)
 
-    @pytest.mark.parametrize("m", [1, 3, 20, 50])
-    @pytest.mark.parametrize("count", [1, 2, 4, 8])
-    def test_bit_identical_to_a_running_sum(self, m, count):
-        # the reference: each vector's phase-corrected window added in turn
-        n = 1 << 16
-        rng = np.random.default_rng(1000 * m + count)
-        fold_len = 2 << ceil_log2(m)
-        vectors = [rng.standard_normal(fold_len) + 1j * rng.standard_normal(fold_len) for _ in range(count)]
-        offsets = [0, 4, 2, 1, 3, 5, 7, 9][:count]
-        window_idx = SupportDescriptor(int(rng.integers(fold_len)), m).indices(fold_len)
-        positions = SupportDescriptor(int(rng.integers(n)), m).indices(n)
-        acc = np.zeros(m, dtype=np.complex128)
-        for vector, offset in zip(vectors, offsets):
-            acc += vector[window_idx] * np.exp((2j * np.pi / n) * ((offset * positions) % n))
-        got = _average(vectors, offsets, window_idx, positions, n)
-        assert got.tobytes() == (acc / count).tobytes()
+    def test_a_longer_fold_beyond_the_float_range_is_not_finite_without_a_warning(self):
+        # entry 1 of the longer fold is (1.7e308 + 1.7e308 * sqrt(2)) / 2
+        folded = np.full(4, 1.7e308 + 0j)
+        odd = np.full(4, 1.7e308 - 1.7e308j)
+        got = _join(folded, odd)  # a RuntimeWarning fails the suite
+        assert not np.isfinite(got).all()
 
 
 class TestReconstructNoisy:
