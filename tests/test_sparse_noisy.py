@@ -125,6 +125,14 @@ class TestEstimateSupportStart:
             multiples.add(rec.vectors_used)
         assert len(multiples) > 1  # the growth does not always stop at one length
 
+    def test_a_cap_of_one_keeps_the_first_fold(self, example_256, monkeypatch):
+        monkeypatch.setattr(sparse_noisy, "MAX_VECTORS", 1)
+        acc = CountingSpectrumAccessor(fft_forward(example_256))
+        grown, level, start, stable = grow(acc, 6)
+        assert (len(grown), level, start, stable, acc.read_count) == (16, 3, 9, False, 16)
+        rec = reconstruct_noisy(CountingSpectrumAccessor(fft_forward(example_256)), 6)
+        assert (rec.vectors_used, rec.votes_stable, rec.support.first_index) == (1, False, 105)
+
     def test_growth_stops_at_the_full_length(self):
         # N = 16, m = 4: the first fold has 8 entries, and one step reads the rest
         x, _ = gen_sparse_signal(16, 4, 8)
@@ -208,6 +216,35 @@ class TestGrownFoldValues:
         values = folded[supp.indices(len(folded))]
         truth = x[supp.indices(n)]
         assert np.max(np.abs(values - truth)) <= 1e-10 * np.max(np.abs(truth))
+
+    @pytest.mark.parametrize("m", [1, 3, 20, 50])
+    @pytest.mark.parametrize("multiple", [1, 2, 4, 8])
+    def test_matches_the_direct_fold_of_a_dense_vector(self, m, multiple):
+        # no sparsity: every entry of the longer fold sums many components
+        n = 1 << 16
+        rng = np.random.default_rng(1000 * m + multiple)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        acc = CountingSpectrumAccessor(fft_forward(x))
+        level = ceil_log2(m)
+        folded = _fold(acc, level)[1]
+        for step in range(multiple.bit_length() - 1):
+            folded = join(acc, folded, level + step)
+        want = periodize(x, level + multiple.bit_length())
+        assert len(folded) == len(want) == multiple << (level + 1)
+        assert np.max(np.abs(folded - want)) <= 1e-12 * np.max(np.abs(want))
+        assert acc.read_count == len(folded)
+
+    def test_each_doubling_reads_only_new_indices(self):
+        n, m = 1 << 10, 13
+        x, _ = gen_sparse_signal(n, m, 21)
+        acc = RecordingAccessor(fft_forward(x))
+        level = ceil_log2(m)
+        folded = _fold(acc, level)[1]
+        for step in range(3):
+            folded = join(acc, folded, level + step)
+        reads = [i for call in acc.calls for i in call]
+        assert len(reads) == len(set(reads)) == len(folded)
+        assert sorted(reads) == list(range(0, n, n // len(folded)))
 
     def test_growing_4x_shrinks_noise_variance(self):
         # a fold grown 4x should cut the window error energy to ~1/4 of the first fold's
