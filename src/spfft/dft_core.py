@@ -7,7 +7,9 @@ factor; the inverse carries the conjugate kernel and the ``1/N`` factor.
 Besides the FFT pair, which wraps numpy.fft and enforces the
 power-of-two length contract, this module provides the cyclic support
 window and a spectrum accessor that counts how many distinct Fourier
-values an algorithm consumed and refuses non-finite ones.
+values an algorithm consumed and refuses non-finite ones.  The accessor
+logs the index arrays it reads and counts them with one sort when asked,
+not index by index.
 """
 
 from __future__ import annotations
@@ -124,18 +126,29 @@ class CountingSpectrumAccessor:
 
     The counter is the sublinearity witness of the reconstruction
     algorithms: it measures how many Fourier values were consumed, so a
-    repeated read of the same index is free.  The indices read are kept
-    in a set, so construction is O(1) and a read costs O(values read);
-    the spectrum itself, for instance a memory-mapped file, is only
-    touched where it is read.  Returned values are bit-identical to the
-    backing entries; a NaN or infinite value among those read raises
-    NonFiniteSpectrum, at a cost of O(values read).
+    repeated read of the same index is free.  Each read logs a copy of
+    its indices; read_count merges the log into one sorted array of
+    distinct indices, by a sort and a neighbor compare, and costs O(1)
+    when nothing was read since it last ran.  A log that outgrows the
+    distinct indices (_MERGE_SLACK entries beyond twice their number) is
+    merged by the read that grows it, so memory stays O(distinct reads).
+    Construction is O(1), and the spectrum itself, for instance a
+    memory-mapped file, is only touched where it is read.  Returned
+    values are bit-identical to the backing entries; a NaN or infinite
+    value among those read raises NonFiniteSpectrum, at a cost of
+    O(values read), and such a read, like one out of range, is not
+    counted.
     """
+
+    #: Logged entries allowed beyond twice the distinct count before a read merges them.
+    _MERGE_SLACK = 1 << 16
 
     def __init__(self, spectrum):
         self._values = as_vector(spectrum)
         self._log2_len = len(self._values).bit_length() - 1
-        self._seen: set[int] = set()
+        self._distinct = np.empty(0, dtype=np.int64)
+        self._log: list[np.ndarray] = []
+        self._logged = 0
         self._read_all = False
 
     def __len__(self) -> int:
@@ -148,7 +161,22 @@ class CountingSpectrumAccessor:
     @property
     def read_count(self) -> int:
         """Number of distinct spectrum indices read so far."""
-        return len(self._values) if self._read_all else len(self._seen)
+        if self._read_all:
+            return len(self._values)
+        self._merge()
+        return len(self._distinct)
+
+    def _merge(self) -> None:
+        """Move the logged indices into the sorted distinct ones."""
+        if self._log:
+            merged = np.concatenate([self._distinct, *self._log])
+            merged.sort()
+            keep = np.empty(len(merged), dtype=bool)
+            keep[:1] = True
+            np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+            self._distinct = merged[keep]
+            self._log.clear()
+            self._logged = 0
 
     def read(self, indices) -> np.ndarray:
         """The values at an index or an index array, as an array; counts new distinct indices."""
@@ -160,14 +188,17 @@ class CountingSpectrumAccessor:
         values = self._values[idx]
         _require_finite(values, idx)
         if not self._read_all:
-            self._seen.update(idx.tolist())
+            self._log.append(idx.flatten())  # a copy: the caller may reuse its array
+            self._logged += idx.size
+            if self._logged > 2 * len(self._distinct) + self._MERGE_SLACK:
+                self._merge()
         return values
 
     def read_all(self) -> np.ndarray:
         """Read the whole spectrum (the dense path), as a read-only view."""
         _require_finite(self._values, range(len(self._values)))
         self._read_all = True
-        self._seen.clear()
+        self._log.clear()
         values = self._values.view()
         values.flags.writeable = False
         return values

@@ -20,6 +20,7 @@ package, is used.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -121,17 +122,23 @@ def _locate(values, window_len: int) -> int:
     return int(np.argmax(window_energies(scaled, window_len)))
 
 
-def window_spectrum_sample(window, first_index: int, freq_index: int, length: int) -> complex:
-    """One DFT sample of a window embedded at first_index in a length-`length` vector.
+def window_spectrum_sample(window, first_index: int, freq_index, length):
+    """DFT samples of a window embedded at first_index in a length-`length` vector.
 
     ``sum_l window[l] * exp(-2i*pi * freq_index * (first_index + l) / length)``
-    with exponents reduced mod length before evaluation.
+    with exponents reduced mod length before evaluation.  For ints
+    freq_index and length it is one complex; for int arrays of one shape
+    it is an array of that shape, entry by entry the same samples.
     """
     window = np.asarray(window, dtype=np.complex128)
     offsets = first_index + np.arange(len(window), dtype=np.int64)
-    exponents = (freq_index * offsets) % length
-    # summed by numpy in one thread; a BLAS dot rounds differently with the thread count
-    return complex((window * np.exp((-2j * np.pi / length) * exponents)).sum())
+    freq_index = np.asarray(freq_index, dtype=np.int64)[..., None]
+    length = np.asarray(length, dtype=np.int64)[..., None]
+    phases = np.exp((-2j * np.pi / length) * ((freq_index * offsets) % length))
+    # the window takes the phases' rank: numpy rounds a (1, 1) by (1,) product unlike
+    # a 1-D one; summed by numpy in one thread: a BLAS dot rounds with the thread count
+    samples = (window.reshape((1,) * (phases.ndim - 1) + (-1,)) * phases).sum(axis=-1)
+    return complex(samples) if samples.ndim == 0 else samples
 
 
 def _fold(accessor: CountingSpectrumAccessor, level: int, offset: int = 0):
@@ -159,11 +166,10 @@ def _odd_probe(
 
     center is an even multiple of probe_stride < N/2.  Both neighbors
     are read in one call, cut to budget entries; the right one wins ties.
-    Only if all are exactly zero are the odd multiples probe_stride*(2k+1)
-    read in turn, skipping the neighbors, until one is nonzero or budget
-    distinct indices were probed; else (right neighbor, 0) is returned.
-    A window of at most budget entries with a nonzero transform is
-    nonzero at one of any budget distinct frequencies.
+    Only if all are exactly zero does _odd_scan read further odd
+    multiples of probe_stride.  A window of at most budget entries with
+    a nonzero transform is nonzero at one of any budget distinct
+    frequencies.
     """
     n = len(accessor)
     probes = np.array([center + probe_stride, center - probe_stride], dtype=np.int64)[:budget] % n
@@ -171,12 +177,25 @@ def _odd_probe(
     pick = int(np.argmax(np.abs(values)))
     if values[pick] != 0:
         return int(probes[pick]), complex(values[pick])
-    scan = (q for q in range(probe_stride, n, 2 * probe_stride) if q not in probes)
-    for q in itertools.islice(scan, budget - len(probes)):
+    return _odd_scan(accessor, probe_stride, probes.tolist(), budget)
+
+
+def _odd_scan(
+    accessor: CountingSpectrumAccessor, probe_stride: int, neighbors: list[int], budget: int
+) -> tuple[int, complex]:
+    """_odd_probe's fallback once the neighbors it read are all zero.
+
+    The odd multiples probe_stride*(2k+1) are read in turn, skipping the
+    neighbors, until one is nonzero or budget distinct indices were
+    probed, the neighbors included.  Returns (index, value) of the
+    nonzero one, else (neighbors[0], 0): the right neighbor.
+    """
+    scan = (q for q in range(probe_stride, len(accessor), 2 * probe_stride) if q not in neighbors)
+    for q in itertools.islice(scan, budget - len(neighbors)):
         value = accessor.read([q])[0]
         if value != 0:
             return q, complex(value)
-    return int(probes[0]), 0j
+    return neighbors[0], 0j
 
 
 def _resolve_shift(quotient: complex, odd: int, t: int) -> int:
@@ -188,7 +207,7 @@ def _resolve_shift(quotient: complex, odd: int, t: int) -> int:
     [0, 2**t).
     """
     modulus = 1 << t
-    steps = -np.angle(quotient) * modulus / (2 * np.pi)
+    steps = -cmath.phase(quotient) * modulus / (2 * math.pi)
     nearest = round(steps)
     if abs(steps - nearest) > 0.25:
         raise NoisyQuotient(

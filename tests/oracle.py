@@ -3,7 +3,8 @@
 The quadratic-time DFT is the independent oracle for the FFT pair; the
 folding (periodization) operator and its spectral counterpart (stride
 subsampling) state the identity the sparse algorithms rest on; the
-recording accessor shows which spectrum values a call read, in order.
+recording accessor shows which spectrum values a call read, in order;
+the per-level doubling is the reference for the batched one.
 Imported by the test modules as ``oracle``.
 """
 
@@ -13,6 +14,7 @@ import numpy as np
 
 from spfft.dft_core import CountingSpectrumAccessor, log2_length
 from spfft.errors import InvalidOffset, ValidationError
+from spfft.sparse_exact import _odd_probe, window_spectrum_sample
 
 
 class InvalidLevel(ValidationError):
@@ -102,3 +104,25 @@ class RecordingAccessor(CountingSpectrumAccessor):
     def read(self, indices):
         self.calls.append(np.atleast_1d(indices).tolist())
         return super().read(indices)
+
+
+def per_level_double(accessor, window, start: int, peak: int, level: int):
+    """sparse_noisy._double one level at a time: (first_index, blind_levels).
+
+    Each level reads its probe pair with one _odd_probe call (scanning
+    further odd probes if the pair is zero) and predicts the probed
+    value with one scalar window_spectrum_sample call at the start found
+    so far.
+    """
+    j_top = accessor.log2_len
+    first_index = start
+    blind = []
+    for j in range(level + 1, j_top):
+        probe_stride = 1 << (j_top - j - 1)
+        probe, measured = _odd_probe(accessor, peak, probe_stride, len(window))
+        if measured == 0:
+            blind.append(j)
+        predicted = window_spectrum_sample(window, first_index, probe // probe_stride, 2 << j)
+        if abs(predicted - measured) > abs(predicted + measured):
+            first_index += 1 << j
+    return first_index, blind

@@ -265,6 +265,48 @@ class TestCountingAccessor:
         acc.read(3)
         assert acc.read_count == 8
 
+    @given(
+        has_nan=st.booleans(),
+        slack=st.sampled_from([0, 1, 5, 1 << 16]),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("read"), st.lists(st.integers(0, 30), max_size=12)),
+                st.tuples(st.just("read"), st.lists(st.sampled_from([0, 30, 31, 32, -1]), min_size=1, max_size=4)),
+                st.just(("count",)),
+                st.just(("all",)),
+            ),
+            max_size=16,
+        ),
+    )
+    def test_counts_match_a_set_of_the_indices_read(self, has_nan, slack, ops):
+        # reference model: a Python set of every index read by a call that returned;
+        # a small slack makes reads merge the log, as a long run of reads does
+        values = np.arange(32) + 0j
+        if has_nan:
+            values[31] = np.nan
+        acc = CountingSpectrumAccessor(values)
+        acc._MERGE_SLACK = slack
+        seen = set()
+        for op in ops:
+            if op[0] == "all":
+                if has_nan:
+                    with pytest.raises(NonFiniteSpectrum):
+                        acc.read_all()
+                else:
+                    acc.read_all()
+                    seen.update(range(32))
+            elif op[0] == "read":
+                indices = np.array(op[1], dtype=np.int64)
+                if {32, -1} & set(op[1]) or (has_nan and 31 in op[1]):
+                    with pytest.raises((InvalidOffset, NonFiniteSpectrum)):
+                        acc.read(indices)
+                else:
+                    acc.read(indices)
+                    indices[:] = 0  # the accessor keeps its own copy
+                    seen.update(op[1])
+            assert acc.read_count == len(seen)
+            assert acc.read_count == len(seen)
+
     def test_construction_does_not_scale_with_length(self):
         spectrum = np.zeros(1 << 20, complex)
         tracemalloc.start()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oracle import RecordingAccessor, periodize
 from spfft.dft_core import CountingSpectrumAccessor, fft_forward, fft_inverse
@@ -192,6 +192,25 @@ class TestWindowSpectrumSample:
             assert window_spectrum_sample(window, 10, freq, n) == pytest.approx(
                 complex(spectrum[freq]), rel=1e-10
             )
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.one_of(st.just(1), st.integers(1, 40)),
+        shape=st.sampled_from([(0,), (1,), (5,), (2, 3)]),
+    )
+    @example(seed=0, m=1, shape=(1,))  # numpy rounds this one-entry product by its operands' ranks
+    def test_array_form_matches_the_scalar_form_entry_by_entry(self, seed, m, shape):
+        rng = np.random.default_rng(seed)
+        window = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        length = 2 << rng.integers(0, 30, size=shape)
+        freq = rng.integers(0, length)
+        first = int(rng.integers(0, 1 << 30))
+        samples = window_spectrum_sample(window, first, freq, length)
+        assert samples.shape == shape
+        for index in np.ndindex(shape):
+            scalar = window_spectrum_sample(window, first, int(freq[index]), int(length[index]))
+            assert type(scalar) is complex
+            assert samples[index] == scalar
 
     def test_does_not_depend_on_the_blas_thread_count(self):
         # a threaded BLAS dot rounds this sum differently with 1 and 2 threads

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracle import RecordingAccessor, periodize
+from oracle import RecordingAccessor, per_level_double, periodize
 from spfft import sparse_noisy
 from spfft.dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forward, fft_inverse
 from spfft.errors import InvalidOffset, NonFiniteSpectrum
@@ -200,6 +201,38 @@ class TestRefineSupport:
         first, blind = double(acc, folded, start, m, acc.read((n // fold_len) * np.arange(fold_len)))
         assert first == supp.first_index
         assert blind == []
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_batched_levels_match_the_per_level_reference(self, seed, data):
+        # the same decisions, blind levels and distinct reads as one probe and
+        # one scalar transform per level; only the order of the reads differs
+        n = 1 << data.draw(st.integers(4, 12))
+        m = data.draw(st.one_of(st.just(1), st.integers(1, n // 8)))  # m = 1 reads the right neighbors only
+        kind = data.draw(st.sampled_from(["exact", "noisy", "period"]))
+        if kind == "period":
+            # period N/2**p: the spectrum is zero off the multiples of 2**p, so
+            # the top p levels' probes all read zero and those levels scan
+            p = data.draw(st.integers(1, 3))
+            y, _ = gen_sparse_signal(n >> p, m, seed)
+            spectrum = np.zeros(n, complex)
+            spectrum[:: 1 << p] = fft_forward(y) * (1 << p)
+        else:
+            snr = math.inf if kind == "exact" else data.draw(st.sampled_from([0.0, 10.0, 20.0]))
+            spectrum = noisy_instance(n, m, snr, seed)[2]
+        acc = CountingSpectrumAccessor(spectrum)
+        subsampled, folded = _fold(acc, ceil_log2(m))
+        grown, level, start, _ = _grow(acc, folded, m)
+        window = grown[SupportDescriptor(start, m).indices(len(grown))]
+        peak = _peak(acc, subsampled)
+        batched, reference = RecordingAccessor(spectrum), RecordingAccessor(spectrum)
+        got = _double(batched, window, start, peak, level)
+        assert got == per_level_double(reference, window, start, peak, level)
+        if kind == "period":
+            j_top = n.bit_length() - 1
+            assert got[1] == [j for j in range(j_top - p, j_top) if j > level]
+        reads = [set(itertools.chain.from_iterable(a.calls)) for a in (batched, reference)]
+        assert reads[0] == reads[1]
+        assert batched.read_count == reference.read_count == len(reads[1])
 
 
 class TestGrownFoldValues:
