@@ -9,6 +9,7 @@ from .errors import (
     InvalidLength,
     InvalidOffset,
     InvalidSupportLength,
+    ModelViolation,
     NoisyQuotient,
     NonFiniteSpectrum,
     SpfftError,

@@ -61,6 +61,12 @@ class NoisyQuotient(AlgorithmError):
     with the exact-spectrum assumption."""
 
 
+class ModelViolation(AlgorithmError):
+    """The folded vector has energy outside its best m-window: the data are
+    not the exact spectrum of a vector with support at most m (noisy data,
+    or a longer support)."""
+
+
 class ZeroSignal(AlgorithmError):
     """Every odd-indexed spectrum value probed is zero, which a nonzero
     vector with support at most m cannot give."""

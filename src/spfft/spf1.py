@@ -16,6 +16,7 @@ disk only the spectrum entries it uses.
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 
@@ -83,5 +84,6 @@ def read_vector_file(path) -> tuple[np.ndarray, int]:
             raise FileFormatError(
                 f"payload at offset 16 must be {expected} bytes, found {found}"
             )
-        values = np.memmap(f, dtype="<c16", mode="r", offset=_HEADER.size, shape=(n,))
-    return values.view(np.ndarray), domain
+        mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    # the array keeps the mapping, which outlives the file object, alive
+    return np.frombuffer(mapped, dtype="<c16", count=n, offset=_HEADER.size), domain

@@ -1,3 +1,4 @@
+import gc
 import re
 import struct
 import warnings
@@ -39,6 +40,17 @@ class TestVectorFile:
         assert type(values) is np.ndarray
         assert values.dtype == np.complex128
         assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0
+
+    def test_payload_outlives_the_file_object(self, tmp_path):
+        # read_vector_file closed the file; the array holds the mapping
+        path = tmp_path / "kept.spf1"
+        written = random_vector(1 << 10, 4)
+        write_vector_file(path, written, DOMAIN_FREQ)
+        values, _ = read_vector_file(path)
+        gc.collect()
+        assert values.tobytes() == written.tobytes()
 
     def test_special_values_survive(self, tmp_path):
         values = np.array([np.inf + 0j, -np.inf * 1j, np.nan + 1j, -0.0 - 0.0j])
@@ -169,7 +181,7 @@ class TestReconstructCommand:
         assert main(["reconstruct", str(tmp_path / "absent.spf1"), "--m", "4"]) == 3
 
     def test_exact_algorithm_on_noisy_data_exits_4(self, tmp_path):
-        # seed pinned to a noise draw whose shift quotient is off-lattice
+        # the noise leaves energy in the fold outside the window
         prefix = tmp_path / "bad"
         main(["gen", "--n", "256", "--m", "6", "--seed", "1", "--snr", "10", "--out-prefix", str(prefix)])
         assert main(["reconstruct", f"{prefix}.freq.spf1", "--m", "6", "--algorithm", "exact"]) == 4

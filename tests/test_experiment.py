@@ -6,7 +6,7 @@ import pytest
 
 from spfft import cli, experiment, signal_lab
 from spfft.dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forward
-from spfft.errors import CannotCalibrate, InvalidLength, InvalidSupportLength, ValidationError
+from spfft.errors import CannotCalibrate, InvalidLength, InvalidSupportLength, ModelViolation, ValidationError
 from spfft.experiment import ALGORITHMS, ExperimentConfig, TrialRecord, reconstruct, run_experiment, run_trial, trial_seed
 from spfft.signal_lab import error_l2_over_n, gen_instance, gen_sparse_signal
 from spfft.spf1 import read_vector_file
@@ -84,7 +84,7 @@ GOLDEN = {
         "inf,20,100,1.4680845524637653e-18,2.9772856973766374e-18,0,0,138,2",
     ],
     ("exact", 1, (math.inf,)): ["inf,20,100,0,5.0037202162981062e-19,0,0,4,0"],
-    ("exact", 20, (math.inf,)): ["inf,20,100,1.1750440008139758e-18,2.9477206580380604e-18,0,0,66,0"],
+    ("exact", 20, (math.inf,)): ["inf,20,100,1.1750440008139758e-18,2.9477206580380604e-18,0,0,34,0"],
 }
 
 
@@ -175,7 +175,11 @@ class TestNoiselessScores:
         monkeypatch.setattr(experiment, "gen_instance", without_noise)
         record = run_trial(1024, 5, math.inf, 3, algorithm)
         assert record.noise_inf == record.noise_l1_over_n == 0.0
-        assert run_trial(1024, 5, 10.0, 3, algorithm).noise_inf > 0
+        if algorithm == "exact":  # noisy data fail the exact path's fold residual check
+            with pytest.raises(ModelViolation):
+                run_trial(1024, 5, 10.0, 3, algorithm)
+        else:
+            assert run_trial(1024, 5, 10.0, 3, algorithm).noise_inf > 0
 
 
 class TestReplay:

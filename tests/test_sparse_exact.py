@@ -12,8 +12,10 @@ from hypothesis import example, given, strategies as st
 from oracle import RecordingAccessor, periodize
 from spfft.dft_core import CountingSpectrumAccessor, fft_forward, fft_inverse
 from spfft.errors import (
+    AlgorithmError,
     DegenerateQuotient,
     InvalidSupportLength,
+    ModelViolation,
     NoisyQuotient,
     NonFiniteSpectrum,
     ValidationError,
@@ -173,7 +175,9 @@ class TestSelectOddSample:
         assert probe_next_to_peak(acc, subsampled)[1] == 0
         # 2**(level+1) distinct odd probes: at level 0 both neighbors still
         assert acc.read_count - before == 2 << level
-        # which the exact path reports after its fold and probe reads
+        # which the exact path reports after its fold and probe reads on a
+        # fold that fits the model: x is 1/32 at 0 and 32, which fold onto 0
+        spectrum[::2] = 1
         acc = CountingSpectrumAccessor(spectrum)
         with pytest.raises(ZeroSignal, match=f"all {2 << level} odd-indexed"):
             reconstruct_exact(acc, 1 << level)
@@ -322,8 +326,8 @@ class TestReconstructExact:
         acc = CountingSpectrumAccessor(fft_forward(example_256))
         rec = reconstruct_exact(acc, 6)
         assert rec.support.first_index == 105
-        assert rec.support.first_index >> 4 == 6  # 105 = 9 + 16 * 6
-        assert rec.samples_used == 18 <= 4 * 6 + 2
+        assert rec.support.first_index >> 3 == 13  # 105 = 1 + 8 * 13: P = 8 > 6
+        assert rec.samples_used == 10 <= 2 * 6 + 2
         assert np.max(np.abs(rec.signal - example_256)) <= 1e-9 * 8
 
     def test_single_delta(self):
@@ -395,14 +399,53 @@ class TestReconstructExact:
             reconstruct_exact(acc, 17)
 
     def test_noisy_data_rejected(self, example_256):
-        # heavy enough perturbation pushes the shift quotient off the
-        # root-of-unity lattice; detection is best-effort, so the seed is
-        # pinned to a draw where the phase lands off-lattice
-        rng = np.random.default_rng(2)
+        # the noise leaves energy in the fold outside the window: rejected
+        # after the 8 fold reads, before any other
         spectrum = fft_forward(example_256)
-        spectrum += 2.0 * (rng.standard_normal(256) + 1j * rng.standard_normal(256))
-        with pytest.raises(NoisyQuotient):
-            reconstruct_exact(CountingSpectrumAccessor(spectrum), 6)
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            noisy = spectrum + 2.0 * (rng.standard_normal(256) + 1j * rng.standard_normal(256))
+            acc = CountingSpectrumAccessor(noisy)
+            with pytest.raises(ModelViolation, match="fold residual"):
+                reconstruct_exact(acc, 6)
+            assert acc.read_count == 8
+
+    @given(seed=st.integers(0, 2**32 - 1), snr_db=st.sampled_from([0.0, 10.0, 20.0, 60.0, 100.0]), data=st.data())
+    def test_noisy_instances_never_give_a_vector(self, seed, snr_db, data):
+        n = 1 << data.draw(st.integers(5, 12))
+        m = data.draw(st.integers(1, n // 4))
+        acc = CountingSpectrumAccessor(gen_instance(n, m, seed, snr_db)[2])
+        with pytest.raises(ModelViolation):
+            reconstruct_exact(acc, m)
+        assert acc.read_count == 1 << m.bit_length()
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_support_at_most_m_is_recovered_from_p_plus_2_reads(self, seed, data):
+        # P = 2**ceil_log2(m+1), the shortest power of two above m
+        n = 1 << data.draw(st.integers(3, 12))
+        m = data.draw(st.integers(1, n // 4))
+        x, _ = gen_sparse_signal(n, data.draw(st.integers(1, m)), seed)
+        rec = reconstruct_exact(CountingSpectrumAccessor(fft_forward(x)), m)
+        assert np.max(np.abs(rec.signal - x)) <= 1e-9 * np.max(np.abs(x))
+        assert rec.samples_used == (1 << m.bit_length()) + 2 <= 2 * m + 2
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_support_longer_than_m_raises(self, seed, data):
+        # a true support in (m, 2P] leaves energy outside every m-window of the fold
+        n = 1 << data.draw(st.integers(3, 12))
+        m = data.draw(st.integers(1, n // 4))
+        true_len = data.draw(st.integers(m + 1, min(2 << m.bit_length(), n)))
+        x, _ = gen_sparse_signal(n, true_len, seed)
+        with pytest.raises(AlgorithmError):
+            reconstruct_exact(CountingSpectrumAccessor(fft_forward(x)), m)
+
+    def test_model_violation_reads_only_the_fold(self):
+        # a dense vector: the residual check raises before the odd probe reads
+        rng = np.random.default_rng(7)
+        acc = CountingSpectrumAccessor(rng.standard_normal(1024) + 1j * rng.standard_normal(1024))
+        with pytest.raises(ModelViolation, match="support at most 50"):
+            reconstruct_exact(acc, 50)
+        assert acc.read_count == 64
 
     def test_random_instances(self):
         rng = np.random.default_rng(2718)

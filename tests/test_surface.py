@@ -24,7 +24,8 @@ ENTRY_POINTS = {
 ERRORS = {
     "SpfftError", "ValidationError", "InvalidLength", "InvalidOffset",
     "InvalidSupportLength", "NonFiniteSpectrum", "CannotCalibrate", "WrongDomain",
-    "FileFormatError", "AlgorithmError", "DegenerateQuotient", "NoisyQuotient", "ZeroSignal",
+    "FileFormatError", "AlgorithmError", "DegenerateQuotient", "ModelViolation", "NoisyQuotient",
+    "ZeroSignal",
 }
 
 #: Public in their modules, not re-exported by spfft.
@@ -32,7 +33,7 @@ MODULE_ONLY = {
     "dft_core": ("MAX_LOG2_LEN", "log2_length", "support_length", "as_window"),
     "experiment": ("TrialRecord", "run_trial", "run_bench"),
     "signal_lab": ("error_l2_over_n", "philox_rng"),
-    "sparse_exact": ("ceil_log2", "window_energies", "window_spectrum_sample"),
+    "sparse_exact": ("RESIDUAL_TOLERANCE", "ceil_log2", "window_energies", "window_spectrum_sample"),
     "sparse_noisy": ("offset_periodization",),
 }
 
