@@ -141,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--snr", default="0,5,10,15,20,25,30,35,40,45,50", help="comma-separated dB values (inf = noiseless)")
     exp.add_argument("--trials", type=int, default=100)
     exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--algorithm", choices=ALGORITHMS, default="noisy")
+    exp.add_argument("--algorithm", choices=ALGORITHMS, default="noisy", help="exact needs --snr inf: it rejects noisy data")
     exp.add_argument("--out", default=None, help="CSV path (stdout if omitted)")
     exp.set_defaults(func=_cmd_experiment)
 

@@ -6,10 +6,8 @@ factor; the inverse carries the conjugate kernel and the ``1/N`` factor.
 
 Besides the FFT pair, which wraps numpy.fft and enforces the
 power-of-two length contract, this module provides the cyclic support
-window and a spectrum accessor that counts how many distinct Fourier
-values an algorithm consumed and refuses non-finite ones.  The accessor
-logs the index arrays it reads and counts them with one sort when asked,
-not index by index.
+window and a spectrum accessor that counts how many Fourier values an
+algorithm consumed, with one integer, and refuses non-finite ones.
 """
 
 from __future__ import annotations
@@ -122,33 +120,24 @@ def _require_finite(values, indices) -> None:
 
 
 class CountingSpectrumAccessor:
-    """Random access to a spectrum that counts distinct indices read.
+    """Random access to a spectrum that counts the values it serves.
 
     The counter is the sublinearity witness of the reconstruction
-    algorithms: it measures how many Fourier values were consumed, so a
-    repeated read of the same index is free.  Each read logs a copy of
-    its indices; read_count merges the log into one sorted array of
-    distinct indices, by a sort and a neighbor compare, and costs O(1)
-    when nothing was read since it last ran.  A log that outgrows the
-    distinct indices (_MERGE_SLACK entries beyond twice their number) is
-    merged by the read that grows it, so memory stays O(distinct reads).
-    Construction is O(1), and the spectrum itself, for instance a
+    algorithms: it measures how many Fourier values were consumed.  It
+    is one integer, and every index a read serves adds one, so a caller
+    that reads an index again pays for it again; the algorithms never
+    do.  Construction is O(1), and the spectrum itself, for instance a
     memory-mapped file, is only touched where it is read.  Returned
     values are bit-identical to the backing entries; a NaN or infinite
     value among those read raises NonFiniteSpectrum, at a cost of
     O(values read), and such a read, like one out of range, is not
-    counted.
+    counted.  After read_all the count is N for good.
     """
-
-    #: Logged entries allowed beyond twice the distinct count before a read merges them.
-    _MERGE_SLACK = 1 << 16
 
     def __init__(self, spectrum):
         self._values = as_vector(spectrum)
         self._log2_len = len(self._values).bit_length() - 1
-        self._distinct = np.empty(0, dtype=np.int64)
-        self._log: list[np.ndarray] = []
-        self._logged = 0
+        self._served = 0
         self._read_all = False
 
     def __len__(self) -> int:
@@ -160,26 +149,11 @@ class CountingSpectrumAccessor:
 
     @property
     def read_count(self) -> int:
-        """Number of distinct spectrum indices read so far."""
-        if self._read_all:
-            return len(self._values)
-        self._merge()
-        return len(self._distinct)
-
-    def _merge(self) -> None:
-        """Move the logged indices into the sorted distinct ones."""
-        if self._log:
-            merged = np.concatenate([self._distinct, *self._log])
-            merged.sort()
-            keep = np.empty(len(merged), dtype=bool)
-            keep[:1] = True
-            np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-            self._distinct = merged[keep]
-            self._log.clear()
-            self._logged = 0
+        """Number of spectrum values served so far, or N once read_all ran."""
+        return len(self._values) if self._read_all else self._served
 
     def read(self, indices) -> np.ndarray:
-        """The values at an index or an index array, as an array; counts new distinct indices."""
+        """The values at an index or an index array, as an array; every index served counts."""
         idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
         if idx.size and (idx.min() < 0 or idx.max() >= len(self._values)):
             raise InvalidOffset(
@@ -187,18 +161,13 @@ class CountingSpectrumAccessor:
             )
         values = self._values[idx]
         _require_finite(values, idx)
-        if not self._read_all:
-            self._log.append(idx.flatten())  # a copy: the caller may reuse its array
-            self._logged += idx.size
-            if self._logged > 2 * len(self._distinct) + self._MERGE_SLACK:
-                self._merge()
+        self._served += idx.size
         return values
 
     def read_all(self) -> np.ndarray:
         """Read the whole spectrum (the dense path), as a read-only view."""
         _require_finite(self._values, range(len(self._values)))
         self._read_all = True
-        self._log.clear()
         values = self._values.view()
         values.flags.writeable = False
         return values

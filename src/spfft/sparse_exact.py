@@ -54,7 +54,8 @@ class Reconstruction:
     outside the window.  signal, the N-length vector itself, is built
     on first access and cached; in "baseline" mode it is the whole dense
     inverse FFT, whose entries outside the window need not be zero.
-    samples_used is the accessor's distinct-read count.  mode is
+    samples_used is the accessor's read_count, the spectrum values the
+    call read; no algorithm reads an index twice.  mode is
     "sparse" for the sublinear algorithms, "fallback" when they handed
     over to the dense inverse FFT (support length above N/4), and
     "baseline" for the dense inverse FFT requested as such.

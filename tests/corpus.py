@@ -150,16 +150,12 @@ def _norm_and_projection(values) -> tuple[float, complex]:
 
 def reads_digest(accessor: RecordingAccessor) -> str:
     """Short hash of the sorted distinct indices the accessor has read."""
-    if accessor.read_count == len(accessor):
-        indices = np.arange(len(accessor), dtype=np.int64)
-    else:
-        indices = np.unique(np.fromiter(itertools.chain.from_iterable(accessor.calls), dtype=np.int64))
+    indices = np.unique(np.fromiter(itertools.chain.from_iterable(accessor.calls), dtype=np.int64))
     return hashlib.blake2b(indices.tobytes(), digest_size=8).hexdigest()
 
 
-def record(name, run, spectrum, m) -> list:
-    """The record of run on a fresh accessor of the spectrum."""
-    accessor = RecordingAccessor(spectrum)
+def record(name, run, accessor: RecordingAccessor, m) -> list:
+    """The record of run on the accessor, a fresh one."""
     try:
         with np.errstate(all="ignore"):
             result = RUNS[run](accessor, m)
@@ -180,11 +176,15 @@ def fields(rec: list) -> dict:
 
 
 def build():
-    """Yield (record, magnitude) for every run of every case."""
+    """Yield (record, magnitude, calls) for every run of every case.
+
+    calls are the index lists the run's accessor served (RecordingAccessor.calls).
+    """
     for name, spectrum, m in cases():
         magnitude = _magnitude(spectrum)
         for run in RUNS:
-            yield record(name, run, spectrum, m), magnitude
+            accessor = RecordingAccessor(spectrum)
+            yield record(name, run, accessor, m), magnitude, accessor.calls
 
 
 def write(path=PATH) -> tuple[int, int]:
@@ -197,7 +197,7 @@ def write(path=PATH) -> tuple[int, int]:
 
     stored = {tuple(rec[:2]): rec for rec in load(path)} if path.exists() else {}
     records, changed = [], 0
-    for rec, magnitude in build():
+    for rec, magnitude, _ in build():
         old = stored.get(tuple(rec[:2]))
         if old is None or differences(rec, old, magnitude):
             old, changed = rec, changed + 1

@@ -95,15 +95,26 @@ def realized_snr_db(spectrum, noise) -> float:
 
 
 class RecordingAccessor(CountingSpectrumAccessor):
-    """Counting accessor that also keeps the index list of every read call."""
+    """Counting accessor that also keeps the indices of every read that returned.
+
+    calls holds one index list per read call, in order; a read_all call
+    is the range of every index.  A read that raised served nothing and
+    is not kept.
+    """
 
     def __init__(self, spectrum):
         super().__init__(spectrum)
-        self.calls: list[list[int]] = []
+        self.calls: list[list[int] | range] = []
 
     def read(self, indices):
+        values = super().read(indices)
         self.calls.append(np.atleast_1d(indices).tolist())
-        return super().read(indices)
+        return values
+
+    def read_all(self):
+        values = super().read_all()
+        self.calls.append(range(len(self)))
+        return values
 
 
 def per_level_double(accessor, window, start: int, peak: int, level: int):

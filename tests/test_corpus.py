@@ -1,6 +1,19 @@
-"""Every reconstruction of the behaviour corpus matches data/corpus.json."""
+"""Every reconstruction of the behaviour corpus matches data/corpus.json,
+and no run, in the corpus or on the edge shapes drawn here, reads a
+spectrum index twice."""
+
+import itertools
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
 
 import corpus
+from oracle import RecordingAccessor
+from spfft import sparse_noisy
+from spfft.dft_core import fft_forward
+from spfft.signal_lab import gen_instance, gen_sparse_signal
 
 #: The values' norm and projection are compared at this relative
 #: tolerance, plus an absolute one of ATOL times the case's magnitude
@@ -32,13 +45,58 @@ def differences(got: list, want: list, magnitude: float) -> list[str]:
     return diff
 
 
+def read_faults(got: list, calls: list) -> list[str]:
+    """What breaks the read contract in a run: no index is read twice, so
+    samples_used is the number of distinct indices read."""
+    reads = list(itertools.chain.from_iterable(calls))
+    distinct = len(set(reads))
+    faults = [f"{len(reads) - distinct} indices read again"] if distinct < len(reads) else []
+    samples_used = corpus.fields(got).get("samples_used", distinct)
+    if samples_used != distinct:
+        faults.append(f"samples_used {samples_used} for {distinct} distinct reads")
+    return faults
+
+
 def test_every_record_matches_the_corpus():
     stored = corpus.load()
     built = list(corpus.build())
-    assert [rec[:2] for rec, _ in built] == [rec[:2] for rec in stored], "the case list changed"
+    assert [rec[:2] for rec, _, _ in built] == [rec[:2] for rec in stored], "the case list changed"
     failures = []
-    for (got, magnitude), want in zip(built, stored):
-        diff = differences(got, want, magnitude)
+    for (got, magnitude, calls), want in zip(built, stored):
+        diff = differences(got, want, magnitude) + read_faults(got, calls)
         if diff:
             failures.append(f"{want[0]} {want[1]}: {', '.join(diff)}: {want[2:]} -> {got[2:]}")
     assert not failures, f"{len(failures)} of {len(stored)} records differ:\n" + "\n".join(failures[:20])
+
+
+@settings(max_examples=200)
+@given(
+    j=st.integers(2, 14),
+    shape=st.sampled_from(["instance", "period", "zero"]),
+    snr_db=st.sampled_from([math.inf, 40.0, 10.0, 0.0, -10.0]),
+    max_vectors=st.sampled_from([1, 2, 8]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_no_run_reads_an_index_twice(j, shape, snr_db, max_vectors, seed, data):
+    # the edge shapes of the corpus, drawn afresh: every run on one spectrum
+    n = 1 << j
+    m = data.draw(st.one_of(
+        st.just(1),
+        st.integers(1, j).map(lambda k: (1 << k) - 1),
+        st.sampled_from([n // 4, n // 4 + 1]),
+        st.integers(1, n),
+    ))
+    if shape == "instance":
+        spectrum = gen_instance(n, m, seed, snr_db)[2]
+    elif shape == "period":  # period N / 2**p
+        period = n >> data.draw(st.integers(1, j))
+        y, _ = gen_sparse_signal(period, min(m, period), seed)
+        spectrum = fft_forward(np.tile(y, n // period))
+    else:
+        spectrum = np.zeros(n, dtype=np.complex128)
+    with mock.patch.object(sparse_noisy, "MAX_VECTORS", max_vectors):
+        for run in corpus.RUNS:
+            accessor = RecordingAccessor(spectrum)
+            got = corpus.record("drawn", run, accessor, m)
+            assert read_faults(got, accessor.calls) == [], got

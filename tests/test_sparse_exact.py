@@ -147,9 +147,9 @@ class TestSelectOddSample:
         acc = CountingSpectrumAccessor(fft_forward(x))
         level = ceil_log2(9)
         stride = 1 << (10 - level - 1)
-        acc.read(stride * np.arange(1 << (level + 1)))
+        subsampled = acc.read(stride * np.arange(1 << (level + 1)))
         before = acc.read_count
-        probe_next_to_peak(acc, acc.read(stride * np.arange(1 << (level + 1))))
+        probe_next_to_peak(acc, subsampled)
         assert acc.read_count <= before + 2
 
     def test_zero_neighbors_take_the_first_nonzero_odd_value_in_scan_order(self):
