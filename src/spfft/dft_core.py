@@ -155,12 +155,14 @@ class CountingSpectrumAccessor:
     def read(self, indices) -> np.ndarray:
         """The values at an index or an index array, as an array; every index served counts."""
         idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-        if idx.size and (idx.min() < 0 or idx.max() >= len(self._values)):
+        # a negative index, viewed as unsigned, lies above every length
+        if idx.size and idx.view(np.uint64).max() >= len(self._values):
             raise InvalidOffset(
                 f"spectrum index out of range [0, {len(self._values)})"
             )
         values = self._values[idx]
-        _require_finite(values, idx)
+        if not np.isfinite(values).all():
+            _require_finite(values, idx)
         self._served += idx.size
         return values
 

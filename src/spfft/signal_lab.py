@@ -96,6 +96,12 @@ def add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     noise, and then noisy is the input array itself (as complex128), not
     a copy.  CannotCalibrate is raised when the target cannot be hit: a
     zero spectrum, or a noise scale that the float range cannot hold.
+
+    Memory: the noise is built in one length-N complex array, with two
+    length-N float arrays (radius and angle, half a complex array each)
+    while it is drawn; the returned noisy and noise are the only
+    length-N arrays that outlive the call, so its peak beyond the input
+    is two complex arrays.
     """
     spectrum = as_vector(spectrum)
     n = len(spectrum)
@@ -104,17 +110,27 @@ def add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     signal_norm = _root_sum_squares(spectrum)
     if signal_norm == 0:
         raise CannotCalibrate("cannot target a finite SNR on a zero spectrum")
-    # uniform on the unit disc: the radius is drawn first, then the angle
+    # uniform on the unit disc: the radius is drawn first, then the angle;
+    # each step runs in place with the kernel and operand order of
+    # sqrt(r) * exp(1j * (2 * pi * a)), so the noise is that product to the bit
     rng = philox_rng(spec.seed)
-    unit = np.sqrt(rng.random(n)) * np.exp(1j * (2 * np.pi * rng.random(n)))
-    unit_norm = _root_sum_squares(unit)
+    radius = rng.random(n)
+    np.sqrt(radius, out=radius)
+    angle = rng.random(n)
+    angle *= 2 * np.pi
+    noise = 1j * angle
+    del angle
+    np.exp(noise, out=noise)
+    np.multiply(radius, noise, out=noise)
+    del radius
+    unit_norm = _root_sum_squares(noise)
     try:
         scale = signal_norm / (unit_norm * 10 ** (spec.snr_db / 20))
     except (OverflowError, ZeroDivisionError):
         scale = math.nan
     if not 0 < scale < math.inf:
         raise CannotCalibrate(f"no finite nonzero noise scale reaches {spec.snr_db} dB SNR")
-    noise = scale * unit
+    np.multiply(scale, noise, out=noise)
     return spectrum + noise, noise
 
 

@@ -187,13 +187,21 @@ def _fold(accessor: CountingSpectrumAccessor, level: int, offset: int = 0):
     vector with each entry turned by a unit phase.
     """
     stride = 1 << (accessor.log2_len - level - 1)
-    subsampled = accessor.read(stride * np.arange(2 << level, dtype=np.int64) + offset)
+    subsampled = accessor.read(np.arange(offset, len(accessor), stride, dtype=np.int64))
     return subsampled, fft_inverse(subsampled)
 
 
 def _peak(accessor: CountingSpectrumAccessor, subsampled) -> int:
     """Spectrum index of the largest-modulus value of a stride subsample."""
     return len(accessor) // len(subsampled) * int(np.argmax(np.abs(subsampled)))
+
+
+def _modulus(value: complex) -> float:
+    """abs(value), or inf where the modulus overflows (Python's abs raises there, np.abs does not)."""
+    try:
+        return abs(value)
+    except OverflowError:
+        return math.inf
 
 
 def _odd_probe(
@@ -209,12 +217,12 @@ def _odd_probe(
     frequencies.
     """
     n = len(accessor)
-    probes = np.array([center + probe_stride, center - probe_stride], dtype=np.int64)[:budget] % n
-    values = accessor.read(probes)
-    pick = int(np.argmax(np.abs(values)))
+    probes = [(center + probe_stride) % n, (center - probe_stride) % n][:budget]
+    values = accessor.read(probes).tolist()
+    pick = 1 if len(values) == 2 and _modulus(values[1]) > _modulus(values[0]) else 0
     if values[pick] != 0:
-        return int(probes[pick]), complex(values[pick])
-    return _odd_scan(accessor, probe_stride, probes.tolist(), budget)
+        return probes[pick], values[pick]
+    return _odd_scan(accessor, probe_stride, probes, budget)
 
 
 def _odd_scan(

@@ -4,7 +4,8 @@ The quadratic-time DFT is the independent oracle for the FFT pair; the
 folding (periodization) operator and its spectral counterpart (stride
 subsampling) state the identity the sparse algorithms rest on; the
 recording accessor shows which spectrum values a call read, in order;
-the per-level doubling is the reference for the batched one.
+the per-level doubling is the reference for the batched one; the
+one-expression noise draw is the reference for add_noise's in-place one.
 Imported by the test modules as ``oracle``.
 """
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from spfft.dft_core import CountingSpectrumAccessor, log2_length
 from spfft.errors import InvalidOffset, ValidationError
+from spfft.signal_lab import NoiseSpec, _root_sum_squares, philox_rng
 from spfft.sparse_exact import _odd_probe, window_spectrum_sample
 
 
@@ -92,6 +94,22 @@ def modulation_check(x, j: int, shift_count: int, rel_tol: float = 1e-10) -> boo
 def realized_snr_db(spectrum, noise) -> float:
     """20*log10(||spectrum||_2 / ||noise||_2)."""
     return 20 * math.log10(np.linalg.norm(spectrum) / np.linalg.norm(noise))
+
+
+def reference_add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
+    """signal_lab.add_noise at a finite SNR, drawn and scaled in one expression each.
+
+    The radius is drawn first, then the angle; the unit-disc noise is
+    scaled so that the realized SNR hits spec.snr_db.  add_noise must
+    return the same bytes.
+    """
+    spectrum = np.asarray(spectrum, dtype=np.complex128)
+    n = len(spectrum)
+    rng = philox_rng(spec.seed)
+    unit = np.sqrt(rng.random(n)) * np.exp(1j * (2 * np.pi * rng.random(n)))
+    scale = _root_sum_squares(spectrum) / (_root_sum_squares(unit) * 10 ** (spec.snr_db / 20))
+    noise = scale * unit
+    return spectrum + noise, noise
 
 
 class RecordingAccessor(CountingSpectrumAccessor):

@@ -214,6 +214,15 @@ class TestCountingAccessor:
         with pytest.raises(InvalidOffset):
             acc.read(-1)
 
+    @pytest.mark.parametrize("bad", [-1, 8, -(2**63), 2**63 - 1])
+    def test_out_of_range_among_valid_indices(self, bad):
+        acc = CountingSpectrumAccessor(np.arange(8) + 0j)
+        acc.read(np.array([1, 2]))
+        for indices in ([0, bad, 7], [bad, 3, 3], np.array([5, 0, bad, 6, 1, 2])[::2]):
+            with pytest.raises(InvalidOffset):
+                acc.read(np.asarray(indices, dtype=np.int64))
+        assert acc.read_count == 2
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1, -np.inf), complex(np.nan, 0)])
     def test_non_finite_read_names_the_index(self, bad):
         values = np.arange(8) + 0j

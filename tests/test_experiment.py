@@ -1,11 +1,12 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spfft import cli, experiment, signal_lab
-from spfft.dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forward
+from spfft.dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forward, fft_inverse
 from spfft.errors import CannotCalibrate, InvalidLength, InvalidSupportLength, ModelViolation, ValidationError
 from spfft.experiment import ALGORITHMS, ExperimentConfig, TrialRecord, reconstruct, run_experiment, run_trial, trial_seed
 from spfft.signal_lab import error_l2_over_n, gen_instance, gen_sparse_signal
@@ -120,6 +121,30 @@ class TestBaselineExperiment:
         record = run_trial(256, 6, 10.0, 9, "ifft-baseline")
         assert record.err_sparse == record.err_ifft
         assert record.samples_used == 256
+
+
+class TestDenseBaselineScore:
+    """run_trial scores the dense baseline in the inverse FFT's memory, to the same bits."""
+
+    @pytest.mark.parametrize("algorithm", ["noisy", "ifft-baseline"])
+    @pytest.mark.parametrize("n", [1 << 10, 1 << 16])
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0, math.inf])
+    def test_err_ifft_is_the_error_of_the_inverse_fft(self, algorithm, n, snr_db):
+        for seed in range(5):
+            truth, _, noisy, _ = gen_instance(n, 20, seed, snr_db)
+            want = error_l2_over_n(truth, fft_inverse(noisy))
+            assert run_trial(n, 20, snr_db, seed, algorithm).err_ifft.hex() == want.hex()
+
+    def test_peak_memory_of_a_noisy_trial(self):
+        n = 1 << 16
+        tracemalloc.start()
+        try:
+            run_trial(n, 50, 20.0, 3, "noisy")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # truth, noisy, noise and the dense inverse; a separate difference made it 5 arrays
+        assert peak <= 4.25 * 16 * n
 
 
 class TestExperimentChecks:

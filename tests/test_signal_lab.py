@@ -2,20 +2,23 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracle import realized_snr_db
+from oracle import realized_snr_db, reference_add_noise
 from spfft.dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forward, fft_inverse
 from spfft.errors import CannotCalibrate, InvalidSupportLength, ValidationError
 from spfft.signal_lab import (
     ENDPOINT_MIN_MODULUS,
+    NOISE_STREAM_SALT,
     NoiseSpec,
     add_noise,
     error_l2_over_n,
+    gen_instance,
     gen_sparse_signal,
     window_error_l2_over_n,
 )
@@ -155,6 +158,37 @@ class TestAddNoise:
             total += np.max(np.abs(noise))
         mean_inf = total / draws
         assert 6.751 / 1.5 <= mean_inf <= 6.751 * 1.5
+
+
+class TestInPlaceNoise:
+    """add_noise draws the reference's noise to the bit, in less memory."""
+
+    @pytest.mark.parametrize("n", [1, 2, 1 << 10, 1 << 16])
+    @pytest.mark.parametrize("snr", [-20.0, 0.0, 10.0, 60.0])
+    def test_noise_matches_the_reference_bytes(self, n, snr):
+        def as_bytes(arrays):
+            return [a.tobytes() for a in arrays]
+
+        for seed in range(6):
+            truth, _, noisy, noise = gen_instance(n, min(n, 7), seed, snr)
+            spectrum = fft_forward(truth)
+            want = reference_add_noise(spectrum, NoiseSpec(seed=seed ^ NOISE_STREAM_SALT, snr_db=snr))
+            assert as_bytes((noisy, noise)) == as_bytes(want)
+            spec = NoiseSpec(seed=seed, snr_db=snr)
+            assert as_bytes(add_noise(spectrum, spec)) == as_bytes(reference_add_noise(spectrum, spec))
+
+    def test_peak_memory_is_two_complex_arrays(self):
+        n = 1 << 16
+        s = fft_forward(gen_sparse_signal(n, 50, 3)[0])
+        tracemalloc.start()
+        try:
+            result = add_noise(s, NoiseSpec(seed=3, snr_db=20.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del result
+        # the one-expression draw peaks at 3 arrays: unit, noise and the noisy sum
+        assert peak <= 2.25 * 16 * n
 
 
 class TestBlasThreads:

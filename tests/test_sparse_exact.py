@@ -134,6 +134,13 @@ class TestSelectOddSample:
         assert odd == 1
         assert value == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("right, left, want", [(1, 1.5e308, 63), (1.5e308, 1, 1), (1.5e308, 1.5e308, 1)])
+    def test_a_modulus_above_the_float_maximum_is_the_largest(self, right, left, want):
+        spectrum = np.ones(64, complex)
+        spectrum[1], spectrum[63] = right * (1 + 1j), left * (1 + 1j)
+        acc = CountingSpectrumAccessor(spectrum)
+        assert _odd_probe(acc, 0, 1, 2)[0] == want
+
     def test_example_value_is_nonzero(self, example_256):
         acc = CountingSpectrumAccessor(fft_forward(example_256))
         odd, value = probe_next_to_peak(acc, acc.read(16 * np.arange(16)))
