@@ -4,18 +4,15 @@ from .dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forward, 
 from .errors import (
     AlgorithmError,
     CannotCalibrate,
-    DegenerateQuotient,
     FileFormatError,
     InvalidLength,
     InvalidOffset,
     InvalidSupportLength,
     ModelViolation,
-    NoisyQuotient,
     NonFiniteSpectrum,
     SpfftError,
     ValidationError,
     WrongDomain,
-    ZeroSignal,
 )
 from .experiment import ExperimentConfig, reconstruct, run_experiment
 from .signal_lab import NoiseSpec, add_noise, gen_sparse_signal

@@ -51,22 +51,9 @@ class AlgorithmError(SpfftError):
     """Reconstruction failed on the given data (CLI exit code 4)."""
 
 
-class DegenerateQuotient(AlgorithmError):
-    """The shift quotient is undefined or zero: the reference odd-indexed
-    value vanished (0/0), or the quotient underflowed to 0."""
-
-
-class NoisyQuotient(AlgorithmError):
-    """Shift quotient too far from a root of unity: data are inconsistent
-    with the exact-spectrum assumption."""
-
-
 class ModelViolation(AlgorithmError):
-    """The folded vector has energy outside its best m-window: the data are
-    not the exact spectrum of a vector with support at most m (noisy data,
-    or a longer support)."""
-
-
-class ZeroSignal(AlgorithmError):
-    """Every odd-indexed spectrum value probed is zero, which a nonzero
-    vector with support at most m cannot give."""
+    """The data are not the exact spectrum of a vector with support at most
+    m (noisy data, or a longer support): the fold has energy outside its
+    best m-window, or the shift quotient is zero (the odd-indexed values
+    probed all read zero, the window transform there vanished, or the
+    division underflowed) or off its root-of-unity lattice."""

@@ -12,12 +12,14 @@ recovered in stages:
   fold residual; on exact data it is rounding, and above
   RESIDUAL_TOLERANCE it raises ModelViolation before any further read;
 - place: one odd-indexed spectrum value next to the subsample's peak
-  (_peak, _odd_probe), divided by the transform of the folded window
+  (_peak, _probe), divided by the transform of the folded window
   there, is a root of unity whose exponent fixes which of the N/P
-  candidate placements is the true one (_resolve_shift).
+  candidate placements is the true one (_resolve_shift); a quotient
+  of zero or off that lattice raises ModelViolation.
 
 The exact path folds to P = 2**ceil_log2(m+1), the shortest power of
-two above m, and reads P + 2 <= 2m + 2 spectrum values in all.
+two above m, and reads P + 2 <= 2m + 2 spectrum values in all on
+exact data, and 2P on the zero vector.
 sparse_noisy folds to 2**(L+1), L = ceil(log2 m), and reuses the fold,
 locate and probe stages.  When m > N/4 the sparse paths hand over to
 reconstruct_dense, the one dense inverse FFT of the package.
@@ -34,15 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_inverse, support_length
-from .errors import (
-    DegenerateQuotient,
-    InvalidSupportLength,
-    ModelViolation,
-    NoisyQuotient,
-    NonFiniteSpectrum,
-    ValidationError,
-    ZeroSignal,
-)
+from .errors import InvalidSupportLength, ModelViolation, NonFiniteSpectrum, ValidationError
 
 
 @dataclass(frozen=True)
@@ -204,31 +198,35 @@ def _modulus(value: complex) -> float:
         return math.inf
 
 
-def _odd_probe(
-    accessor: CountingSpectrumAccessor, center: int, probe_stride: int, budget: int
-) -> tuple[int, complex]:
-    """(index, value) of the larger of spectrum[center +- probe_stride].
+def _probe(
+    accessor: CountingSpectrumAccessor, center: int, strides, budget: int
+) -> list[tuple[int, complex]]:
+    """(index, value) of the larger of spectrum[center +- stride], for each stride.
 
-    center is an even multiple of probe_stride < N/2.  Both neighbors
-    are read in one call, cut to budget entries; the right one wins ties.
-    Only if all are exactly zero does _odd_scan read further odd
-    multiples of probe_stride.  A window of at most budget entries with
-    a nonzero transform is nonzero at one of any budget distinct
-    frequencies.
+    center is an even multiple of every stride < N/2.  All pairs are
+    read in one call, each cut to budget entries; the right neighbor
+    wins ties.  Only a pair that reads all exactly zero goes to
+    _odd_scan, which reads further odd multiples of its stride.  A
+    window of at most budget entries with a nonzero transform is
+    nonzero at one of any budget distinct frequencies.
     """
-    n = len(accessor)
-    probes = [(center + probe_stride) % n, (center - probe_stride) % n][:budget]
+    n, width = len(accessor), min(budget, 2)
+    probes = [q for stride in strides for q in ((center + stride) % n, (center - stride) % n)[:width]]
     values = accessor.read(probes).tolist()
-    pick = 1 if len(values) == 2 and _modulus(values[1]) > _modulus(values[0]) else 0
-    if values[pick] != 0:
-        return probes[pick], values[pick]
-    return _odd_scan(accessor, probe_stride, probes, budget)
+    found = []
+    for k, stride in zip(range(0, len(probes), width), strides):  # k: the pair's right neighbor
+        pick = k + 1 if width == 2 and _modulus(values[k + 1]) > _modulus(values[k]) else k
+        if values[pick] != 0:
+            found.append((probes[pick], values[pick]))
+        else:
+            found.append(_odd_scan(accessor, stride, probes[k : k + width], budget))
+    return found
 
 
 def _odd_scan(
     accessor: CountingSpectrumAccessor, probe_stride: int, neighbors: list[int], budget: int
 ) -> tuple[int, complex]:
-    """_odd_probe's fallback once the neighbors it read are all zero.
+    """_probe's fallback once the neighbors it read at probe_stride are all zero.
 
     The odd multiples probe_stride*(2k+1) are read in turn, skipping the
     neighbors, until one is nonzero or budget distinct indices were
@@ -246,18 +244,26 @@ def _odd_scan(
 def _resolve_shift(quotient: complex, odd: int, t: int) -> int:
     """Invert ``quotient = exp(-2i*pi * odd * shift / 2**t)`` for the shift.
 
-    Rounds the phase to the nearest 2**t-th root of unity; a phase more
-    than a quarter step away means the data cannot have come from an
-    exact spectrum, and NoisyQuotient is raised.  Returns the shift in
-    [0, 2**t).
+    Rounds the phase to the nearest 2**t-th root of unity.  A quotient
+    of 0 (the odd values probed all read zero, the window transform
+    vanished there, or the division underflowed) or a phase more than a
+    quarter step away from the lattice means the data cannot have come
+    from an exact spectrum, and ModelViolation is raised.  Returns the
+    shift in [0, 2**t).
     """
+    if quotient == 0:
+        raise ModelViolation(
+            f"shift quotient at odd index {odd} is zero: the odd-indexed spectrum values "
+            f"probed all read zero, the window transform there vanished, or the quotient "
+            f"underflowed; data are not an exact spectrum"
+        )
     modulus = 1 << t
     steps = -cmath.phase(quotient) * modulus / (2 * math.pi)
     nearest = round(steps)
     if abs(steps - nearest) > 0.25:
-        raise NoisyQuotient(
-            f"phase {steps:.6f} steps is {abs(steps - nearest):.3f} from the nearest "
-            f"root-of-unity lattice point; data are not an exact spectrum"
+        raise ModelViolation(
+            f"shift quotient is {abs(steps - nearest):.3f} steps off its root-of-unity lattice "
+            f"(phase {steps:.6f} steps); data are not an exact spectrum"
         )
     return int(nearest) * pow(odd, -1, modulus) % modulus
 
@@ -296,12 +302,16 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> R
     sparse path's samples_used is P + 2 <= 2m + 2 on such data, and
     never more than 2P on any input.  A fold residual above
     RESIDUAL_TOLERANCE, which noise or a support longer than m gives,
-    raises ModelViolation after the P fold reads, before any other.  For
-    m > N/4 a single dense inverse FFT is the cheapest correct option
-    and is used as the fallback.  The result holds the m window values,
-    placed at support.first_index = start + P * shift, with start the
-    folded support start and shift the one the quotient resolved; the
-    N-length vector is built only when its signal is read.
+    raises ModelViolation after the P fold reads, before any other.  A
+    zero fold is the zero vector, after 2P reads, only if the odd probes
+    read zero too; a longer support that cancels in the fold raises
+    ModelViolation in placement, as do odd probes that all read zero
+    on a nonzero fold.  For m > N/4 a single dense inverse FFT is the
+    cheapest correct option and is used as the fallback.  The result
+    holds the m window values, placed at support.first_index =
+    start + P * shift, with start the folded support start and shift
+    the one the quotient resolved; the N-length vector is built only
+    when its signal is read.
     """
     n = len(accessor)
     m = support_length(support_len, n)
@@ -314,25 +324,21 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> R
     energies = window_energies(scaled, m)
     start = int(np.argmax(energies))
     window = folded[SupportDescriptor(start, m).indices(len(folded))]
-    shift = 0
-    if energies[start]:  # the zero vector, at start 0, has nothing to place
+    if energies[start]:
         residual = _fold_residual(scaled, start, m, float(energies[start]))
         if residual > RESIDUAL_TOLERANCE:
             raise ModelViolation(
                 f"fold residual {residual:.3g} exceeds {RESIDUAL_TOLERANCE:g}: the data are not "
                 f"the exact spectrum of a vector with support at most {m}"
             )
-        # A nonzero vector with at most m < P <= N/2 support entries is not
-        # zero at all of P distinct odd indices.
-        odd, odd_value = _odd_probe(accessor, _peak(accessor, subsampled), 1, len(subsampled))
-        if odd_value == 0:
-            raise ZeroSignal(f"all {len(subsampled)} odd-indexed spectrum values probed are zero")
+    # A nonzero vector with at most m < P <= N/2 support entries is not
+    # zero at all of P distinct odd indices, so a zero fold is the zero
+    # vector only if every odd probe reads zero too.
+    odd, odd_value = _probe(accessor, _peak(accessor, subsampled), [1], len(subsampled))[0]
+    shift = 0
+    if energies[start] or odd_value:
         reference = window_spectrum_sample(window, start, odd, n)
-        if reference == 0:
-            raise DegenerateQuotient("window transform vanished at the chosen odd index")
-        quotient = odd_value / reference
-        if quotient == 0:  # underflow: odd_value is nonzero, but tiny next to reference
-            raise DegenerateQuotient("shift quotient is zero")
+        quotient = odd_value / reference if reference else 0j
         shift = _resolve_shift(quotient, odd, accessor.log2_len - level - 1)
 
     return Reconstruction(

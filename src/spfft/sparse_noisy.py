@@ -13,10 +13,10 @@ The stages of the exact-data algorithm (sparse_exact), made robust:
 - place: the folding length is doubled further, one level at a time,
   each level deciding "shift by half a period or not" from the sign
   agreement between a predicted and a measured odd-indexed value,
-  probed next to the spectral peak as on exact data (_double).  The
-  probes do not depend on the decisions, so all levels are read in one
-  call and their predictions come from one window_spectrum_sample
-  call; only the decisions run level by level.
+  probed next to the spectral peak by the exact path's _probe
+  (_double).  The probes do not depend on the decisions, so all levels
+  are read in one call and their predictions come from one
+  window_spectrum_sample call; only the decisions run level by level.
 
 The support values are the grown fold's window.
 """
@@ -34,8 +34,8 @@ from .sparse_exact import (
     Reconstruction,
     _fold,
     _locate,
-    _odd_scan,
     _peak,
+    _probe,
     ceil_log2,
     reconstruct_dense,
     window_spectrum_sample,
@@ -119,32 +119,24 @@ def _double(accessor: CountingSpectrumAccessor, window, start: int, peak: int, l
     underlying magnitude is near its maximum, which keeps the sign
     decision reliable deep into the noise (an arbitrary or measured-max
     probe does not).  The probes peak +- 2**(J-j-1) depend only on the
-    level, so every level's pair (cut to m entries, as _odd_probe cuts
-    it) is read in one call, and the window's transform at every level's
-    probe in one window_spectrum_sample call, with the window at 0; the
-    levels' decisions then turn it to the start found so far, one
-    scalar product each.  A level whose pair reads all zero scans
+    level, so every level's pair (cut to m entries) is read in one
+    _probe call, and the window's transform at every level's probe in
+    one window_spectrum_sample call, with the window at 0; the levels'
+    decisions then turn it to the start found so far, one scalar
+    product each.  A level whose pair reads all zero scans
     further odd probes (_odd_scan); each level makes at most m distinct
     reads, and one whose probes all read zero, like a tie, goes to "no
     move".  Returns (first_index, blind_levels), blind_levels listing
     the levels j whose probes all read zero.
     """
-    n, m = len(accessor), len(window)
-    levels = np.arange(level + 1, accessor.log2_len)
-    strides = 1 << (accessor.log2_len - 1 - levels)
-    probes = (peak + strides[:, None] * np.array([1, -1])[:m]) % n
-    values = accessor.read(probes.ravel()).reshape(probes.shape)
-    rows, pick = np.arange(len(levels)), np.argmax(np.abs(values), axis=1)  # the right one wins ties
-    chosen, measured = probes[rows, pick], values[rows, pick]
-    blind: list[int] = []
-    for i in np.flatnonzero(measured == 0).tolist():
-        chosen[i], measured[i] = _odd_scan(accessor, int(strides[i]), probes[i].tolist(), m)
-        if measured[i] == 0:
-            blind.append(level + 1 + i)
-    odd = chosen // strides  # odd by construction
-    bases = window_spectrum_sample(window, 0, odd, 2 << levels)
+    levels = range(level + 1, accessor.log2_len)
+    strides = [1 << (accessor.log2_len - 1 - j) for j in levels]
+    probes = _probe(accessor, peak, strides, len(window))
+    blind = [j for j, (_, value) in zip(levels, probes) if value == 0]
+    odd = [index // stride for (index, _), stride in zip(probes, strides)]  # odd by construction
+    bases = window_spectrum_sample(window, 0, odd, [2 << j for j in levels])
     first_index = start
-    for j, odd_j, base, value in zip(levels.tolist(), odd.tolist(), bases.tolist(), measured.tolist()):
+    for j, odd_j, base, (_, value) in zip(levels, odd, bases.tolist(), probes):
         length = 2 << j
         predicted = base * cmath.exp((-2j * math.pi / length) * (odd_j * first_index % length))
         try:

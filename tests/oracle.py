@@ -4,8 +4,9 @@ The quadratic-time DFT is the independent oracle for the FFT pair; the
 folding (periodization) operator and its spectral counterpart (stride
 subsampling) state the identity the sparse algorithms rest on; the
 recording accessor shows which spectrum values a call read, in order;
-the per-level doubling is the reference for the batched one; the
-one-expression noise draw is the reference for add_noise's in-place one.
+the one-pair odd probe and the per-level doubling built on it are the
+references for the batched probe and doubling; the one-expression noise
+draw is the reference for add_noise's in-place one.
 Imported by the test modules as ``oracle``.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 from spfft.dft_core import CountingSpectrumAccessor, log2_length
 from spfft.errors import InvalidOffset, ValidationError
 from spfft.signal_lab import NoiseSpec, _root_sum_squares, philox_rng
-from spfft.sparse_exact import _odd_probe, window_spectrum_sample
+from spfft.sparse_exact import _modulus, _odd_scan, window_spectrum_sample
 
 
 class InvalidLevel(ValidationError):
@@ -135,10 +136,28 @@ class RecordingAccessor(CountingSpectrumAccessor):
         return values
 
 
+def odd_probe(accessor, center: int, probe_stride: int, budget: int) -> tuple[int, complex]:
+    """(index, value) of the larger of spectrum[center +- probe_stride], one pair per call.
+
+    Both neighbors are read in one call, cut to budget entries; the
+    right one wins ties.  Only if all are exactly zero does _odd_scan
+    read further odd multiples of probe_stride.  sparse_exact._probe
+    must return the same pairs, and read the same indices, for many
+    strides at once.
+    """
+    n = len(accessor)
+    probes = [(center + probe_stride) % n, (center - probe_stride) % n][:budget]
+    values = accessor.read(probes).tolist()
+    pick = 1 if len(values) == 2 and _modulus(values[1]) > _modulus(values[0]) else 0
+    if values[pick] != 0:
+        return probes[pick], values[pick]
+    return _odd_scan(accessor, probe_stride, probes, budget)
+
+
 def per_level_double(accessor, window, start: int, peak: int, level: int):
     """sparse_noisy._double one level at a time: (first_index, blind_levels).
 
-    Each level reads its probe pair with one _odd_probe call (scanning
+    Each level reads its probe pair with one odd_probe call (scanning
     further odd probes if the pair is zero) and predicts the probed
     value with one scalar window_spectrum_sample call at the start found
     so far.
@@ -148,7 +167,7 @@ def per_level_double(accessor, window, start: int, peak: int, level: int):
     blind = []
     for j in range(level + 1, j_top):
         probe_stride = 1 << (j_top - j - 1)
-        probe, measured = _odd_probe(accessor, peak, probe_stride, len(window))
+        probe, measured = odd_probe(accessor, peak, probe_stride, len(window))
         if measured == 0:
             blind.append(j)
         predicted = window_spectrum_sample(window, first_index, probe // probe_stride, 2 << j)

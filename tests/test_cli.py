@@ -194,7 +194,7 @@ class TestReconstructCommand:
         write_vector_file(path, fft_forward(np.tile(y, 2)), DOMAIN_FREQ)
         assert main(["reconstruct", str(path), "--m", "20", "--algorithm", "exact"]) == 4
         captured = capsys.readouterr()
-        assert "odd-indexed spectrum values probed are zero" in captured.err
+        assert "odd-indexed spectrum values probed all read zero" in captured.err
         assert captured.out == ""
 
     def test_bad_support_length_exits_2(self, tmp_path):

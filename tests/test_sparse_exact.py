@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -9,23 +10,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracle import RecordingAccessor, periodize
+from oracle import RecordingAccessor, odd_probe, periodize
 from spfft.dft_core import CountingSpectrumAccessor, fft_forward, fft_inverse
 from spfft.errors import (
     AlgorithmError,
-    DegenerateQuotient,
     InvalidSupportLength,
     ModelViolation,
-    NoisyQuotient,
     NonFiniteSpectrum,
     ValidationError,
-    ZeroSignal,
 )
 from spfft.signal_lab import gen_instance, gen_sparse_signal
 from spfft.sparse_exact import (
     Reconstruction,
-    _odd_probe,
     _peak,
+    _probe,
     _resolve_shift,
     ceil_log2,
     reconstruct_dense,
@@ -114,14 +112,24 @@ class TestResolveShift:
 
     def test_off_lattice_phase_rejected(self):
         quotient = np.exp(-2j * np.pi * (3 + 0.4) / 16)
-        with pytest.raises(NoisyQuotient):
+        with pytest.raises(ModelViolation, match="0.400 steps off its root-of-unity lattice"):
             _resolve_shift(complex(quotient), 1, 4)
+
+    def test_zero_quotient_rejected(self):
+        with pytest.raises(ModelViolation, match="shift quotient at odd index 3 is zero"):
+            _resolve_shift(0j, 3, 4)
+
+
+#: Spectrum values for the probe properties: zeros, so that pairs read all
+#: zero and scan; equal moduli, so that pairs tie; and moduli above the
+#: float maximum, which only _modulus compares.
+PROBE_VALUES = [0j, 0j, 0j, 1 + 0j, -1 + 0j, 1j, 2 + 0j, 1.5e308 * (1 + 1j), 1.6e308 * (1 - 1j)]
 
 
 def probe_next_to_peak(acc, subsampled):
     # the exact path's place stage: odd neighbors of the subsample's peak,
     # with one probe per subsample entry at most
-    return _odd_probe(acc, _peak(acc, subsampled), 1, len(subsampled))
+    return _probe(acc, _peak(acc, subsampled), [1], len(subsampled))[0]
 
 
 class TestSelectOddSample:
@@ -139,7 +147,53 @@ class TestSelectOddSample:
         spectrum = np.ones(64, complex)
         spectrum[1], spectrum[63] = right * (1 + 1j), left * (1 + 1j)
         acc = CountingSpectrumAccessor(spectrum)
-        assert _odd_probe(acc, 0, 1, 2)[0] == want
+        assert _probe(acc, 0, [1], 2) == [(want, complex(spectrum[want]))]
+
+    @given(data=st.data())
+    def test_many_strides_match_one_pair_per_call(self, data):
+        # zero pairs (scanned), ties, moduli above the float maximum and
+        # budgets down to 1: the same picks and distinct reads as one
+        # reference call per stride
+        j = data.draw(st.integers(3, 8))
+        n = 1 << j
+        exponents = data.draw(st.lists(st.integers(0, j - 2), min_size=1, max_size=j - 1, unique=True))
+        strides = [1 << e for e in sorted(exponents, reverse=True)]
+        center = 2 * strides[0] * data.draw(st.integers(0, n // (2 * strides[0]) - 1))
+        budget = data.draw(st.one_of(st.just(1), st.integers(1, n // 2)))
+        spectrum = np.array(data.draw(st.lists(st.sampled_from(PROBE_VALUES), min_size=n, max_size=n)))
+        batched, reference = RecordingAccessor(spectrum), RecordingAccessor(spectrum)
+        got = _probe(batched, center, strides, budget)
+        assert got == [odd_probe(reference, center, stride, budget) for stride in strides]
+        assert len(batched.calls[0]) == len(strides) * min(budget, 2)  # every pair in one call
+        reads = [set(itertools.chain.from_iterable(a.calls)) for a in (batched, reference)]
+        assert reads[0] == reads[1]
+        assert batched.read_count == reference.read_count == len(reads[1])
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 32])
+    def test_hand_made_levels_match_one_pair_per_call(self, budget):
+        # N=64, peak 0, strides 16, 8, 4, 2, 1: a tie at 16, a left modulus
+        # above the float maximum at 8, a zero pair at 4 whose scan finds 12,
+        # a zero pair and zero scan at 2, and a zero right neighbor at 1
+        spectrum = np.zeros(64, complex)
+        spectrum[16] = spectrum[48] = 2
+        spectrum[8], spectrum[56] = 1, 1.6e308 * (1 - 1j)
+        spectrum[12] = 1j
+        spectrum[63] = -3
+        strides = [16, 8, 4, 2, 1]
+        batched, reference = RecordingAccessor(spectrum), RecordingAccessor(spectrum)
+        got = _probe(batched, 0, strides, budget)
+        assert got == [odd_probe(reference, 0, stride, budget) for stride in strides]
+        left = budget > 1  # budget 1 reads the right neighbors only
+        assert got == [
+            (16, 2),
+            (56, spectrum[56]) if left else (8, 1),
+            (12, 1j) if budget > 2 else (4, 0j),
+            (2, 0j),
+            (63, -3) if left else (1, 0j),
+        ]
+        reads = [set(itertools.chain.from_iterable(a.calls)) for a in (batched, reference)]
+        assert reads[0] == reads[1]
+        assert batched.read_count == reference.read_count == len(reads[1])
 
     def test_example_value_is_nonzero(self, example_256):
         acc = CountingSpectrumAccessor(fft_forward(example_256))
@@ -186,7 +240,7 @@ class TestSelectOddSample:
         # fold that fits the model: x is 1/32 at 0 and 32, which fold onto 0
         spectrum[::2] = 1
         acc = CountingSpectrumAccessor(spectrum)
-        with pytest.raises(ZeroSignal, match=f"all {2 << level} odd-indexed"):
+        with pytest.raises(ModelViolation, match="odd-indexed spectrum values probed all read zero"):
             reconstruct_exact(acc, 1 << level)
         assert acc.read_count == 4 << level
 
@@ -354,7 +408,7 @@ class TestReconstructExact:
         m = data.draw(st.integers(1, n // 8))
         y, _ = gen_sparse_signal(n // 2, m, seed)
         acc = CountingSpectrumAccessor(fft_forward(np.tile(y, 2)))
-        with pytest.raises(ZeroSignal):
+        with pytest.raises(ModelViolation, match="probed all read zero"):
             reconstruct_exact(acc, m)
         assert acc.read_count <= 1 << (ceil_log2(m) + 2)
 
@@ -362,9 +416,31 @@ class TestReconstructExact:
         rec = reconstruct_exact(CountingSpectrumAccessor(np.zeros(64, complex)), 4)
         assert not rec.signal.any()
         assert rec.support.first_index == 0
-        assert rec.samples_used == 8  # stops after the folded read
+        assert rec.samples_used == 16  # the P = 8 fold reads and P odd probes, all zero
         assert rec.values.dtype == np.complex128 and rec.values.tobytes() == bytes(4 * 16)
         assert rec.mode == "sparse"
+
+    def test_a_fold_that_cancels_is_not_the_zero_vector(self):
+        # the support of y - roll(y, P) has 52 entries, in (m, 2P] = (20, 64];
+        # its fold to P = 32 cancels, but its odd-indexed values do not
+        y = gen_sparse_signal(4096, 20, 3)[0]
+        acc = CountingSpectrumAccessor(fft_forward(y - np.roll(y, 32)))
+        with pytest.raises(ModelViolation, match="window transform there vanished"):
+            reconstruct_exact(acc, 20)
+        assert acc.read_count == 34
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_an_aliased_support_raises(self, seed, data):
+        # y - roll(y, P) sums to zero in every residue class mod P, and its
+        # support, of m + P entries, is in (m, 2P]
+        n = 1 << data.draw(st.integers(3, 12))
+        m = data.draw(st.integers(1, n // 4))
+        y, _ = gen_sparse_signal(n, m, seed)
+        fold_len = 1 << m.bit_length()
+        acc = CountingSpectrumAccessor(fft_forward(y - np.roll(y, fold_len)))
+        with pytest.raises(ModelViolation):
+            reconstruct_exact(acc, m)
+        assert acc.read_count <= 2 * fold_len
 
     @pytest.mark.parametrize("m", [48, 64, 128])
     def test_dense_fallback(self, m):
@@ -395,7 +471,7 @@ class TestReconstructExact:
         spectrum = np.zeros(16, complex)
         spectrum[0] = spectrum[8] = 1e150
         spectrum[1] = 1e-300
-        with pytest.raises(DegenerateQuotient, match="shift quotient is zero"):
+        with pytest.raises(ModelViolation, match="shift quotient at odd index 1 is zero"):
             reconstruct_exact(CountingSpectrumAccessor(spectrum), 1)
 
     def test_support_length_validation(self):

@@ -24,8 +24,7 @@ ENTRY_POINTS = {
 ERRORS = {
     "SpfftError", "ValidationError", "InvalidLength", "InvalidOffset",
     "InvalidSupportLength", "NonFiniteSpectrum", "CannotCalibrate", "WrongDomain",
-    "FileFormatError", "AlgorithmError", "DegenerateQuotient", "ModelViolation", "NoisyQuotient",
-    "ZeroSignal",
+    "FileFormatError", "AlgorithmError", "ModelViolation",
 }
 
 #: Public in their modules, not re-exported by spfft.
