@@ -154,7 +154,9 @@ class CountingSpectrumAccessor:
 
     def read(self, indices) -> np.ndarray:
         """The values at an index or an index array, as an array; every index served counts."""
-        idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.ndim == 0:
+            idx = idx.reshape(1)
         # a negative index, viewed as unsigned, lies above every length
         if idx.size and idx.view(np.uint64).max() >= len(self._values):
             raise InvalidOffset(

@@ -136,7 +136,7 @@ def _locate(values, window_len: int) -> int:
 
     The energies are those of the values scaled by a power of two (_scaled).
     """
-    return int(np.argmax(window_energies(_scaled(values), window_len)))
+    return int(window_energies(_scaled(values), window_len).argmax())
 
 
 def _fold_residual(scaled, start: int, window_len: int, window_energy: float) -> float:
@@ -160,15 +160,32 @@ def window_spectrum_sample(window, first_index: int, freq_index, length):
     with exponents reduced mod length before evaluation.  For ints
     freq_index and length it is one complex; for int arrays of one shape
     it is an array of that shape, entry by entry the same samples.
+
+    Evaluated by baby steps and giant steps: for a window of m entries,
+    b = ceil(sqrt(m)), q = ceil(m/b), each offset is l = b*k + r, and
+    each sample is ``sum_k G_k * sum_r window[b*k + r] * B_r`` over the
+    baby phases B_r at r < b and the giant phases G_k at first_index +
+    b*k, k < q.  That is b + q exponentials (about 2*sqrt(m)) and about
+    m multiply-adds per sample, where the direct sum takes m
+    exponentials.  The window is zero-padded to q*b entries.  The int64
+    exponents stay below 2**61 for freq_index < length <= 2**30 and
+    first_index + b*q < 2**31.
     """
     window = np.asarray(window, dtype=np.complex128)
-    offsets = first_index + np.arange(len(window), dtype=np.int64)
+    m = len(window)
+    b = math.isqrt(max(m - 1, 0)) + 1
+    q = -(-m // b)
+    steps = np.concatenate((np.arange(b), np.arange(first_index, first_index + b * q, b)))
     freq_index = np.asarray(freq_index, dtype=np.int64)[..., None]
     length = np.asarray(length, dtype=np.int64)[..., None]
-    phases = np.exp((-2j * np.pi / length) * ((freq_index * offsets) % length))
-    # the window takes the phases' rank: numpy rounds a (1, 1) by (1,) product unlike
-    # a 1-D one; summed by numpy in one thread: a BLAS dot rounds with the thread count
-    samples = (window.reshape((1,) * (phases.ndim - 1) + (-1,)) * phases).sum(axis=-1)
+    phases = np.exp((-2j * np.pi / length) * ((freq_index * steps) % length))
+    blocks = np.zeros(q * b, dtype=np.complex128)
+    blocks[:m] = window
+    # two-operand einsums, numpy's own loops in one thread: a BLAS product rounds
+    # with the thread count, and a three-operand einsum rounds the array form
+    # unlike the scalar form
+    partial = np.einsum("kr,...r->...k", blocks.reshape(q, b), phases[..., :b])
+    samples = np.einsum("...k,...k->...", partial, phases[..., b:])
     return complex(samples) if samples.ndim == 0 else samples
 
 
@@ -187,7 +204,7 @@ def _fold(accessor: CountingSpectrumAccessor, level: int, offset: int = 0):
 
 def _peak(accessor: CountingSpectrumAccessor, subsampled) -> int:
     """Spectrum index of the largest-modulus value of a stride subsample."""
-    return len(accessor) // len(subsampled) * int(np.argmax(np.abs(subsampled)))
+    return len(accessor) // len(subsampled) * int(np.abs(subsampled).argmax())
 
 
 def _modulus(value: complex) -> float:
@@ -322,8 +339,8 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> R
     subsampled, folded = _fold(accessor, level)
     scaled = _scaled(folded)
     energies = window_energies(scaled, m)
-    start = int(np.argmax(energies))
-    window = folded[SupportDescriptor(start, m).indices(len(folded))]
+    start = int(energies.argmax())
+    window = np.take(folded, np.arange(start, start + m), mode="wrap")
     if energies[start]:
         residual = _fold_residual(scaled, start, m, float(energies[start]))
         if residual > RESIDUAL_TOLERANCE:

@@ -6,7 +6,9 @@ subsampling) state the identity the sparse algorithms rest on; the
 recording accessor shows which spectrum values a call read, in order;
 the one-pair odd probe and the per-level doubling built on it are the
 references for the batched probe and doubling; the one-expression noise
-draw is the reference for add_noise's in-place one.
+draw is the reference for add_noise's in-place one; the direct sum of
+the window transform is the reference for its baby-step giant-step
+evaluation.
 Imported by the test modules as ``oracle``.
 """
 
@@ -95,6 +97,24 @@ def modulation_check(x, j: int, shift_count: int, rel_tol: float = 1e-10) -> boo
 def realized_snr_db(spectrum, noise) -> float:
     """20*log10(||spectrum||_2 / ||noise||_2)."""
     return 20 * math.log10(np.linalg.norm(spectrum) / np.linalg.norm(noise))
+
+
+def reference_window_spectrum_sample(window, first_index: int, freq_index, length):
+    """sparse_exact.window_spectrum_sample as the direct sum: m exponentials per sample.
+
+    ``sum_l window[l] * exp(-2i*pi * freq_index * (first_index + l) / length)``
+    with exponents reduced mod length before evaluation; one complex for
+    ints freq_index and length, an array of their shape for int arrays.
+    """
+    window = np.asarray(window, dtype=np.complex128)
+    offsets = first_index + np.arange(len(window), dtype=np.int64)
+    freq_index = np.asarray(freq_index, dtype=np.int64)[..., None]
+    length = np.asarray(length, dtype=np.int64)[..., None]
+    phases = np.exp((-2j * np.pi / length) * ((freq_index * offsets) % length))
+    # the window takes the phases' rank: numpy rounds a (1, 1) by (1,) product unlike
+    # a 1-D one; summed by numpy in one thread: a BLAS dot rounds with the thread count
+    samples = (window.reshape((1,) * (phases.ndim - 1) + (-1,)) * phases).sum(axis=-1)
+    return complex(samples) if samples.ndim == 0 else samples
 
 
 def reference_add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:

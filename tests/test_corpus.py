@@ -1,6 +1,7 @@
 """Every reconstruction of the behaviour corpus matches data/corpus.json,
-and no run, in the corpus or on the edge shapes drawn here, reads a
-spectrum index twice."""
+no run, in the corpus or on the edge shapes drawn here, reads a
+spectrum index twice, and the sparse paths decide alike with the window
+transform evaluated directly, on instances longer than the corpus holds."""
 
 import itertools
 import math
@@ -10,8 +11,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import corpus
-from oracle import RecordingAccessor
-from spfft import sparse_noisy
+from oracle import RecordingAccessor, reference_window_spectrum_sample
+from spfft import sparse_exact, sparse_noisy
 from spfft.dft_core import fft_forward
 from spfft.signal_lab import gen_instance, gen_sparse_signal
 
@@ -100,3 +101,26 @@ def test_no_run_reads_an_index_twice(j, shape, snr_db, max_vectors, seed, data):
             accessor = RecordingAccessor(spectrum)
             got = corpus.record("drawn", run, accessor, m)
             assert read_faults(got, accessor.calls) == [], got
+
+
+def test_sparse_paths_decide_as_with_the_direct_window_transform():
+    # baby-step giant-step phases round unlike the direct sum (oracle); on
+    # 300 seeded instances up to N = 2**18, no start, read, blind level or
+    # error may change with it
+    rng = np.random.default_rng(20150902)
+    sparse = 0
+    for _ in range(300):
+        j = int(rng.integers(8, 19))
+        m = int(2 ** rng.uniform(0, math.log2(min(2000, 1 << (j - 2)))))
+        snr_db = float(rng.choice([-3.0, 0.0, 5.0, 10.0, 20.0, math.inf]))
+        spectrum = gen_instance(1 << j, m, int(rng.integers(2**32)), snr_db)[2]
+        for run in ("exact", "noisy"):
+            got = corpus.record("drawn", run, RecordingAccessor(spectrum), m)
+            with (
+                mock.patch.object(sparse_exact, "window_spectrum_sample", reference_window_spectrum_sample),
+                mock.patch.object(sparse_noisy, "window_spectrum_sample", reference_window_spectrum_sample),
+            ):
+                want = corpus.record("drawn", run, RecordingAccessor(spectrum), m)
+            assert got == want, (j, m, snr_db)
+            sparse += corpus.fields(got).get("mode") == "sparse"
+    assert sparse >= 300  # every noisy run, and the exact runs on exact data, place by the transform

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracle import RecordingAccessor, odd_probe, periodize
+from oracle import RecordingAccessor, odd_probe, periodize, reference_window_spectrum_sample
 from spfft.dft_core import CountingSpectrumAccessor, fft_forward, fft_inverse
 from spfft.errors import (
     AlgorithmError,
@@ -245,6 +245,16 @@ class TestSelectOddSample:
         assert acc.read_count == 4 << level
 
 
+def transform_case(seed, m, shape):
+    """(window, first_index, freq_index, length) of m entries drawn from seed; ints for shape ()."""
+    rng = np.random.default_rng(seed)
+    window = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    length = 2 << rng.integers(0, 30, size=shape)
+    freq = rng.integers(0, length)
+    first = int(rng.integers(0, 1 << 30))
+    return (window, first, freq, length) if shape else (window, first, int(freq), int(length))
+
+
 class TestWindowSpectrumSample:
     def test_matches_dense_transform(self):
         rng = np.random.default_rng(8)
@@ -260,16 +270,13 @@ class TestWindowSpectrumSample:
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        m=st.one_of(st.just(1), st.integers(1, 40)),
+        m=st.one_of(st.just(1), st.integers(1, 40), st.integers(1, 5000)),
         shape=st.sampled_from([(0,), (1,), (5,), (2, 3)]),
     )
     @example(seed=0, m=1, shape=(1,))  # numpy rounds this one-entry product by its operands' ranks
+    @example(seed=0, m=4999, shape=(2, 3))  # padded: 71 blocks of 71 entries hold 5,041
     def test_array_form_matches_the_scalar_form_entry_by_entry(self, seed, m, shape):
-        rng = np.random.default_rng(seed)
-        window = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        length = 2 << rng.integers(0, 30, size=shape)
-        freq = rng.integers(0, length)
-        first = int(rng.integers(0, 1 << 30))
+        window, first, freq, length = transform_case(seed, m, shape)
         samples = window_spectrum_sample(window, first, freq, length)
         assert samples.shape == shape
         for index in np.ndindex(shape):
@@ -277,18 +284,36 @@ class TestWindowSpectrumSample:
             assert type(scalar) is complex
             assert samples[index] == scalar
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.one_of(
+            st.just(1),
+            st.builds(lambda k, d: max(1, k * k + d), st.integers(1, 128), st.sampled_from([-1, 0, 1])),
+            st.integers(1, 1 << 14),
+        ),
+        shape=st.sampled_from([(), (0,), (1,), (5,), (2, 3)]),
+    )
+    @example(seed=0, m=1 << 14, shape=(5,))
+    def test_agrees_with_the_direct_sum(self, seed, m, shape):
+        window, first, freq, length = transform_case(seed, m, shape)
+        got = np.asarray(window_spectrum_sample(window, first, freq, length))
+        want = np.asarray(reference_window_spectrum_sample(window, first, freq, length))
+        assert got.shape == want.shape == shape
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(window).sum())
+
     def test_does_not_depend_on_the_blas_thread_count(self):
-        # a threaded BLAS dot rounds this sum differently with 1 and 2 threads
+        # a threaded BLAS product rounds these sums differently with 1 and 2 threads
         script = (
             "import sys, numpy as np; from spfft.sparse_exact import window_spectrum_sample; "
             "rng = np.random.default_rng(3); w = rng.standard_normal(2**14) + 1j * rng.standard_normal(2**14); "
-            "sys.stdout.buffer.write(np.complex128(window_spectrum_sample(w, 5, 12345, 2**20)).tobytes())"
+            "sys.stdout.buffer.write(np.complex128(window_spectrum_sample(w, 5, 12345, 2**20)).tobytes()); "
+            "sys.stdout.buffer.write(window_spectrum_sample(w, 0, [12345, 4321, 77], [2**20, 2**14, 2**8]).tobytes())"
         )
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=SRC)
             outputs.append(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True).stdout)
-        assert len(outputs[0]) == 16
+        assert len(outputs[0]) == 4 * 16
         assert outputs[0] == outputs[1]
 
 
