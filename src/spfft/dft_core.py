@@ -136,16 +136,11 @@ class CountingSpectrumAccessor:
 
     def __init__(self, spectrum):
         self._values = as_vector(spectrum)
-        self._log2_len = len(self._values).bit_length() - 1
         self._served = 0
         self._read_all = False
 
     def __len__(self) -> int:
         return len(self._values)
-
-    @property
-    def log2_len(self) -> int:
-        return self._log2_len
 
     @property
     def read_count(self) -> int:

@@ -56,7 +56,9 @@ class ExperimentConfig:
 
     n and m are checked where every trial starts, in gen_sparse_signal,
     before any O(N) work; the algorithm is checked here, since a trial
-    meets it only after drawing its instance.
+    meets it only after drawing its instance, and so is "exact" at a
+    finite SNR, whose first trial would fail the exact path's model
+    check and stop the sweep.
     """
 
     n: int
@@ -75,6 +77,8 @@ class ExperimentConfig:
             raise ValidationError(
                 f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
             )
+        if self.algorithm == "exact" and any(snr != math.inf for snr in self.snr_list):
+            raise ValidationError("algorithm 'exact' needs exact data: every SNR must be inf")
 
 
 def thread_count() -> int:

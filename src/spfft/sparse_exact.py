@@ -153,13 +153,13 @@ def _fold_residual(scaled, start: int, window_len: int, window_energy: float) ->
     return math.sqrt(outside_energy / (outside_energy + window_energy))
 
 
-def window_spectrum_sample(window, first_index: int, freq_index, length):
+def window_spectrum_sample(window, first_index: int, freq_index, length: int):
     """DFT samples of a window embedded at first_index in a length-`length` vector.
 
     ``sum_l window[l] * exp(-2i*pi * freq_index * (first_index + l) / length)``
-    with exponents reduced mod length before evaluation.  For ints
-    freq_index and length it is one complex; for int arrays of one shape
-    it is an array of that shape, entry by entry the same samples.
+    with exponents reduced mod length before evaluation.  For an int
+    freq_index it is one complex; for an int array it is an array of
+    that shape, entry by entry the same samples.
 
     Evaluated by baby steps and giant steps: for a window of m entries,
     b = ceil(sqrt(m)), q = ceil(m/b), each offset is l = b*k + r, and
@@ -177,7 +177,6 @@ def window_spectrum_sample(window, first_index: int, freq_index, length):
     q = -(-m // b)
     steps = np.concatenate((np.arange(b), np.arange(first_index, first_index + b * q, b)))
     freq_index = np.asarray(freq_index, dtype=np.int64)[..., None]
-    length = np.asarray(length, dtype=np.int64)[..., None]
     phases = np.exp((-2j * np.pi / length) * ((freq_index * steps) % length))
     blocks = np.zeros(q * b, dtype=np.complex128)
     blocks[:m] = window
@@ -193,11 +192,11 @@ def _fold(accessor: CountingSpectrumAccessor, level: int, offset: int = 0):
     """(subsampled, folded) at fold level `level`, for 0 <= offset < stride.
 
     subsampled is ``spectrum[stride * r + offset]`` for r < 2**(level+1),
-    stride = 2**(J-level-1), and folded its inverse FFT: at offset 0
+    stride = N / 2**(level+1), and folded its inverse FFT: at offset 0
     the vector folded to length 2**(level+1), at any other offset that
     vector with each entry turned by a unit phase.
     """
-    stride = 1 << (accessor.log2_len - level - 1)
+    stride = len(accessor) >> (level + 1)
     subsampled = accessor.read(np.arange(offset, len(accessor), stride, dtype=np.int64))
     return subsampled, fft_inverse(subsampled)
 
@@ -221,22 +220,22 @@ def _probe(
     """(index, value) of the larger of spectrum[center +- stride], for each stride.
 
     center is an even multiple of every stride < N/2.  All pairs are
-    read in one call, each cut to budget entries; the right neighbor
-    wins ties.  Only a pair that reads all exactly zero goes to
-    _odd_scan, which reads further odd multiples of its stride.  A
-    window of at most budget entries with a nonzero transform is
-    nonzero at one of any budget distinct frequencies.
+    read in one call; the right neighbor wins ties.  Only a pair that
+    reads both exactly zero goes to _odd_scan, which reads further odd
+    multiples of its stride up to budget distinct probes.  A window of
+    at most budget entries with a nonzero transform is nonzero at one
+    of any budget distinct frequencies.
     """
-    n, width = len(accessor), min(budget, 2)
-    probes = [q for stride in strides for q in ((center + stride) % n, (center - stride) % n)[:width]]
+    n = len(accessor)
+    probes = [q for stride in strides for q in ((center + stride) % n, (center - stride) % n)]
     values = accessor.read(probes).tolist()
     found = []
-    for k, stride in zip(range(0, len(probes), width), strides):  # k: the pair's right neighbor
-        pick = k + 1 if width == 2 and _modulus(values[k + 1]) > _modulus(values[k]) else k
+    for k, stride in zip(range(0, len(probes), 2), strides):  # k: the pair's right neighbor
+        pick = k + 1 if _modulus(values[k + 1]) > _modulus(values[k]) else k
         if values[pick] != 0:
             found.append((probes[pick], values[pick]))
         else:
-            found.append(_odd_scan(accessor, stride, probes[k : k + width], budget))
+            found.append(_odd_scan(accessor, stride, probes[k : k + 2], budget))
     return found
 
 
@@ -247,11 +246,12 @@ def _odd_scan(
 
     The odd multiples probe_stride*(2k+1) are read in turn, skipping the
     neighbors, until one is nonzero or budget distinct indices were
-    probed, the neighbors included.  Returns (index, value) of the
-    nonzero one, else (neighbors[0], 0): the right neighbor.
+    probed, the neighbors included; a budget of at most two reads none.
+    Returns (index, value) of the nonzero one, else (neighbors[0], 0):
+    the right neighbor.
     """
     scan = (q for q in range(probe_stride, len(accessor), 2 * probe_stride) if q not in neighbors)
-    for q in itertools.islice(scan, budget - len(neighbors)):
+    for q in itertools.islice(scan, max(budget - len(neighbors), 0)):
         value = accessor.read([q])[0]
         if value != 0:
             return q, complex(value)
@@ -332,7 +332,7 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> R
     """
     n = len(accessor)
     m = support_length(support_len, n)
-    if ceil_log2(m) >= accessor.log2_len - 1:
+    if m > n // 4:
         return reconstruct_dense(accessor, m)
 
     level = m.bit_length() - 1  # the fold of length P = 2**(level+1) = 2**ceil_log2(m+1)
@@ -356,7 +356,7 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> R
     if energies[start] or odd_value:
         reference = window_spectrum_sample(window, start, odd, n)
         quotient = odd_value / reference if reference else 0j
-        shift = _resolve_shift(quotient, odd, accessor.log2_len - level - 1)
+        shift = _resolve_shift(quotient, odd, n.bit_length() - len(folded).bit_length())
 
     return Reconstruction(
         SupportDescriptor((start + len(folded) * shift) % n, m),

@@ -52,12 +52,17 @@ def offset_periodization(
 ) -> np.ndarray:
     """Inverse FFT of the stride-subsampled spectrum taken at an offset.
 
-    With stride 2**(J-L-1) and fold length 2**(L+1), offset 0 gives
-    exactly the folded signal; any other offset multiplies each folded
-    entry by a unit phase, so all offsets share the same entrywise
-    modulus when the data are exact.
+    With fold length 2**(fold_level+1) <= N and stride N / 2**(fold_level+1),
+    offset 0 gives exactly the folded signal; any other offset
+    multiplies each folded entry by a unit phase, so all offsets share
+    the same entrywise modulus when the data are exact.  A fold_level
+    outside [0, J-1] or an offset outside [0, stride) raises
+    InvalidOffset before any read.
     """
-    stride = 1 << (accessor.log2_len - fold_level - 1)
+    n = len(accessor)
+    if not 0 <= fold_level < n.bit_length() - 1:
+        raise InvalidOffset(f"fold level {fold_level} outside [0, {n.bit_length() - 2}]")
+    stride = n >> (fold_level + 1)
     if not 0 <= offset < stride:
         raise InvalidOffset(f"subsampling offset {offset} outside [0, {stride})")
     return _fold(accessor, fold_level, offset)[1]
@@ -118,27 +123,25 @@ def _double(accessor: CountingSpectrumAccessor, window, start: int, peak: int, l
     peak, the spectral peak of the offset-0 subsample: there the
     underlying magnitude is near its maximum, which keeps the sign
     decision reliable deep into the noise (an arbitrary or measured-max
-    probe does not).  The probes peak +- 2**(J-j-1) depend only on the
-    level, so every level's pair (cut to m entries) is read in one
-    _probe call, and the window's transform at every level's probe in
-    one window_spectrum_sample call, with the window at 0; the levels'
-    decisions then turn it to the start found so far, one scalar
-    product each.  A level whose pair reads all zero scans
-    further odd probes (_odd_scan); each level makes at most m distinct
-    reads, and one whose probes all read zero, like a tie, goes to "no
-    move".  Returns (first_index, blind_levels), blind_levels listing
-    the levels j whose probes all read zero.
+    probe does not).  The probes peak +- N/2**(j+1) depend only on the
+    level, so every level's pair is read in one _probe call, and the
+    window's transform at every level's probe index in one
+    window_spectrum_sample call of length N, with the window at 0; the
+    levels' decisions then turn it to the start found so far, one
+    scalar product each.  A level whose pair reads all zero scans
+    further odd probes (_odd_scan); each level makes at most max(m, 2)
+    distinct reads, and one whose probes all read zero, like a tie,
+    goes to "no move".  Returns (first_index, blind_levels),
+    blind_levels listing the levels j whose probes all read zero.
     """
-    levels = range(level + 1, accessor.log2_len)
-    strides = [1 << (accessor.log2_len - 1 - j) for j in levels]
-    probes = _probe(accessor, peak, strides, len(window))
+    n = len(accessor)
+    levels = range(level + 1, n.bit_length() - 1)
+    probes = _probe(accessor, peak, [n >> (j + 1) for j in levels], len(window))
     blind = [j for j, (_, value) in zip(levels, probes) if value == 0]
-    odd = [index // stride for (index, _), stride in zip(probes, strides)]  # odd by construction
-    bases = window_spectrum_sample(window, 0, odd, [2 << j for j in levels])
+    bases = window_spectrum_sample(window, 0, [index for index, _ in probes], n)
     first_index = start
-    for j, odd_j, base, (_, value) in zip(levels, odd, bases.tolist(), probes):
-        length = 2 << j
-        predicted = base * cmath.exp((-2j * math.pi / length) * (odd_j * first_index % length))
+    for j, base, (index, value) in zip(levels, bases.tolist(), probes):
+        predicted = base * cmath.exp((-2j * math.pi / n) * (index * first_index % n))
         try:
             move = abs(predicted - value) > abs(predicted + value)
         except OverflowError as exc:  # a modulus above the float maximum
@@ -160,15 +163,14 @@ def reconstruct_noisy(accessor: CountingSpectrumAccessor, support_len: int) -> R
     doubling; its signal, built only when read, is exactly zero outside
     the detected window.  vectors_used (the grown fold's length over
     2**(L+1)), votes_stable and blind_levels report the growth and the
-    doubling.  For fold levels within one of J the dense inverse FFT
-    fallback is used (restricted to the best window).
+    doubling.  For support_len > N/4 the dense inverse FFT fallback is
+    used (restricted to the best window).
     """
     n = len(accessor)
-    level = ceil_log2(support_length(support_len, n))
-    if level >= accessor.log2_len - 1:
+    if support_length(support_len, n) > n // 4:
         return reconstruct_dense(accessor, support_len)
 
-    subsampled, folded = _fold(accessor, level)
+    subsampled, folded = _fold(accessor, ceil_log2(support_len))
     grown, grown_level, start, stable = _grow(accessor, folded, support_len)
     window = grown[SupportDescriptor(start, support_len).indices(len(grown))]
     first_index, blind = _double(accessor, window, start, _peak(accessor, subsampled), grown_level)

@@ -99,17 +99,16 @@ def realized_snr_db(spectrum, noise) -> float:
     return 20 * math.log10(np.linalg.norm(spectrum) / np.linalg.norm(noise))
 
 
-def reference_window_spectrum_sample(window, first_index: int, freq_index, length):
+def reference_window_spectrum_sample(window, first_index: int, freq_index, length: int):
     """sparse_exact.window_spectrum_sample as the direct sum: m exponentials per sample.
 
     ``sum_l window[l] * exp(-2i*pi * freq_index * (first_index + l) / length)``
     with exponents reduced mod length before evaluation; one complex for
-    ints freq_index and length, an array of their shape for int arrays.
+    an int freq_index, an array of its shape for an int array.
     """
     window = np.asarray(window, dtype=np.complex128)
     offsets = first_index + np.arange(len(window), dtype=np.int64)
     freq_index = np.asarray(freq_index, dtype=np.int64)[..., None]
-    length = np.asarray(length, dtype=np.int64)[..., None]
     phases = np.exp((-2j * np.pi / length) * ((freq_index * offsets) % length))
     # the window takes the phases' rank: numpy rounds a (1, 1) by (1,) product unlike
     # a 1-D one; summed by numpy in one thread: a BLAS dot rounds with the thread count
@@ -159,16 +158,16 @@ class RecordingAccessor(CountingSpectrumAccessor):
 def odd_probe(accessor, center: int, probe_stride: int, budget: int) -> tuple[int, complex]:
     """(index, value) of the larger of spectrum[center +- probe_stride], one pair per call.
 
-    Both neighbors are read in one call, cut to budget entries; the
-    right one wins ties.  Only if all are exactly zero does _odd_scan
-    read further odd multiples of probe_stride.  sparse_exact._probe
-    must return the same pairs, and read the same indices, for many
-    strides at once.
+    Both neighbors are read in one call, whatever the budget; the right
+    one wins ties.  Only if both are exactly zero does _odd_scan read
+    further odd multiples of probe_stride, up to budget distinct probes.
+    sparse_exact._probe must return the same pairs, and read the same
+    indices, for many strides at once.
     """
     n = len(accessor)
-    probes = [(center + probe_stride) % n, (center - probe_stride) % n][:budget]
+    probes = [(center + probe_stride) % n, (center - probe_stride) % n]
     values = accessor.read(probes).tolist()
-    pick = 1 if len(values) == 2 and _modulus(values[1]) > _modulus(values[0]) else 0
+    pick = 1 if _modulus(values[1]) > _modulus(values[0]) else 0
     if values[pick] != 0:
         return probes[pick], values[pick]
     return _odd_scan(accessor, probe_stride, probes, budget)
@@ -180,9 +179,10 @@ def per_level_double(accessor, window, start: int, peak: int, level: int):
     Each level reads its probe pair with one odd_probe call (scanning
     further odd probes if the pair is zero) and predicts the probed
     value with one scalar window_spectrum_sample call at the start found
-    so far.
+    so far, at the probe's odd index in the level's own length
+    2**(j+1), where _double takes the probe's index in the length N.
     """
-    j_top = accessor.log2_len
+    j_top = len(accessor).bit_length() - 1
     first_index = start
     blind = []
     for j in range(level + 1, j_top):

@@ -1,4 +1,5 @@
 import gc
+import math
 import re
 import struct
 import warnings
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 
 from oracle import RecordingAccessor
+from spfft import experiment
 from spfft.cli import main
 from spfft.dft_core import CountingSpectrumAccessor, fft_forward, fft_inverse
 from spfft.errors import FileFormatError
-from spfft.experiment import ALGORITHMS, reconstruct
+from spfft.experiment import ALGORITHMS, ExperimentConfig, reconstruct, run_experiment
 from spfft.signal_lab import gen_sparse_signal
 from spfft.spf1 import DOMAIN_FREQ, DOMAIN_TIME, read_vector_file, write_vector_file
 
@@ -51,6 +53,12 @@ class TestVectorFile:
         values, _ = read_vector_file(path)
         gc.collect()
         assert values.tobytes() == written.tobytes()
+
+    def test_bad_domain_flag_writes_no_file(self, tmp_path):
+        path = tmp_path / "flag.spf1"
+        with pytest.raises(FileFormatError, match="domain flag must be 0 or 1, got 2"):
+            write_vector_file(path, np.ones(8, complex), 2)
+        assert not path.exists()
 
     def test_special_values_survive(self, tmp_path):
         values = np.array([np.inf + 0j, -np.inf * 1j, np.nan + 1j, -0.0 - 0.0j])
@@ -177,6 +185,14 @@ class TestReconstructCommand:
         main(["gen", "--n", "64", "--m", "4", "--seed", "1", "--out-prefix", str(prefix)])
         assert main(["reconstruct", f"{prefix}.time.spf1", "--m", "4"]) == 2
 
+    def test_frequency_domain_truth_exits_2(self, tmp_path, capsys):
+        prefix = tmp_path / "case"
+        main(["gen", "--n", "64", "--m", "4", "--seed", "1", "--out-prefix", str(prefix)])
+        capsys.readouterr()
+        freq = f"{prefix}.freq.spf1"
+        assert main(["reconstruct", freq, "--m", "4", "--truth", freq]) == 2
+        assert capsys.readouterr() == ("", f"error: {freq} holds frequency-domain data, need time-domain\n")
+
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["reconstruct", str(tmp_path / "absent.spf1"), "--m", "4"]) == 3
 
@@ -235,7 +251,7 @@ class TestReconstructCommand:
             warnings.simplefilter("always")
             assert main(["reconstruct", str(path), "--m", "1", "--algorithm", "noisy"]) == 2
         assert [str(w.message) for w in caught] == []
-        assert capsys.readouterr() == ("", "error: doubling comparison at level 7 overflows\n")
+        assert capsys.readouterr() == ("", "error: doubling comparison at level 5 overflows\n")
 
     @pytest.mark.parametrize("algorithm", ["exact", "noisy"])
     def test_non_finite_value_never_read_is_ignored(self, tmp_path, capsys, algorithm):
@@ -328,6 +344,20 @@ class TestExperimentCommand:
         assert float(fields[2]) == 100.0
         assert float(fields[3]) <= 1e-9
 
+    def test_csv_goes_to_stdout_without_out(self, capsys):
+        assert main(["experiment", "--n", "64", "--m", "4", "--snr", "10,inf", "--trials", "2", "--seed", "3"]) == 0
+        config = ExperimentConfig(64, 4, (10.0, math.inf), 2, 3, "noisy")
+        assert capsys.readouterr() == (run_experiment(config), "")
+
+    def test_exact_algorithm_at_a_finite_snr_exits_2_before_any_trial(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiment, "run_trial", refuse)
+        argv = ["experiment", "--n", "4096", "--m", "20", "--snr", "60,inf", "--trials", "2", "--algorithm", "exact"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: algorithm 'exact' needs exact data: every SNR must be inf\n")
+
     def test_exact_algorithm_column(self, tmp_path):
         out = tmp_path / "exact.csv"
         assert main([
@@ -392,6 +422,13 @@ class TestBenchCommand:
                 assert int(r[4]) <= 4 * int(r[1]) + 2
             else:
                 assert int(r[4]) == int(r[0])
+
+    def test_csv_goes_to_stdout_without_out(self, capsys):
+        assert main(["bench", "--n", "64", "--m", "4", "--trials", "1"]) == 0
+        out, err = capsys.readouterr()
+        lines = out.split("\n")
+        assert (lines[0], len(lines), lines[-1], err) == ("N,m,algorithm,mean_ns,samples_used", 4, "", "")
+        assert [line.split(",")[2] for line in lines[1:3]] == ["exact", "ifft"]
 
     def test_rejects_non_power_of_two(self):
         assert main(["bench", "--n", "1000", "--m", "5", "--trials", "1"]) == 2

@@ -99,6 +99,10 @@ class TestFft:
         with pytest.raises(InvalidLength):
             log2_length(1 << 31)
 
+    def test_rejects_a_float_length(self):
+        with pytest.raises(InvalidLength, match="must be an integer, got float"):
+            log2_length(2.0)
+
 
 class TestPeriodize:
     def test_fold_once(self):

@@ -169,6 +169,24 @@ class TestExperimentChecks:
         with pytest.raises(ValidationError, match="algorithm must be one of"):
             ExperimentConfig(64, 4, (10.0,), 1, 0, "dense")
 
+    @pytest.mark.parametrize("snr_list", [(60.0, math.inf), (math.inf, -3.0), (-math.inf,), (math.nan,)])
+    def test_exact_at_a_finite_snr_fails_in_the_config(self, snr_list):
+        with pytest.raises(ValidationError, match="^algorithm 'exact' needs exact data: every SNR must be inf$"):
+            ExperimentConfig(4096, 20, snr_list, 2, 0, "exact")
+        ExperimentConfig(4096, 20, snr_list, 2, 0, "noisy")
+
+    def test_no_trials_fails_in_the_config(self):
+        with pytest.raises(ValidationError, match="^trials must be >= 1, got 0$"):
+            ExperimentConfig(64, 4, (10.0,), 0, 0, "noisy")
+
+    def test_bench_without_trials_fails_before_any_trial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiment, "run_trial", refuse)
+        with pytest.raises(ValidationError, match="^trials must be >= 1, got 0$"):
+            experiment.run_bench([64], [4], 0, 1)
+
 
 class TestNonFiniteScores:
     # noise near the float maximum: the noise l1 sum overflows to inf below

@@ -75,6 +75,15 @@ class TestOffsetPeriodization:
         with pytest.raises(InvalidOffset):
             offset_periodization(acc, 16, 3)
 
+    @pytest.mark.parametrize("fold_level", [4, 5, -1])
+    def test_fold_level_outside_the_length_is_rejected_before_any_read(self, fold_level):
+        # N = 16, J = 4: the fold levels are 0 to 3, the last one the vector itself
+        acc = CountingSpectrumAccessor(np.zeros(16, complex))
+        with pytest.raises(InvalidOffset, match=rf"^fold level {fold_level} outside \[0, 3\]$"):
+            offset_periodization(acc, 0, fold_level)
+        assert acc.read_count == 0
+        assert len(offset_periodization(acc, 0, 3)) == 16
+
     def test_reads_are_disjoint_across_offsets(self):
         acc = CountingSpectrumAccessor(np.zeros(256, complex))
         offset_periodization(acc, 0, 3)
@@ -171,7 +180,8 @@ class TestRefineSupport:
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_all_zero_odd_probes_do_not_move(self, m):
         # N=64: only the stride lattice is nonzero, so every probe reads
-        # zero; each level stops after m distinct probes and keeps the window
+        # zero; each level stops after max(m, 2) distinct probes, both
+        # neighbors at least, and keeps the window
         fold_len = 1 << (ceil_log2(m) + 1)
         stride = 64 // fold_len
         spectrum = np.zeros(64, complex)
@@ -185,7 +195,7 @@ class TestRefineSupport:
         levels = 6 - ceil_log2(m) - 1
         assert first == 0
         assert blind == list(range(ceil_log2(m) + 1, 6))
-        assert acc.read_count - before == levels * m
+        assert acc.read_count - before == levels * max(m, 2)
 
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_exact_doubling_decisions(self, seed, data):
@@ -207,7 +217,7 @@ class TestRefineSupport:
         # the same decisions, blind levels and distinct reads as one probe and
         # one scalar transform per level; only the order of the reads differs
         n = 1 << data.draw(st.integers(4, 12))
-        m = data.draw(st.one_of(st.just(1), st.integers(1, n // 8)))  # m = 1 reads the right neighbors only
+        m = data.draw(st.one_of(st.just(1), st.integers(1, n // 8)))  # m = 1: both neighbors, no scan
         kind = data.draw(st.sampled_from(["exact", "noisy", "period"]))
         if kind == "period":
             # period N/2**p: the spectrum is zero off the multiples of 2**p, so
@@ -390,9 +400,22 @@ class TestReconstructNoisy:
             reconstruct_noisy(CountingSpectrumAccessor(noisy), 20)
 
     def test_doubling_comparison_that_overflows_is_rejected(self, doubling_overflow_spectrum):
-        # |predicted - measured| exceeds the float maximum at level 7
-        with pytest.raises(NonFiniteSpectrum, match="^doubling comparison at level 7 overflows$"):
+        # |predicted - measured| exceeds the float maximum at level 5
+        with pytest.raises(NonFiniteSpectrum, match="^doubling comparison at level 5 overflows$"):
             reconstruct_noisy(CountingSpectrumAccessor(doubling_overflow_spectrum), 1)
+
+    def test_one_entry_windows_are_placed_from_both_neighbors(self):
+        # N = 2**14, m = 1, 0 dB: the larger of the two probe neighbors places
+        # about 60% of the windows (the right neighbor alone, about 25%); with a
+        # budget of one, no level scans, so each reads its pair and nothing more
+        placed = 0
+        for seed in range(500):
+            _, support, noisy, _ = noisy_instance(1 << 14, 1, 0.0, seed)
+            rec = reconstruct_noisy(CountingSpectrumAccessor(noisy), 1)
+            placed += rec.support.first_index == support.first_index
+            grown = 2 * rec.vectors_used  # the first fold has two entries
+            assert rec.samples_used == grown + 2 * (14 - grown.bit_length() + 1)
+        assert placed >= 0.45 * 500
 
     def test_zero_signal_total(self):
         rec = reconstruct_noisy(CountingSpectrumAccessor(np.zeros(256, complex)), 6)

@@ -54,7 +54,7 @@ def test_internal_names_stay_in_their_modules(module, name):
 
 def test_accessor_has_the_protocol_members_only():
     public = {name for name in dir(CountingSpectrumAccessor) if not name.startswith("_")}
-    assert public == {"log2_len", "read", "read_all", "read_count"}
+    assert public == {"read", "read_all", "read_count"}
     assert "__len__" in vars(CountingSpectrumAccessor)
 
 
