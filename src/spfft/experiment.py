@@ -18,7 +18,7 @@ import numpy as np
 
 from .dft_core import CountingSpectrumAccessor, fft_inverse, log2_length
 from .errors import CannotCalibrate, ValidationError
-from .signal_lab import _root_sum_squares, error_l2_over_n, gen_instance, window_error_l2_over_n
+from .signal_lab import NoiseSpec, _root_sum_squares, error_l2_over_n, gen_instance, window_error_l2_over_n
 from .sparse_exact import Reconstruction, reconstruct_dense, reconstruct_exact
 from .sparse_noisy import reconstruct_noisy
 
@@ -55,10 +55,11 @@ class ExperimentConfig:
     """Parameters of one experiment sweep (trials x SNR levels).
 
     n and m are checked where every trial starts, in gen_sparse_signal,
-    before any O(N) work; the algorithm is checked here, since a trial
-    meets it only after drawing its instance, and so is "exact" at a
-    finite SNR, whose first trial would fail the exact path's model
-    check and stop the sweep.
+    before any O(N) work.  Checked here is what a trial meets only after
+    drawing its instance, or after every trial of the SNR levels before
+    its own: the algorithm; "exact" at a finite SNR, whose first trial
+    would fail the exact path's model check and stop the sweep; and
+    every SNR level, by NoiseSpec's rule (no NaN, no -inf).
     """
 
     n: int
@@ -79,6 +80,8 @@ class ExperimentConfig:
             )
         if self.algorithm == "exact" and any(snr != math.inf for snr in self.snr_list):
             raise ValidationError("algorithm 'exact' needs exact data: every SNR must be inf")
+        for snr_db in self.snr_list:
+            NoiseSpec(seed=0, snr_db=snr_db)  # raises on a NaN or -inf level
 
 
 def thread_count() -> int:

@@ -144,10 +144,12 @@ def gen_instance(
     perturbation, drawn from the stream seed ^ NOISE_STREAM_SALT (at
     snr_db = +inf the exact spectrum and zero noise).  `spfft gen` and
     every experiment trial draw their instances here, so a trial's seed
-    replays it.
+    replays it.  The NoiseSpec is built first, so that a NaN or -inf
+    snr_db is rejected before any draw or transform.
     """
+    spec = NoiseSpec(seed=seed ^ NOISE_STREAM_SALT, snr_db=snr_db)
     truth, support = gen_sparse_signal(n, m, seed)
-    spectrum, noise = add_noise(fft_forward(truth), NoiseSpec(seed=seed ^ NOISE_STREAM_SALT, snr_db=snr_db))
+    spectrum, noise = add_noise(fft_forward(truth), spec)
     return truth, support, spectrum, noise
 
 

@@ -12,14 +12,16 @@ recovered in stages:
   fold residual; on exact data it is rounding, and above
   RESIDUAL_TOLERANCE it raises ModelViolation before any further read;
 - place: one odd-indexed spectrum value next to the subsample's peak
-  (_peak, _probe), divided by the transform of the folded window
-  there, is a root of unity whose exponent fixes which of the N/P
-  candidate placements is the true one (_resolve_shift); a quotient
-  of zero or off that lattice raises ModelViolation.
+  (_peak, _probe: the larger of the two neighbors, or, if both read
+  zero, the largest of one read of further odd values), divided by the
+  transform of the folded window there, is a root of unity whose
+  exponent fixes which of the N/P candidate placements is the true one
+  (_resolve_shift); a quotient of zero or off that lattice raises
+  ModelViolation.
 
 The exact path folds to P = 2**ceil_log2(m+1), the shortest power of
 two above m, and reads P + 2 <= 2m + 2 spectrum values in all on
-exact data, and 2P on the zero vector.
+exact data, and 2P on the zero vector, in at most three read calls.
 sparse_noisy folds to 2**(L+1), L = ceil(log2 m), and reuses the fold,
 locate and probe stages.  When m > N/4 the sparse paths hand over to
 reconstruct_dense, the one dense inverse FFT of the package.
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -217,45 +218,31 @@ def _modulus(value: complex) -> float:
 def _probe(
     accessor: CountingSpectrumAccessor, center: int, strides, budget: int
 ) -> list[tuple[int, complex]]:
-    """(index, value) of the larger of spectrum[center +- stride], for each stride.
+    """(index, value) of the largest-modulus odd probe read next to center, for each stride.
 
-    center is an even multiple of every stride < N/2.  All pairs are
-    read in one call; the right neighbor wins ties.  Only a pair that
-    reads both exactly zero goes to _odd_scan, which reads further odd
-    multiples of its stride up to budget distinct probes.  A window of
-    at most budget entries with a nonzero transform is nonzero at one
-    of any budget distinct frequencies.
+    center is an even multiple of every stride < N/2.  The pairs
+    spectrum[center +- stride] of all strides are read in one call.  A
+    pair that reads exactly zero on both sides gets one further read,
+    its scan: the odd multiples of its stride in increasing order,
+    skipping the pair, up to budget probes in all (none at a budget of
+    two or less).  A window of at most budget entries with a nonzero
+    transform is nonzero at one of any budget distinct frequencies.
+    The pick is the largest modulus among a stride's values, the first
+    in the order right neighbor, left neighbor, scan: the right
+    neighbor wins ties and is returned, with its zero, when all read zero.
     """
     n = len(accessor)
     probes = [q for stride in strides for q in ((center + stride) % n, (center - stride) % n)]
     values = accessor.read(probes).tolist()
     found = []
-    for k, stride in zip(range(0, len(probes), 2), strides):  # k: the pair's right neighbor
-        pick = k + 1 if _modulus(values[k + 1]) > _modulus(values[k]) else k
-        if values[pick] != 0:
-            found.append((probes[pick], values[pick]))
-        else:
-            found.append(_odd_scan(accessor, stride, probes[k : k + 2], budget))
+    by_stride = zip(strides, zip(probes[::2], probes[1::2]), zip(values[::2], values[1::2]))
+    for stride, indices, read in by_stride:
+        if budget > 2 and not any(read):
+            scan = [q for q in range(stride, n, 2 * stride)[:budget] if q not in indices][: budget - 2]
+            indices, read = indices + tuple(scan), read + tuple(accessor.read(scan).tolist())
+        best = max(read, key=_modulus)  # the first of the largest moduli
+        found.append((indices[read.index(best)], best))
     return found
-
-
-def _odd_scan(
-    accessor: CountingSpectrumAccessor, probe_stride: int, neighbors: list[int], budget: int
-) -> tuple[int, complex]:
-    """_probe's fallback once the neighbors it read at probe_stride are all zero.
-
-    The odd multiples probe_stride*(2k+1) are read in turn, skipping the
-    neighbors, until one is nonzero or budget distinct indices were
-    probed, the neighbors included; a budget of at most two reads none.
-    Returns (index, value) of the nonzero one, else (neighbors[0], 0):
-    the right neighbor.
-    """
-    scan = (q for q in range(probe_stride, len(accessor), 2 * probe_stride) if q not in neighbors)
-    for q in itertools.islice(scan, max(budget - len(neighbors), 0)):
-        value = accessor.read([q])[0]
-        if value != 0:
-            return q, complex(value)
-    return neighbors[0], 0j
 
 
 def _resolve_shift(quotient: complex, odd: int, t: int) -> int:
@@ -320,8 +307,9 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> R
     never more than 2P on any input.  A fold residual above
     RESIDUAL_TOLERANCE, which noise or a support longer than m gives,
     raises ModelViolation after the P fold reads, before any other.  A
-    zero fold is the zero vector, after 2P reads, only if the odd probes
-    read zero too; a longer support that cancels in the fold raises
+    zero fold is the zero vector, after 2P reads in three read calls
+    (fold, neighbor pair, scan), only if the odd probes read zero too;
+    a longer support that cancels in the fold raises
     ModelViolation in placement, as do odd probes that all read zero
     on a nonzero fold.  For m > N/4 a single dense inverse FFT is the
     cheapest correct option and is used as the fallback.  The result

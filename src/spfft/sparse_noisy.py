@@ -128,9 +128,10 @@ def _double(accessor: CountingSpectrumAccessor, window, start: int, peak: int, l
     window's transform at every level's probe index in one
     window_spectrum_sample call of length N, with the window at 0; the
     levels' decisions then turn it to the start found so far, one
-    scalar product each.  A level whose pair reads all zero scans
-    further odd probes (_odd_scan); each level makes at most max(m, 2)
-    distinct reads, and one whose probes all read zero, like a tie,
+    scalar product each.  A level whose pair reads exactly zero gets
+    one more read call, its scan of further odd probes, and takes the
+    largest modulus among them (_probe); each level reads at most
+    max(m, 2) values, and one whose probes all read zero, like a tie,
     goes to "no move".  Returns (first_index, blind_levels),
     blind_levels listing the levels j whose probes all read zero.
     """

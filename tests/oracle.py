@@ -19,7 +19,7 @@ import numpy as np
 from spfft.dft_core import CountingSpectrumAccessor, log2_length
 from spfft.errors import InvalidOffset, ValidationError
 from spfft.signal_lab import NoiseSpec, _root_sum_squares, philox_rng
-from spfft.sparse_exact import _modulus, _odd_scan, window_spectrum_sample
+from spfft.sparse_exact import _modulus, window_spectrum_sample
 
 
 class InvalidLevel(ValidationError):
@@ -156,21 +156,31 @@ class RecordingAccessor(CountingSpectrumAccessor):
 
 
 def odd_probe(accessor, center: int, probe_stride: int, budget: int) -> tuple[int, complex]:
-    """(index, value) of the larger of spectrum[center +- probe_stride], one pair per call.
+    """(index, value) of the largest-modulus odd probe next to center, one stride per call.
 
-    Both neighbors are read in one call, whatever the budget; the right
-    one wins ties.  Only if both are exactly zero does _odd_scan read
-    further odd multiples of probe_stride, up to budget distinct probes.
-    sparse_exact._probe must return the same pairs, and read the same
-    indices, for many strides at once.
+    Both neighbors center +- probe_stride are read in one call, whatever
+    the budget.  Only if both are exactly zero are the odd multiples of
+    probe_stride read, one index per call in increasing order, skipping
+    the neighbors, until budget distinct indices were probed or the
+    multiples run out.  The pick is the largest modulus, the first read
+    on ties: the right neighbor first, and with its zero when all read
+    zero.  sparse_exact._probe must return the same pairs, and read the
+    same indices, for many strides at once.
     """
     n = len(accessor)
     probes = [(center + probe_stride) % n, (center - probe_stride) % n]
     values = accessor.read(probes).tolist()
-    pick = 1 if _modulus(values[1]) > _modulus(values[0]) else 0
-    if values[pick] != 0:
-        return probes[pick], values[pick]
-    return _odd_scan(accessor, probe_stride, probes, budget)
+    odd = probe_stride
+    while values[:2] == [0, 0] and len(probes) < budget and odd < n:
+        if odd not in probes[:2]:
+            probes.append(odd)
+            values.append(complex(accessor.read([odd])[0]))
+        odd += 2 * probe_stride
+    best = 0
+    for k in range(1, len(probes)):
+        if _modulus(values[k]) > _modulus(values[best]):
+            best = k
+    return probes[best], values[best]
 
 
 def per_level_double(accessor, window, start: int, peak: int, level: int):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracle import RecordingAccessor
-from spfft import experiment
+from spfft import experiment, signal_lab
 from spfft.cli import main
 from spfft.dft_core import CountingSpectrumAccessor, fft_forward, fft_inverse
 from spfft.errors import FileFormatError
@@ -129,6 +129,16 @@ class TestGenCommand:
 
     def test_invalid_length_exits_2(self, tmp_path):
         assert main(["gen", "--n", "100", "--m", "5", "--out-prefix", str(tmp_path / "x")]) == 2
+
+    def test_nan_snr_exits_2_before_any_transform(self, tmp_path, monkeypatch, capsys):
+        def refuse(x):
+            raise AssertionError("a spectrum was built")
+
+        monkeypatch.setattr(signal_lab, "fft_forward", refuse)
+        argv = ["gen", "--n", "64", "--m", "4", "--snr=nan", "--out-prefix", str(tmp_path / "x")]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: snr_db must not be NaN\n")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("snr", ["-inf", "-7000", "7000"])
     def test_unreachable_snr_exits_2(self, tmp_path, capsys, snr):
@@ -357,6 +367,18 @@ class TestExperimentCommand:
         argv = ["experiment", "--n", "4096", "--m", "20", "--snr", "60,inf", "--trials", "2", "--algorithm", "exact"]
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "error: algorithm 'exact' needs exact data: every SNR must be inf\n")
+
+    def test_nan_snr_level_exits_2_before_any_trial(self, monkeypatch, capsys):
+        real, calls = experiment.run_trial, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(experiment, "run_trial", counting)
+        assert main(["experiment", "--n", "65536", "--m", "50", "--snr", "0,nan", "--trials", "60"]) == 2
+        assert capsys.readouterr() == ("", "error: snr_db must not be NaN\n")
+        assert calls == []
 
     def test_exact_algorithm_column(self, tmp_path):
         out = tmp_path / "exact.csv"

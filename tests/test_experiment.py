@@ -173,7 +173,17 @@ class TestExperimentChecks:
     def test_exact_at_a_finite_snr_fails_in_the_config(self, snr_list):
         with pytest.raises(ValidationError, match="^algorithm 'exact' needs exact data: every SNR must be inf$"):
             ExperimentConfig(4096, 20, snr_list, 2, 0, "exact")
-        ExperimentConfig(4096, 20, snr_list, 2, 0, "noisy")
+        if not any(math.isnan(snr) or snr == -math.inf for snr in snr_list):  # not noise levels at all
+            ExperimentConfig(4096, 20, snr_list, 2, 0, "noisy")
+
+    @pytest.mark.parametrize(
+        "snr, message", [(math.nan, "snr_db must not be NaN"), (-math.inf, "snr_db must not be -inf")]
+    )
+    @pytest.mark.parametrize("algorithm", ["noisy", "ifft-baseline"])
+    def test_a_level_that_is_not_a_noise_level_fails_in_the_config(self, snr, message, algorithm):
+        # NoiseSpec's rule and message, before any trial of the earlier levels
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ExperimentConfig(64, 4, (0.0, snr), 1, 0, algorithm)
 
     def test_no_trials_fails_in_the_config(self):
         with pytest.raises(ValidationError, match="^trials must be >= 1, got 0$"):

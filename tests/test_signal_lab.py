@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracle import realized_snr_db, reference_add_noise
+from spfft import signal_lab
 from spfft.dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forward, fft_inverse
 from spfft.errors import CannotCalibrate, InvalidSupportLength, ValidationError
 from spfft.signal_lab import (
@@ -138,6 +139,18 @@ class TestAddNoise:
     def test_spec_rejects_minus_inf_snr(self):
         with pytest.raises(ValidationError, match="-inf"):
             NoiseSpec(seed=0, snr_db=-math.inf)
+
+    @pytest.mark.parametrize(
+        "snr, message", [(math.nan, "snr_db must not be NaN"), (-math.inf, "snr_db must not be -inf")]
+    )
+    def test_instance_rejects_the_level_before_any_draw(self, monkeypatch, snr, message):
+        def refuse(*args):
+            raise AssertionError("the signal was drawn or transformed")
+
+        monkeypatch.setattr(signal_lab, "gen_sparse_signal", refuse)
+        monkeypatch.setattr(signal_lab, "fft_forward", refuse)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            gen_instance(1 << 22, 50, 4, snr)
 
     @pytest.mark.parametrize("scale, snr", [(1.0, -7000.0), (1.0, 7000.0), (1e140, -3400.0)])
     def test_noise_scale_out_of_float_range_cannot_calibrate(self, scale, snr):

@@ -213,18 +213,19 @@ class TestSelectOddSample:
         probe_next_to_peak(acc, subsampled)
         assert acc.read_count <= before + 2
 
-    def test_zero_neighbors_take_the_first_nonzero_odd_value_in_scan_order(self):
+    def test_zero_neighbors_take_the_largest_odd_value_of_one_scan_read(self):
         # the stride-8 subsample peaks at 0; its neighbors 1 and 63 and the
-        # next odd index 3 are zero, so the scan stops at 5 although 7 is larger
+        # next odd index 3 are zero, and of 5 and 7 the larger, 7, is taken
         spectrum = np.zeros(64, complex)
         spectrum[::8] = 1
         spectrum[0] = 4
         spectrum[5], spectrum[7] = 2j, 9
         acc = RecordingAccessor(spectrum)
         odd, value = probe_next_to_peak(acc, acc.read(8 * np.arange(8)))
-        assert (odd, value) == (5, 2j)
-        # both neighbors in one call, then the scan, which skips index 1
-        assert acc.calls[1:] == [[1, 63], [3], [5]]
+        assert (odd, value) == (7, 9)
+        # both neighbors in one call, then the scan in one call: the first
+        # odd indices, skipping 1, up to 8 probes in all
+        assert acc.calls[1:] == [[1, 63], [3, 5, 7, 9, 11, 13]]
 
     @pytest.mark.parametrize("level", [0, 1, 2, 4])
     def test_all_zero_odd_half_raises_after_the_budget(self, level):
@@ -444,6 +445,25 @@ class TestReconstructExact:
         assert rec.samples_used == 16  # the P = 8 fold reads and P odd probes, all zero
         assert rec.values.dtype == np.complex128 and rec.values.tobytes() == bytes(4 * 16)
         assert rec.mode == "sparse"
+
+    def test_zero_vector_scans_its_odd_probes_in_one_call(self):
+        # N = 2**20, m = 60,000: the P = 2**16 fold reads, the neighbor pair
+        # and one scan of the P - 2 further odd probes, 2P reads in three calls
+        acc = RecordingAccessor(np.zeros(1 << 20, complex))
+        rec = reconstruct_exact(acc, 60_000)
+        assert not rec.values.any() and rec.support.first_index == 0
+        assert rec.samples_used == 131_072
+        assert [len(call) for call in acc.calls] == [65_536, 2, 65_534]
+
+    def test_period_half_input_scans_its_odd_probes_in_one_call(self):
+        # every odd-indexed value of tile(y, 2) is zero: the P = 32 fold reads,
+        # the pair and one scan of 30, then the model check
+        y, _ = gen_sparse_signal(2048, 20, 3)
+        acc = RecordingAccessor(fft_forward(np.tile(y, 2)))
+        with pytest.raises(ModelViolation, match="probed all read zero"):
+            reconstruct_exact(acc, 20)
+        assert acc.read_count == 64
+        assert [len(call) for call in acc.calls] == [32, 2, 30]
 
     def test_a_fold_that_cancels_is_not_the_zero_vector(self):
         # the support of y - roll(y, P) has 52 entries, in (m, 2P] = (20, 64];

@@ -161,7 +161,7 @@ class TestRefineSupport:
         assert blind == []
 
     @pytest.mark.parametrize("sign, moved", [(1, False), (-1, True)])
-    def test_zero_neighbors_take_the_first_nonzero_odd_value_in_scan_order(self, sign, moved):
+    def test_zero_neighbors_take_the_largest_odd_value_of_one_scan_read(self, sign, moved):
         # N=16, m=4: one doubling level, probe stride 1, at most 4 probes.
         # The subsample peaks at 4; 5, 3 and 1 read zero, so 7 decides,
         # and 9, larger still, is past the budget.
@@ -175,7 +175,7 @@ class TestRefineSupport:
         first, blind = double(acc, folded, 1, 4, acc.read(2 * np.arange(8)))
         assert blind == []
         assert first == 1 + 8 * moved
-        assert acc.calls[1:] == [[5, 3], [1], [7]]
+        assert acc.calls[1:] == [[5, 3], [1, 7]]  # the pair, then its scan in one call
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_all_zero_odd_probes_do_not_move(self, m):
@@ -434,6 +434,20 @@ class TestReconstructNoisy:
         rec = reconstruct_noisy(CountingSpectrumAccessor(fft_forward(x)), 20)
         assert rec.blind_levels == [11]
         assert rec.support.first_index >> 11 & 1 == 0
+
+    def test_each_blind_level_scans_in_one_call(self):
+        # period N/4: the pairs of levels 10 (stride 2) and 11 (stride 1) read
+        # zero; after the call of every level's pair, each scans its m - 2
+        # further odd multiples of its stride in one call, in level order
+        x = np.tile(gen_sparse_signal(1024, 20, 3)[0], 4)
+        acc = RecordingAccessor(fft_forward(x))
+        rec = reconstruct_noisy(acc, 20)
+        assert rec.blind_levels == [10, 11]
+        growth = rec.vectors_used.bit_length() - 1
+        assert len(acc.calls) == 1 + growth + 1 + 2  # fold, growth, pairs, two scans
+        pairs = acc.calls[-3]
+        assert acc.calls[-2] == [q for q in range(2, 82, 4) if q not in pairs[-4:-2]][:18]
+        assert acc.calls[-1] == [q for q in range(1, 41, 2) if q not in pairs[-2:]][:18]
 
     def test_window_values_are_the_signal_on_its_support(self):
         x, supp, noisy, _ = noisy_instance(1 << 10, 7, 15.0, 4321)
