@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft_core import CountingSpectrumAccessor, fft_inverse, log2_length
+from .dft_core import CountingSpectrumAccessor, log2_length
 from .errors import CannotCalibrate, ValidationError
 from .signal_lab import NoiseSpec, _root_sum_squares, error_l2_over_n, gen_instance, window_error_l2_over_n
 from .sparse_exact import Reconstruction, reconstruct_dense, reconstruct_exact
@@ -47,7 +47,6 @@ class TrialRecord:
     noise_inf: float
     noise_l1_over_n: float
     sparse_ns: int
-    dense_ns: int
 
 
 @dataclass(frozen=True)
@@ -124,12 +123,14 @@ def reconstruction_error(truth, result: Reconstruction) -> float:
 def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> TrialRecord:
     """Generate, perturb, reconstruct, and score one instance.
 
-    sparse_ns times the reconstruction, dense_ns the dense inverse FFT
-    that err_ifft scores; for ifft-baseline the reconstruction is that
-    inverse, and dense_ns = sparse_ns.  At snr_db = +inf the noise
-    scores are 0.0 without a look at the (zero) noise.  CannotCalibrate
-    is raised when a score is not finite: noise near the float maximum
-    makes the noise l1 sum overflow.
+    sparse_ns times the reconstruction.  err_ifft is the error of an
+    exact dense inverse FFT of the noisy spectrum, ||ifft(noise)|| / n,
+    which by Parseval's identity is ||noise|| / (n * sqrt(n)): no
+    length-n inverse FFT is taken to score it.  For ifft-baseline the
+    reconstruction is that inverse, and err_ifft = err_sparse.  At
+    snr_db = +inf the noise and err_ifft are 0.0 without a look at the
+    (zero) noise.  CannotCalibrate is raised when a score is not finite:
+    noise near the float maximum makes the noise l1 sum overflow.
     """
     truth, support, noisy, noise = gen_instance(n, m, seed, snr_db)
     accessor = CountingSpectrumAccessor(noisy)
@@ -138,15 +139,9 @@ def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> Trial
     sparse_ns = time.perf_counter_ns() - tic
     err_sparse = reconstruction_error(truth, result)
     if result.mode == "baseline":
-        err_ifft, dense_ns = err_sparse, sparse_ns
-    else:
-        tic = time.perf_counter_ns()
-        dense = fft_inverse(noisy)
-        dense_ns = time.perf_counter_ns() - tic
-        # error_l2_over_n(truth, dense), with the difference taken in dense's own memory
-        np.subtract(truth, dense, out=dense)
-        err_ifft = _root_sum_squares(dense) / n
-        del dense
+        err_ifft = err_sparse
+    else:  # ||truth - ifft(noisy)|| / n = ||ifft(noise)|| / n
+        err_ifft = 0.0 if snr_db == math.inf else _root_sum_squares(noise) / (n * math.sqrt(n))
     if snr_db == math.inf:  # no noise was drawn
         noise_inf = noise_l1_over_n = 0.0
     else:
@@ -164,7 +159,6 @@ def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> Trial
         noise_inf=noise_inf,
         noise_l1_over_n=noise_l1_over_n,
         sparse_ns=sparse_ns,
-        dense_ns=dense_ns,
     )
 
 
@@ -206,12 +200,14 @@ def run_experiment(config: ExperimentConfig) -> str:
 def run_bench(n_list, m_list, trials: int, seed: int) -> str:
     """Time the sparse exact path against the dense inverse FFT.
 
-    Each (n, m) cell runs one untimed warm-up trial, then `trials`
-    noiseless exact run_trial calls, trial i on trial_seed(seed, i)
-    with i running on across cells; mean_ns is the mean of their
-    sparse_ns (exact rows) or dense_ns (ifft rows).  BLAS threads are
-    left at the library default.  The samples_used column reports the
-    worst case over the trials (n for the dense rows).
+    Each (n, m) cell runs, for the exact path and then for ifft-baseline,
+    one untimed warm-up trial and then `trials` noiseless run_trial
+    calls, trial i on trial_seed(seed, i) with i running on across cells
+    (both algorithms of a cell use the same seeds); mean_ns is the mean
+    of their sparse_ns, the time of the reconstruction as
+    reconstruct_exact or reconstruct_dense(..., "baseline") runs it.
+    BLAS threads are left at the library default.  The samples_used
+    column reports the worst case over the trials (n for the dense rows).
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -220,10 +216,11 @@ def run_bench(n_list, m_list, trials: int, seed: int) -> str:
     for n in n_list:
         log2_length(n)  # even for an empty m_list; run_trial checks each m
         for m in m_list:
-            run_trial(n, m, math.inf, trial_seed(seed, index), "exact")  # the warm-up
-            records = [run_trial(n, m, math.inf, trial_seed(seed, index + t), "exact") for t in range(trials)]
+            seeds = [trial_seed(seed, index + t) for t in range(trials)]
             index += trials
-            samples = max(r.samples_used for r in records)
-            lines.append(f"{n},{m},exact,{round(sum(r.sparse_ns for r in records) / trials)},{samples}")
-            lines.append(f"{n},{m},ifft,{round(sum(r.dense_ns for r in records) / trials)},{n}")
+            for algorithm, label in (("exact", "exact"), ("ifft-baseline", "ifft")):
+                run_trial(n, m, math.inf, seeds[0], algorithm)  # the warm-up
+                records = [run_trial(n, m, math.inf, s, algorithm) for s in seeds]
+                mean_ns = round(sum(r.sparse_ns for r in records) / trials)
+                lines.append(f"{n},{m},{label},{mean_ns},{max(r.samples_used for r in records)}")
     return "\n".join(lines) + "\n"
