@@ -9,8 +9,9 @@ recovered in stages:
 - locate: the folded support starts at the argmax of window_energies,
   taken after scaling by a power of two (_locate);
 - check: the fold's energy outside that window, over its total, is the
-  fold residual; on exact data it is rounding, and above
-  RESIDUAL_TOLERANCE it raises ModelViolation before any further read;
+  fold residual (_locate_residual, which also locates); on exact data it
+  is rounding, and above RESIDUAL_TOLERANCE it raises ModelViolation
+  before any further read, while sparse_noisy grows its fold only then;
 - place: one odd-indexed spectrum value next to the subsample's peak
   (_peak, _probe: the larger of the two neighbors, or, if both read
   zero, the largest of one read of further odd values), divided by the
@@ -23,8 +24,8 @@ The exact path folds to P = 2**ceil_log2(m+1), the shortest power of
 two above m, and reads P + 2 <= 2m + 2 spectrum values in all on
 exact data, and 2P on the zero vector, in at most three read calls.
 sparse_noisy folds to 2**(L+1), L = ceil(log2 m), and reuses the fold,
-locate and probe stages.  When m > N/4 the sparse paths hand over to
-reconstruct_dense, the one dense inverse FFT of the package.
+locate, check and probe stages.  When m > N/4 the sparse paths hand
+over to reconstruct_dense, the one dense inverse FFT of the package.
 """
 
 from __future__ import annotations
@@ -56,10 +57,11 @@ class Reconstruction:
     "baseline" for the dense inverse FFT requested as such.
     The window's placement is support.first_index.  The rest is set by
     the noisy algorithm only: vectors_used is the length of its grown
-    fold over the first fold length 2**(L+1): 2, 4 or 8;
-    votes_stable is False when the growth stopped before two consecutive
-    support starts agreed (the last start is still used -- a best-effort
-    answer, not an error); blind_levels lists the doubling
+    fold over the first fold length 2**(L+1): 1 when the fold residual
+    certified the first fold, else 2, 4 or 8; votes_stable is True on a
+    certified first fold, and False when the growth stopped before two
+    consecutive support starts agreed (the last start is still used -- a
+    best-effort answer, not an error); blind_levels lists the doubling
     levels j (a move there is by 2**j) whose probes all read zero, so
     that their "no move" was not decided by the data, and is empty on
     data that fit the model.
@@ -81,12 +83,17 @@ class Reconstruction:
 
 
 #: Largest fold residual, the norm of the fold outside the located
-#: window over the fold's norm, that reconstruct_exact accepts.  On exact
-#: data the outside entries are rounding of the FFTs: at most 2.7e-16 on
-#: 2,400 instances with N from 2**6 to 2**18, 3.1e-16 at N = 2**22 with
-#: P up to 2**21, and 0 on spectra scaled by 2**-1030 to 2**-1060.  Noise
-#: gave at least 1.5e-5 at 60 dB and 2.2e-7 at 100 dB (400 instances
-#: each), and a true support in (m, 2P] at least 9.7e-4 (2,400).
+#: window over the fold's norm, that fits the exact model: above it
+#: reconstruct_exact raises, and at or below it reconstruct_noisy keeps
+#: its first fold of length 2**(L+1) ungrown.  On exact data the outside
+#: entries are rounding of the FFTs: at most 2.7e-16 on 2,400 instances
+#: with N from 2**6 to 2**18, 3.1e-16 at N = 2**22 with P up to 2**21,
+#: and 0 on spectra scaled by 2**-1030 to 2**-1060.  Noise gave at least
+#: 1.5e-5 at 60 dB and 2.2e-7 at 100 dB on the exact fold (400 instances
+#: each), and on the noisy path's first fold at least 7.6e-5 at 60 dB,
+#: 2.0e-6 at 100 dB, 3.6e-8 at 140 dB and 5.0e-11 at 180 dB (300
+#: instances each, N from 2**6 to 2**14); a true support in (m, 2P] gave
+#: at least 9.7e-4 (2,400).
 RESIDUAL_TOLERANCE = 1e-12
 
 
@@ -140,18 +147,25 @@ def _locate(values, window_len: int) -> int:
     return int(window_energies(_scaled(values), window_len).argmax())
 
 
-def _fold_residual(scaled, start: int, window_len: int, window_energy: float) -> float:
-    """Norm of scaled outside its window_len-window at start, over the norm of scaled.
+def _locate_residual(folded, window_len: int) -> tuple[int, float | None]:
+    """(start, residual): _locate's start in folded, and the fold residual there.
 
-    scaled is a fold scaled by _scaled and window_energy the window's
-    energy from window_energies.  The outside squares are summed
-    directly, not as a difference of prefix sums, so that exact data
-    give rounding-level residuals at any fold length; the sum is
-    numpy's single-threaded reduction, not a BLAS dot.
+    The fold residual is the norm of folded outside its window_len-window
+    at start over the norm of folded, None when folded is zero.  The
+    outside squares of the scaled fold (_scaled) are summed directly,
+    not as a difference of prefix sums, so that exact data give
+    rounding-level residuals at any fold length; the sum is numpy's
+    single-threaded reduction, not a BLAS dot.
     """
+    scaled = _scaled(folded)
+    energies = window_energies(scaled, window_len)
+    start = int(energies.argmax())
+    window_energy = float(energies[start])
+    if not window_energy:
+        return start, None
     outside = np.concatenate((scaled, scaled))[start + window_len : start + len(scaled)].view(np.float64)
     outside_energy = float(np.einsum("i,i->", outside, outside))
-    return math.sqrt(outside_energy / (outside_energy + window_energy))
+    return start, math.sqrt(outside_energy / (outside_energy + window_energy))
 
 
 def window_spectrum_sample(window, first_index: int, freq_index, length: int):
@@ -325,23 +339,19 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> R
 
     level = m.bit_length() - 1  # the fold of length P = 2**(level+1) = 2**ceil_log2(m+1)
     subsampled, folded = _fold(accessor, level)
-    scaled = _scaled(folded)
-    energies = window_energies(scaled, m)
-    start = int(energies.argmax())
+    start, residual = _locate_residual(folded, m)
     window = np.take(folded, np.arange(start, start + m), mode="wrap")
-    if energies[start]:
-        residual = _fold_residual(scaled, start, m, float(energies[start]))
-        if residual > RESIDUAL_TOLERANCE:
-            raise ModelViolation(
-                f"fold residual {residual:.3g} exceeds {RESIDUAL_TOLERANCE:g}: the data are not "
-                f"the exact spectrum of a vector with support at most {m}"
-            )
+    if residual is not None and residual > RESIDUAL_TOLERANCE:
+        raise ModelViolation(
+            f"fold residual {residual:.3g} exceeds {RESIDUAL_TOLERANCE:g}: the data are not "
+            f"the exact spectrum of a vector with support at most {m}"
+        )
     # A nonzero vector with at most m < P <= N/2 support entries is not
     # zero at all of P distinct odd indices, so a zero fold is the zero
     # vector only if every odd probe reads zero too.
     odd, odd_value = _probe(accessor, _peak(accessor, subsampled), [1], len(subsampled))[0]
     shift = 0
-    if energies[start] or odd_value:
+    if residual is not None or odd_value:
         reference = window_spectrum_sample(window, start, odd, n)
         quotient = odd_value / reference if reference else 0j
         shift = _resolve_shift(quotient, odd, n.bit_length() - len(folded).bit_length())

@@ -2,14 +2,17 @@
 
 The stages of the exact-data algorithm (sparse_exact), made robust:
 
-- fold and locate: as on exact data, the folded vector of length
-  2**(L+1) and the start of its max-energy window (_locate).
-- grow: the fold is doubled in length, one level at a time, from the
-  spectrum read at half the stride (offset_periodization, _join), until
-  two consecutive starts agree or the fold is MAX_VECTORS times its
-  first length (_grow).  Each longer fold averages twice as many spectrum
-  values per entry, which halves the noise variance of its entries, and
-  fixes one more low bit of the start.
+- fold, locate and check: as on exact data, the folded vector of length
+  2**(L+1), the start of its max-energy window and the fold residual
+  outside it (_locate_residual).
+- grow: unless the residual is at most RESIDUAL_TOLERANCE or the fold is
+  zero (exact data, which no averaging improves), the fold is doubled
+  in length, one level at a time, from the spectrum read at half the
+  stride (offset_periodization, _join), until two consecutive starts
+  agree or the fold is MAX_VECTORS times its first length (_grow).
+  Each longer fold averages twice as many spectrum values per entry,
+  which halves the noise variance of its entries, and fixes one more
+  low bit of the start.
 - place: the folding length is doubled further, one level at a time,
   each level deciding "shift by half a period or not" from the sign
   agreement between a predicted and a measured odd-indexed value,
@@ -31,9 +34,11 @@ import numpy as np
 from .dft_core import CountingSpectrumAccessor, SupportDescriptor, support_length
 from .errors import InvalidOffset, NonFiniteSpectrum
 from .sparse_exact import (
+    RESIDUAL_TOLERANCE,
     Reconstruction,
     _fold,
     _locate,
+    _locate_residual,
     _peak,
     _probe,
     ceil_log2,
@@ -42,8 +47,9 @@ from .sparse_exact import (
 )
 
 #: Largest multiple of the first fold length 2**(L+1) that the fold may
-#: grow to; each doubling of the fold costs as many spectrum reads and
-#: as long an inverse FFT as the fold it doubles.
+#: grow to, when the fold residual does not certify the first fold; each
+#: doubling of the fold costs as many spectrum reads and as long an
+#: inverse FFT as the fold it doubles.
 MAX_VECTORS = 8
 
 
@@ -89,20 +95,24 @@ def _join(folded, odd) -> np.ndarray:
 def _grow(accessor: CountingSpectrumAccessor, folded, m: int):
     """Double the folded vector until its support start settles.
 
-    folded is the fold at level L = ceil_log2(m).  Each step reads the
-    spectrum at the odd multiples of half the current stride, new
-    indices all, and joins their inverse FFT with the current fold of
-    length Q into the fold of length 2Q (_join).  The start is located
-    again, and the growth stops when it agrees with the one before mod
-    Q, when the fold is MAX_VECTORS times its first length, or when it
-    has the full length N.  Returns (folded, level, start, stable): the
-    grown fold, its level (2**(level+1) entries), the start in it, and
-    whether the growth stopped on agreement.
+    folded is the fold at level L = ceil_log2(m).  A fold whose residual
+    outside its located window is at most RESIDUAL_TOLERANCE, or that is
+    zero, fits the exact model and is returned as it is, with no read
+    (_locate_residual, the exact path's check).  Otherwise each step
+    reads the spectrum at the odd multiples of half the current stride,
+    new indices all, and joins their inverse FFT with the current fold
+    of length Q into the fold of length 2Q (_join).  The start is
+    located again, and the growth stops when it agrees with the one
+    before mod Q, when the fold is MAX_VECTORS times its first length,
+    or when it has the full length N.  Returns (folded, level, start,
+    stable): the grown fold, its level (2**(level+1) entries), the start
+    in it, and whether the growth stopped on the residual or on
+    agreement.
     """
     level = ceil_log2(m)
-    start = _locate(folded, m)
+    start, residual = _locate_residual(folded, m)
+    stable = residual is None or residual <= RESIDUAL_TOLERANCE
     longest = min(MAX_VECTORS * len(folded), len(accessor))
-    stable = False
     while not stable and len(folded) < longest:
         q = len(folded)
         folded = _join(folded, offset_periodization(accessor, len(accessor) // q // 2, level))
@@ -155,17 +165,21 @@ def _double(accessor: CountingSpectrumAccessor, window, start: int, peak: int, l
 def reconstruct_noisy(accessor: CountingSpectrumAccessor, support_len: int) -> Reconstruction:
     """Recover a vector with support length <= support_len from noisy data.
 
-    Stages: fold, locate, grow the fold up to MAX_VECTORS times its
-    first length 2**(L+1) (each doubling costs as many spectrum reads
-    as the fold it doubles) until the located start settles, place by
-    doubling the folding up to the full length.  The result holds the
-    support_len window values of the grown fold, placed at
-    support.first_index, the start in the grown fold moved by the
-    doubling; its signal, built only when read, is exactly zero outside
-    the detected window.  vectors_used (the grown fold's length over
-    2**(L+1)), votes_stable and blind_levels report the growth and the
-    doubling.  For support_len > N/4 the dense inverse FFT fallback is
-    used (restricted to the best window).
+    Stages: fold, locate, and, unless the fold residual certifies the
+    first fold (at most RESIDUAL_TOLERANCE, or a zero fold), grow the
+    fold up to MAX_VECTORS times its first length 2**(L+1) (each
+    doubling costs as many spectrum reads as the fold it doubles) until
+    the located start settles; place by doubling the folding up to the
+    full length.  On exact data that is 2**(L+1) fold reads and two
+    probes per doubling level, when no probe pair reads zero.  The
+    result holds the support_len window values of the grown fold,
+    placed at support.first_index, the start in the grown fold moved by
+    the doubling; its signal, built only when read, is exactly zero
+    outside the detected window.  vectors_used (the grown fold's length
+    over 2**(L+1), 1 on a certified first fold), votes_stable (True on
+    a certified first fold or on agreement) and blind_levels report the
+    growth and the doubling.  For support_len > N/4 the dense inverse
+    FFT fallback is used (restricted to the best window).
     """
     n = len(accessor)
     if support_length(support_len, n) > n // 4:

@@ -11,7 +11,9 @@ from spfft.dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forw
 from spfft.errors import InvalidOffset, NonFiniteSpectrum
 from spfft.signal_lab import NoiseSpec, add_noise, gen_instance, gen_sparse_signal
 from spfft.sparse_exact import (
+    RESIDUAL_TOLERANCE,
     _fold,
+    _locate_residual,
     _peak,
     ceil_log2,
     reconstruct_exact,
@@ -47,6 +49,23 @@ def join(acc, folded, level):
     # the level-(level+1) fold from the level-`level` one and the odd half of its reads
     stride = len(acc) >> (level + 1)
     return _join(folded, offset_periodization(acc, stride // 2, level))
+
+
+def assert_direct_fold(grown, spectrum):
+    # the grown fold is the inverse FFT of the spectrum subsampled at its stride
+    direct = fft_inverse(spectrum[:: len(spectrum) // len(grown)])
+    assert np.max(np.abs(grown - direct)) <= 1e-12 * np.max(np.abs(direct))
+    return direct
+
+
+def assert_certified(spectrum, m, start):
+    # exact data: the first fold fits the model, and the growth makes no read
+    n, fold_len = len(spectrum), 1 << (ceil_log2(m) + 1)
+    acc = RecordingAccessor(spectrum)
+    assert grow(acc, m)[1:] == (ceil_log2(m), start, True)
+    assert acc.calls == [list(range(0, n, n // fold_len))]
+    rec = reconstruct_noisy(CountingSpectrumAccessor(spectrum), m)
+    assert (rec.vectors_used, rec.votes_stable, rec.support.first_index % fold_len) == (1, True, start)
 
 
 class TestOffsetPeriodization:
@@ -93,20 +112,28 @@ class TestOffsetPeriodization:
 
 
 class TestEstimateSupportStart:
-    def test_exact_data_agrees_after_one_step(self, example_256):
-        acc = RecordingAccessor(fft_forward(example_256))
+    def test_noisy_data_agree_after_one_step(self, example_256):
+        spectrum = fft_forward(example_256)
+        noisy, _ = add_noise(spectrum, NoiseSpec(seed=0, snr_db=10.0))
+        acc = RecordingAccessor(noisy)
         grown, level, start, stable = grow(acc, 6)
         assert (level, start, stable) == (4, 9, True)  # 105 mod 32
         # one step reads the offsets 0 and stride/2 = 8: the multiples of 8
         assert sorted(i for call in acc.calls for i in call) == list(range(0, 256, 8))
-        assert np.allclose(grown, periodize(example_256, 5), atol=1e-12)
+        assert_direct_fold(grown, noisy)
+        # exact data stop at the first fold, on its residual
+        assert_certified(spectrum, 6, 9)
 
-    def test_matches_plain_detection_without_noise(self):
+    def test_matches_plain_detection_on_the_direct_fold(self):
         x, _ = gen_sparse_signal(1 << 10, 13, 21)
-        acc = CountingSpectrumAccessor(fft_forward(x))
-        level = ceil_log2(13)
-        _, _, start, _ = grow(acc, 13)
-        assert start == np.argmax(window_energies(periodize(x, level + 2), 13))
+        spectrum = fft_forward(x)
+        noisy, _ = add_noise(spectrum, NoiseSpec(seed=1, snr_db=10.0))
+        grown, _, start, _ = grow(CountingSpectrumAccessor(noisy), 13)
+        assert len(grown) > 1 << (ceil_log2(13) + 1)
+        direct = assert_direct_fold(grown, noisy)
+        assert start == np.argmax(window_energies(direct, 13))
+        first = periodize(x, ceil_log2(13) + 1)
+        assert_certified(spectrum, 13, int(np.argmax(window_energies(first, 13))))
 
     def test_budget_exhaustion_reports_unstable(self, monkeypatch):
         # heavy noise and a 2x budget cannot reach agreement reliably;
@@ -137,19 +164,86 @@ class TestEstimateSupportStart:
 
     def test_a_cap_of_one_keeps_the_first_fold(self, example_256, monkeypatch):
         monkeypatch.setattr(sparse_noisy, "MAX_VECTORS", 1)
-        acc = CountingSpectrumAccessor(fft_forward(example_256))
+        spectrum = fft_forward(example_256)
+        noisy, _ = add_noise(spectrum, NoiseSpec(seed=0, snr_db=10.0))
+        acc = CountingSpectrumAccessor(noisy)
         grown, level, start, stable = grow(acc, 6)
         assert (len(grown), level, start, stable, acc.read_count) == (16, 3, 9, False, 16)
-        rec = reconstruct_noisy(CountingSpectrumAccessor(fft_forward(example_256)), 6)
+        assert_direct_fold(grown, noisy)
+        rec = reconstruct_noisy(CountingSpectrumAccessor(noisy), 6)
         assert (rec.vectors_used, rec.votes_stable, rec.support.first_index) == (1, False, 105)
+        # a certified fold is stable at any cap
+        assert_certified(spectrum, 6, 9)
 
     def test_growth_stops_at_the_full_length(self):
         # N = 16, m = 4: the first fold has 8 entries, and one step reads the rest
         x, _ = gen_sparse_signal(16, 4, 8)
-        acc = CountingSpectrumAccessor(fft_forward(x))
+        spectrum = fft_forward(x)
+        noisy, _ = add_noise(spectrum, NoiseSpec(seed=0, snr_db=10.0))
+        acc = CountingSpectrumAccessor(noisy)
         grown, level, _, _ = grow(acc, 4)
         assert (len(grown), level, acc.read_count) == (16, 3, 16)
-        assert np.allclose(grown, x, atol=1e-12)
+        assert_direct_fold(grown, noisy)  # at the full length, the inverse FFT of the spectrum
+        # exact data do not grow to the full length
+        assert_certified(spectrum, 4, int(np.argmax(window_energies(periodize(x, 3), 4))))
+
+
+class TestCertifiedFirstFold:
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_exact_instances_stop_at_the_first_fold(self, seed, data):
+        j = data.draw(st.integers(3, 14))
+        n = 1 << j
+        m = data.draw(st.integers(1, n // 4))
+        x, _ = gen_sparse_signal(n, m, seed)
+        spectrum = fft_forward(x)
+        exact = reconstruct_exact(CountingSpectrumAccessor(spectrum), m)
+        acc = RecordingAccessor(spectrum)
+        rec = reconstruct_noisy(acc, m)
+        assert rec.support == exact.support
+        assert (rec.vectors_used, rec.votes_stable) == (1, True)
+        level = ceil_log2(m)
+        if len(acc.calls) == 2:  # the fold, and every level's probe pair: none read zero
+            assert rec.samples_used == (1 << (level + 1)) + 2 * (j - level - 1)
+        assert np.max(np.abs(rec.signal - x)) <= 1e-9 * np.max(np.abs(x))
+
+    def test_noisy_instances_are_never_certified(self):
+        # the smallest first-fold residual falls with the noise, to about 5e-11
+        # at 180 dB over 300 draws; every draw here grows
+        rng = np.random.default_rng(20150903)
+        for snr in (0.0, 20.0, 60.0, 100.0, 140.0, 180.0):
+            for _ in range(100):
+                n = 1 << int(rng.integers(6, 15))
+                m = int(rng.integers(1, n // 4 + 1))
+                noisy = noisy_instance(n, m, snr, int(rng.integers(2**32)))[2]
+                _, residual = _locate_residual(_fold(CountingSpectrumAccessor(noisy), ceil_log2(m))[1], m)
+                assert residual > RESIDUAL_TOLERANCE, (n, m, snr)
+                assert reconstruct_noisy(CountingSpectrumAccessor(noisy), m).vectors_used > 1
+
+    def test_the_residual_runs_at_most_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(folded, window_len):
+            calls.append(len(folded))
+            return _locate_residual(folded, window_len)
+
+        monkeypatch.setattr(sparse_noisy, "_locate_residual", counted)
+        for snr in (0.0, 10.0, 20.0, math.inf):
+            for n, m in ((1 << 12, 11), (1 << 14, 50), (64, 30)):
+                calls.clear()
+                rec = reconstruct_noisy(CountingSpectrumAccessor(noisy_instance(n, m, snr, 7)[2]), m)
+                # on the first fold only; the dense fallback computes none
+                want = [] if rec.mode == "fallback" else [1 << (ceil_log2(m) + 1)]
+                assert calls == want
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_short_zero_and_period_half_spectra_report_their_blind_level(self, n):
+        # m = N/4: the first fold has N/2 entries and is certified, so the
+        # top level, probed at odd indices that all read zero, is blind
+        m = n // 4
+        y, _ = gen_sparse_signal(n // 2, m, 3)
+        for spectrum in (np.zeros(n, complex), fft_forward(np.tile(y, 2))):
+            rec = reconstruct_noisy(CountingSpectrumAccessor(spectrum), m)
+            assert (rec.vectors_used, rec.blind_levels) == (1, [n.bit_length() - 2])
 
 
 class TestRefineSupport:
@@ -427,13 +521,15 @@ class TestReconstructNoisy:
             _, _, noisy, _ = noisy_instance(4096, 20, snr, 3)
             assert reconstruct_noisy(CountingSpectrumAccessor(noisy), 20).blind_levels == []
 
-    def test_period_half_input_reports_its_blind_level(self):
+    @pytest.mark.parametrize("j", [8, 12, 16])
+    def test_period_half_input_reports_its_blind_level(self, j):
         # x repeats with period N/2, so every odd spectrum value is zero and
-        # the last doubling level, probed at odd indices, reads nothing
-        x = np.tile(gen_sparse_signal(2048, 20, 3)[0], 2)
+        # the last doubling level, probed at odd indices, reads nothing; the
+        # first fold is exact, so it is not grown
+        x = np.tile(gen_sparse_signal(1 << (j - 1), 20, 3)[0], 2)
         rec = reconstruct_noisy(CountingSpectrumAccessor(fft_forward(x)), 20)
-        assert rec.blind_levels == [11]
-        assert rec.support.first_index >> 11 & 1 == 0
+        assert (rec.vectors_used, rec.blind_levels) == (1, [j - 1])
+        assert rec.support.first_index >> (j - 1) & 1 == 0
 
     def test_each_blind_level_scans_in_one_call(self):
         # period N/4: the pairs of levels 10 (stride 2) and 11 (stride 1) read
