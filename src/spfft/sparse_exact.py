@@ -11,21 +11,22 @@ recovered in stages:
 - check: the fold's energy outside that window, over its total, is the
   fold residual (_locate_residual, which also locates); on exact data it
   is rounding, and above RESIDUAL_TOLERANCE it raises ModelViolation
-  before any further read, while sparse_noisy grows its fold only then;
+  before any further read;
 - place: one odd-indexed spectrum value next to the subsample's peak
   (_peak, _probe: the larger of the two neighbors, or, if both read
   zero, the largest of one read of further odd values), divided by the
   transform of the folded window there, is a root of unity whose
   exponent fixes which of the N/P candidate placements is the true one
   (_resolve_shift); a quotient of zero or off that lattice raises
-  ModelViolation.
+  ModelViolation.  _place runs this stage on any certified fold.
 
 The exact path folds to P = 2**ceil_log2(m+1), the shortest power of
 two above m, and reads P + 2 <= 2m + 2 spectrum values in all on
 exact data, and 2P on the zero vector, in at most three read calls.
 sparse_noisy folds to 2**(L+1), L = ceil(log2 m), and reuses the fold,
-locate, check and probe stages.  When m > N/4 the sparse paths hand
-over to reconstruct_dense, the one dense inverse FFT of the package.
+locate and check stages, and _place on a fold the residual certifies.
+When m > N/4 the sparse paths hand over to reconstruct_dense, the one
+dense inverse FFT of the package.
 """
 
 from __future__ import annotations
@@ -58,13 +59,14 @@ class Reconstruction:
     The window's placement is support.first_index.  The rest is set by
     the noisy algorithm only: vectors_used is the length of its grown
     fold over the first fold length 2**(L+1): 1 when the fold residual
-    certified the first fold, else 2, 4 or 8; votes_stable is True on a
-    certified first fold, and False when the growth stopped before two
-    consecutive support starts agreed (the last start is still used -- a
-    best-effort answer, not an error); blind_levels lists the doubling
-    levels j (a move there is by 2**j) whose probes all read zero, so
-    that their "no move" was not decided by the data, and is empty on
-    data that fit the model.
+    certified the first fold, which the odd-sample quotient then placed,
+    else 2, 4 or 8; votes_stable is True on a certified first fold, and
+    False when the growth stopped before two consecutive support starts
+    agreed (the last start is still used -- a best-effort answer, not an
+    error); blind_levels lists the doubling levels j (a move there is by
+    2**j) whose probe pair read zero, so that their "no move" was not
+    decided by the data; it is empty on a certified first fold, which is
+    not doubled, and on noisy data that fit the model.
     """
 
     support: SupportDescriptor
@@ -84,11 +86,12 @@ class Reconstruction:
 
 #: Largest fold residual, the norm of the fold outside the located
 #: window over the fold's norm, that fits the exact model: above it
-#: reconstruct_exact raises, and at or below it reconstruct_noisy keeps
-#: its first fold of length 2**(L+1) ungrown.  On exact data the outside
-#: entries are rounding of the FFTs: at most 2.7e-16 on 2,400 instances
-#: with N from 2**6 to 2**18, 3.1e-16 at N = 2**22 with P up to 2**21,
-#: and 0 on spectra scaled by 2**-1030 to 2**-1060.  Noise gave at least
+#: reconstruct_exact raises, and at or below it reconstruct_noisy places
+#: its first fold of length 2**(L+1) ungrown, by the odd-sample quotient.
+#: On exact data the outside entries are rounding of the FFTs: at most
+#: 2.7e-16 on 2,400 instances with N from 2**6 to 2**18, 3.1e-16 at
+#: N = 2**22 with P up to 2**21, and 0 on spectra scaled by 2**-1030 to
+#: 2**-1060.  Noise gave at least
 #: 1.5e-5 at 60 dB and 2.2e-7 at 100 dB on the exact fold (400 instances
 #: each), and on the noisy path's first fold at least 7.6e-5 at 60 dB,
 #: 2.0e-6 at 100 dB, 3.6e-8 at 140 dB and 5.0e-11 at 180 dB (300
@@ -229,34 +232,26 @@ def _modulus(value: complex) -> float:
         return math.inf
 
 
-def _probe(
-    accessor: CountingSpectrumAccessor, center: int, strides, budget: int
-) -> list[tuple[int, complex]]:
-    """(index, value) of the largest-modulus odd probe read next to center, for each stride.
+def _probe(accessor: CountingSpectrumAccessor, center: int, budget: int) -> tuple[int, complex]:
+    """(index, value) of the largest-modulus odd probe read next to an even center.
 
-    center is an even multiple of every stride < N/2.  The pairs
-    spectrum[center +- stride] of all strides are read in one call.  A
-    pair that reads exactly zero on both sides gets one further read,
-    its scan: the odd multiples of its stride in increasing order,
-    skipping the pair, up to budget probes in all (none at a budget of
-    two or less).  A window of at most budget entries with a nonzero
-    transform is nonzero at one of any budget distinct frequencies.
-    The pick is the largest modulus among a stride's values, the first
-    in the order right neighbor, left neighbor, scan: the right
-    neighbor wins ties and is returned, with its zero, when all read zero.
+    The neighbors spectrum[center +- 1] are read in one call.  If both
+    read exactly zero, one further read, the scan, takes the odd indices
+    in increasing order, skipping the pair, up to budget probes in all
+    (none at a budget of two or less).  A window of at most budget
+    entries with a nonzero transform is nonzero at one of any budget
+    distinct frequencies.  The pick is the largest modulus, the first in
+    the order right neighbor, left neighbor, scan: the right neighbor
+    wins ties and is returned, with its zero, when all read zero.
     """
     n = len(accessor)
-    probes = [q for stride in strides for q in ((center + stride) % n, (center - stride) % n)]
-    values = accessor.read(probes).tolist()
-    found = []
-    by_stride = zip(strides, zip(probes[::2], probes[1::2]), zip(values[::2], values[1::2]))
-    for stride, indices, read in by_stride:
-        if budget > 2 and not any(read):
-            scan = [q for q in range(stride, n, 2 * stride)[:budget] if q not in indices][: budget - 2]
-            indices, read = indices + tuple(scan), read + tuple(accessor.read(scan).tolist())
-        best = max(read, key=_modulus)  # the first of the largest moduli
-        found.append((indices[read.index(best)], best))
-    return found
+    indices = [(center + 1) % n, (center - 1) % n]
+    read = accessor.read(indices).tolist()
+    if budget > 2 and not any(read):
+        scan = [q for q in range(1, n, 2)[:budget] if q not in indices][: budget - 2]
+        indices, read = indices + scan, read + accessor.read(scan).tolist()
+    best = max(read, key=_modulus)  # the first of the largest moduli
+    return indices[read.index(best)], best
 
 
 def _resolve_shift(quotient: complex, odd: int, t: int) -> int:
@@ -284,6 +279,31 @@ def _resolve_shift(quotient: complex, odd: int, t: int) -> int:
             f"(phase {steps:.6f} steps); data are not an exact spectrum"
         )
     return int(nearest) * pow(odd, -1, modulus) % modulus
+
+
+def _place(accessor: CountingSpectrumAccessor, subsampled, folded, start: int, residual, m: int):
+    """(support, window): the m-window at start of a fold the residual certified, placed.
+
+    subsampled is the offset-0 stride subsample whose inverse FFT is
+    folded, and residual its fold residual at start (_locate_residual),
+    None on a zero fold.  The odd probe next to the subsample's peak
+    (_peak, _probe), divided by the window's transform there, resolves
+    the shift among the N / len(folded) placements (_resolve_shift).  A
+    zero fold is the zero vector, at start, only if every odd probe
+    reads zero too: a nonzero vector with at most m < len(folded) <= N/2
+    support entries is not zero at all of len(folded) distinct odd
+    indices, and a longer support that cancels in the fold has a zero
+    window transform there, which raises ModelViolation.
+    """
+    n = len(accessor)
+    window = np.take(folded, np.arange(start, start + m), mode="wrap")
+    odd, odd_value = _probe(accessor, _peak(accessor, subsampled), len(folded))
+    shift = 0
+    if residual is not None or odd_value:
+        reference = window_spectrum_sample(window, start, odd, n)
+        quotient = odd_value / reference if reference else 0j
+        shift = _resolve_shift(quotient, odd, n.bit_length() - len(folded).bit_length())
+    return SupportDescriptor((start + len(folded) * shift) % n, m), window
 
 
 def reconstruct_dense(
@@ -340,26 +360,10 @@ def reconstruct_exact(accessor: CountingSpectrumAccessor, support_len: int) -> R
     level = m.bit_length() - 1  # the fold of length P = 2**(level+1) = 2**ceil_log2(m+1)
     subsampled, folded = _fold(accessor, level)
     start, residual = _locate_residual(folded, m)
-    window = np.take(folded, np.arange(start, start + m), mode="wrap")
     if residual is not None and residual > RESIDUAL_TOLERANCE:
         raise ModelViolation(
             f"fold residual {residual:.3g} exceeds {RESIDUAL_TOLERANCE:g}: the data are not "
             f"the exact spectrum of a vector with support at most {m}"
         )
-    # A nonzero vector with at most m < P <= N/2 support entries is not
-    # zero at all of P distinct odd indices, so a zero fold is the zero
-    # vector only if every odd probe reads zero too.
-    odd, odd_value = _probe(accessor, _peak(accessor, subsampled), [1], len(subsampled))[0]
-    shift = 0
-    if residual is not None or odd_value:
-        reference = window_spectrum_sample(window, start, odd, n)
-        quotient = odd_value / reference if reference else 0j
-        shift = _resolve_shift(quotient, odd, n.bit_length() - len(folded).bit_length())
-
-    return Reconstruction(
-        SupportDescriptor((start + len(folded) * shift) % n, m),
-        window,
-        n,
-        accessor.read_count,
-        "sparse",
-    )
+    support, window = _place(accessor, subsampled, folded, start, residual, m)
+    return Reconstruction(support, window, n, accessor.read_count, "sparse")

@@ -4,22 +4,25 @@ The stages of the exact-data algorithm (sparse_exact), made robust:
 
 - fold, locate and check: as on exact data, the folded vector of length
   2**(L+1), the start of its max-energy window and the fold residual
-  outside it (_locate_residual).
-- grow: unless the residual is at most RESIDUAL_TOLERANCE or the fold is
-  zero (exact data, which no averaging improves), the fold is doubled
-  in length, one level at a time, from the spectrum read at half the
-  stride (offset_periodization, _join), until two consecutive starts
-  agree or the fold is MAX_VECTORS times its first length (_grow).
-  Each longer fold averages twice as many spectrum values per entry,
-  which halves the noise variance of its entries, and fixes one more
-  low bit of the start.
+  outside it (_locate_residual).  A residual of at most
+  RESIDUAL_TOLERANCE, or a zero fold, means exact data, which no
+  averaging improves: that fold is placed as the exact path places its
+  own, by the odd-sample quotient (_place), and the stages below do not
+  run.
+- grow: any other fold is doubled in length, one level at a time, from
+  the spectrum read at half the stride (offset_periodization, _join),
+  until two consecutive starts agree or the fold is MAX_VECTORS times
+  its first length (_grow).  Each longer fold averages twice as many
+  spectrum values per entry, which halves the noise variance of its
+  entries, and fixes one more low bit of the start.
 - place: the folding length is doubled further, one level at a time,
-  each level deciding "shift by half a period or not" from the sign
-  agreement between a predicted and a measured odd-indexed value,
-  probed next to the spectral peak by the exact path's _probe
-  (_double).  The probes do not depend on the decisions, so all levels
-  are read in one call and their predictions come from one
-  window_spectrum_sample call; only the decisions run level by level.
+  each level deciding "shift by half a period or not" by the matched
+  filter: the sign of the real part of the predicted odd-indexed values
+  times the conjugates of the measured ones, summed over the two
+  neighbors of the spectral peak (_double).  The probes do not depend
+  on the decisions, so all levels are read in one call, two values per
+  level, and their predictions come from one window_spectrum_sample
+  call; only the decisions run level by level.
 
 The support values are the grown fold's window.
 """
@@ -40,7 +43,8 @@ from .sparse_exact import (
     _locate,
     _locate_residual,
     _peak,
-    _probe,
+    _place,
+    _scaled,
     ceil_log2,
     reconstruct_dense,
     window_spectrum_sample,
@@ -92,34 +96,27 @@ def _join(folded, odd) -> np.ndarray:
         return np.concatenate([half + turned, half - turned])
 
 
-def _grow(accessor: CountingSpectrumAccessor, folded, m: int):
+def _grow(accessor: CountingSpectrumAccessor, folded, start: int, m: int):
     """Double the folded vector until its support start settles.
 
-    folded is the fold at level L = ceil_log2(m).  A fold whose residual
-    outside its located window is at most RESIDUAL_TOLERANCE, or that is
-    zero, fits the exact model and is returned as it is, with no read
-    (_locate_residual, the exact path's check).  Otherwise each step
-    reads the spectrum at the odd multiples of half the current stride,
-    new indices all, and joins their inverse FFT with the current fold
-    of length Q into the fold of length 2Q (_join).  The start is
-    located again, and the growth stops when it agrees with the one
-    before mod Q, when the fold is MAX_VECTORS times its first length,
-    or when it has the full length N.  Returns (folded, level, start,
-    stable): the grown fold, its level (2**(level+1) entries), the start
-    in it, and whether the growth stopped on the residual or on
-    agreement.
+    folded is the fold at level L = ceil_log2(m), whose residual did not
+    certify it, and start its located start.  Each step reads the
+    spectrum at the odd multiples of half the current stride, new
+    indices all, and joins their inverse FFT with the current fold of
+    length Q into the fold of length 2Q (_join).  The start is located
+    again, and the growth stops when it agrees with the one before mod
+    Q, when the fold is MAX_VECTORS times its first length, or when it
+    has the full length N.  Returns (folded, start, stable): the grown
+    fold, the start in it, and whether the growth stopped on agreement.
     """
-    level = ceil_log2(m)
-    start, residual = _locate_residual(folded, m)
-    stable = residual is None or residual <= RESIDUAL_TOLERANCE
+    stable = False
     longest = min(MAX_VECTORS * len(folded), len(accessor))
     while not stable and len(folded) < longest:
         q = len(folded)
-        folded = _join(folded, offset_periodization(accessor, len(accessor) // q // 2, level))
-        level += 1
+        folded = _join(folded, offset_periodization(accessor, len(accessor) // q // 2, q.bit_length() - 2))
         previous, start = start, _locate(folded, m)
         stable = start % q == previous
-    return folded, level, start, stable
+    return folded, start, stable
 
 
 def _double(accessor: CountingSpectrumAccessor, window, start: int, peak: int, level: int):
@@ -129,35 +126,41 @@ def _double(accessor: CountingSpectrumAccessor, window, start: int, peak: int, l
     length 2**(level+1).  At each level j > level the folded support
     either stays at start or moves by 2**j.  The two cases flip the
     sign of every odd-indexed spectrum value of the level-(j+1)
-    folding, so one such value decides.  It is probed right next to
-    peak, the spectral peak of the offset-0 subsample: there the
+    folding.  The level's two such values right next to peak, the
+    spectral peak of the first fold's subsample, decide: there the
     underlying magnitude is near its maximum, which keeps the sign
-    decision reliable deep into the noise (an arbitrary or measured-max
-    probe does not).  The probes peak +- N/2**(j+1) depend only on the
-    level, so every level's pair is read in one _probe call, and the
-    window's transform at every level's probe index in one
-    window_spectrum_sample call of length N, with the window at 0; the
-    levels' decisions then turn it to the start found so far, one
-    scalar product each.  A level whose pair reads exactly zero gets
-    one more read call, its scan of further odd probes, and takes the
-    largest modulus among them (_probe); each level reads at most
-    max(m, 2) values, and one whose probes all read zero, like a tie,
-    goes to "no move".  Returns (first_index, blind_levels),
-    blind_levels listing the levels j whose probes all read zero.
+    decision reliable deep into the noise.  The move is taken when
+    ``Re sum predicted * conj(measured)`` over both neighbors is
+    negative, the matched filter, which is the same test as
+    ``sum |predicted - measured|**2 > sum |predicted + measured|**2``.
+    The probes peak +- N/2**(j+1) depend only on the level, so every
+    level's pair is read in one call, two values per level, and the
+    transform of the window, scaled by a power of two (_scaled, which
+    keeps the sign and the products in range), at every probe index in
+    one window_spectrum_sample call of length N, with the window at
+    start.  peak is a multiple of N/2**(level+1), so a window moved on
+    by d, a sum of the moves below level j, turns the level's right
+    probe by exp(-i*pi*d/2**j) and its left one by the conjugate: one
+    scalar exponential per level.  A level whose pair reads exactly zero
+    has a zero sum and, like a tie, goes to "no move"; a sum beyond the
+    float range raises NonFiniteSpectrum.  Returns (first_index,
+    blind_levels), blind_levels listing the levels j whose pair read
+    zero.
     """
     n = len(accessor)
     levels = range(level + 1, n.bit_length() - 1)
-    probes = _probe(accessor, peak, [n >> (j + 1) for j in levels], len(window))
-    blind = [j for j, (_, value) in zip(levels, probes) if value == 0]
-    bases = window_spectrum_sample(window, 0, [index for index, _ in probes], n)
-    first_index = start
-    for j, base, (index, value) in zip(levels, bases.tolist(), probes):
-        predicted = base * cmath.exp((-2j * math.pi / n) * (index * first_index % n))
-        try:
-            move = abs(predicted - value) > abs(predicted + value)
-        except OverflowError as exc:  # a modulus above the float maximum
-            raise NonFiniteSpectrum(f"doubling comparison at level {j} overflows") from exc
-        if move:
+    probes = [q for j in levels for q in ((peak + (n >> (j + 1))) % n, (peak - (n >> (j + 1))) % n)]
+    values = accessor.read(probes).tolist()
+    bases = window_spectrum_sample(_scaled(window), start, probes, n).tolist()
+    first_index, blind = start, []
+    for j, right, left, base_right, base_left in zip(levels, values[::2], values[1::2], bases[::2], bases[1::2]):
+        turn = cmath.exp(-1j * math.pi * (first_index - start) / (1 << j))
+        score = (turn * base_right * right.conjugate() + turn.conjugate() * base_left * left.conjugate()).real
+        if not math.isfinite(score):  # a product above the float maximum
+            raise NonFiniteSpectrum(f"doubling comparison at level {j} overflows")
+        if not (right or left):
+            blind.append(j)
+        if score < 0:
             first_index += 1 << j
     return first_index, blind
 
@@ -165,30 +168,38 @@ def _double(accessor: CountingSpectrumAccessor, window, start: int, peak: int, l
 def reconstruct_noisy(accessor: CountingSpectrumAccessor, support_len: int) -> Reconstruction:
     """Recover a vector with support length <= support_len from noisy data.
 
-    Stages: fold, locate, and, unless the fold residual certifies the
-    first fold (at most RESIDUAL_TOLERANCE, or a zero fold), grow the
-    fold up to MAX_VECTORS times its first length 2**(L+1) (each
+    Stages: fold to 2**(L+1), L = ceil_log2(support_len), and locate.  A
+    first fold whose residual is at most RESIDUAL_TOLERANCE, or that is
+    zero, fits the exact model and is placed as the exact path places
+    its fold, by the odd-sample quotient (_place): 2**(L+1) + 2 reads
+    when the probe pair is nonzero, vectors_used 1, and ModelViolation
+    where that placement raises it, as on a longer support that cancels
+    in the fold or a nonzero fold whose odd probes all read zero.  Any
+    other fold is grown up to MAX_VECTORS times its first length (each
     doubling costs as many spectrum reads as the fold it doubles) until
-    the located start settles; place by doubling the folding up to the
-    full length.  On exact data that is 2**(L+1) fold reads and two
-    probes per doubling level, when no probe pair reads zero.  The
-    result holds the support_len window values of the grown fold,
-    placed at support.first_index, the start in the grown fold moved by
-    the doubling; its signal, built only when read, is exactly zero
-    outside the detected window.  vectors_used (the grown fold's length
-    over 2**(L+1), 1 on a certified first fold), votes_stable (True on
-    a certified first fold or on agreement) and blind_levels report the
-    growth and the doubling.  For support_len > N/4 the dense inverse
-    FFT fallback is used (restricted to the best window).
+    the located start settles, and its window is placed by doubling the
+    folding up to the full length, two reads per level (_double).  The
+    result holds the support_len window values, placed at
+    support.first_index; its signal, built only when read, is exactly
+    zero outside the detected window.  vectors_used (the grown fold's
+    length over 2**(L+1)), votes_stable (True on a certified first fold
+    or on agreement) and blind_levels report the growth and the
+    doubling.  For support_len > N/4 the dense inverse FFT fallback is
+    used (restricted to the best window).
     """
     n = len(accessor)
     if support_length(support_len, n) > n // 4:
         return reconstruct_dense(accessor, support_len)
 
     subsampled, folded = _fold(accessor, ceil_log2(support_len))
-    grown, grown_level, start, stable = _grow(accessor, folded, support_len)
+    start, residual = _locate_residual(folded, support_len)
+    if residual is None or residual <= RESIDUAL_TOLERANCE:
+        support, window = _place(accessor, subsampled, folded, start, residual, support_len)
+        return Reconstruction(support, window, n, accessor.read_count, "sparse", 1)
+    grown, start, stable = _grow(accessor, folded, start, support_len)
     window = grown[SupportDescriptor(start, support_len).indices(len(grown))]
-    first_index, blind = _double(accessor, window, start, _peak(accessor, subsampled), grown_level)
+    level = len(grown).bit_length() - 2  # the grown fold has 2**(level+1) entries
+    first_index, blind = _double(accessor, window, start, _peak(accessor, subsampled), level)
     return Reconstruction(
         SupportDescriptor(first_index % n, support_len),
         window,

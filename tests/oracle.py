@@ -4,8 +4,9 @@ The quadratic-time DFT is the independent oracle for the FFT pair; the
 folding (periodization) operator and its spectral counterpart (stride
 subsampling) state the identity the sparse algorithms rest on; the
 recording accessor shows which spectrum values a call read, in order;
-the one-pair odd probe and the per-level doubling built on it are the
-references for the batched probe and doubling; the one-expression noise
+the odd probe that scans one index per call is the reference for the
+exact placement's probe, and the per-level doubling for the batched
+one; the one-expression noise
 draw is the reference for add_noise's in-place one; the direct sum of
 the window transform is the reference for its baby-step giant-step
 evaluation.
@@ -155,27 +156,27 @@ class RecordingAccessor(CountingSpectrumAccessor):
         return values
 
 
-def odd_probe(accessor, center: int, probe_stride: int, budget: int) -> tuple[int, complex]:
-    """(index, value) of the largest-modulus odd probe next to center, one stride per call.
+def odd_probe(accessor, center: int, budget: int) -> tuple[int, complex]:
+    """(index, value) of the largest-modulus odd probe next to an even center, one scan index per call.
 
-    Both neighbors center +- probe_stride are read in one call, whatever
-    the budget.  Only if both are exactly zero are the odd multiples of
-    probe_stride read, one index per call in increasing order, skipping
-    the neighbors, until budget distinct indices were probed or the
-    multiples run out.  The pick is the largest modulus, the first read
-    on ties: the right neighbor first, and with its zero when all read
-    zero.  sparse_exact._probe must return the same pairs, and read the
-    same indices, for many strides at once.
+    Both neighbors center +- 1 are read in one call, whatever the budget.
+    Only if both are exactly zero are the odd indices read, one index per
+    call in increasing order, skipping the neighbors, until budget
+    distinct indices were probed or the odd indices run out.  The pick is
+    the largest modulus, the first read on ties: the right neighbor
+    first, and with its zero when all read zero.  sparse_exact._probe
+    must return the same pair, and read the same indices, with its scan
+    in one call.
     """
     n = len(accessor)
-    probes = [(center + probe_stride) % n, (center - probe_stride) % n]
+    probes = [(center + 1) % n, (center - 1) % n]
     values = accessor.read(probes).tolist()
-    odd = probe_stride
+    odd = 1
     while values[:2] == [0, 0] and len(probes) < budget and odd < n:
         if odd not in probes[:2]:
             probes.append(odd)
             values.append(complex(accessor.read([odd])[0]))
-        odd += 2 * probe_stride
+        odd += 2
     best = 0
     for k in range(1, len(probes)):
         if _modulus(values[k]) > _modulus(values[best]):
@@ -186,21 +187,28 @@ def odd_probe(accessor, center: int, probe_stride: int, budget: int) -> tuple[in
 def per_level_double(accessor, window, start: int, peak: int, level: int):
     """sparse_noisy._double one level at a time: (first_index, blind_levels).
 
-    Each level reads its probe pair with one odd_probe call (scanning
-    further odd probes if the pair is zero) and predicts the probed
-    value with one scalar window_spectrum_sample call at the start found
-    so far, at the probe's odd index in the level's own length
-    2**(j+1), where _double takes the probe's index in the length N.
+    Each level reads its probe pair peak +- N/2**(j+1) with one call and
+    predicts each probed value with one scalar window_spectrum_sample
+    call at the start found so far, at the probe's odd index in the
+    level's own length 2**(j+1), where _double takes the probe's index
+    in the length N.  The level moves by 2**j when
+    ``sum |predicted - measured|**2 > sum |predicted + measured|**2``
+    over the pair, the matched filter that _double evaluates as the sign
+    of ``Re sum predicted * conj(measured)``.
     """
-    j_top = len(accessor).bit_length() - 1
+    n = len(accessor)
+    j_top = n.bit_length() - 1
     first_index = start
     blind = []
     for j in range(level + 1, j_top):
         probe_stride = 1 << (j_top - j - 1)
-        probe, measured = odd_probe(accessor, peak, probe_stride, len(window))
-        if measured == 0:
+        probes = [(peak + probe_stride) % n, (peak - probe_stride) % n]
+        measured = accessor.read(probes).tolist()
+        if measured == [0, 0]:
             blind.append(j)
-        predicted = window_spectrum_sample(window, first_index, probe // probe_stride, 2 << j)
-        if abs(predicted - measured) > abs(predicted + measured):
+        predicted = [window_spectrum_sample(window, first_index, q // probe_stride, 2 << j) for q in probes]
+        moved = sum(abs(p - v) ** 2 for p, v in zip(predicted, measured))
+        kept = sum(abs(p + v) ** 2 for p, v in zip(predicted, measured))
+        if moved > kept:
             first_index += 1 << j
     return first_index, blind

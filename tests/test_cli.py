@@ -261,7 +261,7 @@ class TestReconstructCommand:
             warnings.simplefilter("always")
             assert main(["reconstruct", str(path), "--m", "1", "--algorithm", "noisy"]) == 2
         assert [str(w.message) for w in caught] == []
-        assert capsys.readouterr() == ("", "error: doubling comparison at level 5 overflows\n")
+        assert capsys.readouterr() == ("", "error: doubling comparison at level 7 overflows\n")
 
     @pytest.mark.parametrize("algorithm", ["exact", "noisy"])
     def test_non_finite_value_never_read_is_ignored(self, tmp_path, capsys, algorithm):

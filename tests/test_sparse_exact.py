@@ -129,7 +129,7 @@ PROBE_VALUES = [0j, 0j, 0j, 1 + 0j, -1 + 0j, 1j, 2 + 0j, 1.5e308 * (1 + 1j), 1.6
 def probe_next_to_peak(acc, subsampled):
     # the exact path's place stage: odd neighbors of the subsample's peak,
     # with one probe per subsample entry at most
-    return _probe(acc, _peak(acc, subsampled), [1], len(subsampled))[0]
+    return _probe(acc, _peak(acc, subsampled), len(subsampled))
 
 
 class TestSelectOddSample:
@@ -147,50 +147,48 @@ class TestSelectOddSample:
         spectrum = np.ones(64, complex)
         spectrum[1], spectrum[63] = right * (1 + 1j), left * (1 + 1j)
         acc = CountingSpectrumAccessor(spectrum)
-        assert _probe(acc, 0, [1], 2) == [(want, complex(spectrum[want]))]
+        assert _probe(acc, 0, 2) == (want, complex(spectrum[want]))
 
     @given(data=st.data())
-    def test_many_strides_match_one_pair_per_call(self, data):
+    def test_one_probe_matches_one_read_per_scan_index(self, data):
         # zero pairs (scanned), ties, moduli above the float maximum and
-        # budgets down to 1, which still read both neighbors: the same
-        # picks and distinct reads as one reference call per stride
-        j = data.draw(st.integers(3, 8))
-        n = 1 << j
-        exponents = data.draw(st.lists(st.integers(0, j - 2), min_size=1, max_size=j - 1, unique=True))
-        strides = [1 << e for e in sorted(exponents, reverse=True)]
-        center = 2 * strides[0] * data.draw(st.integers(0, n // (2 * strides[0]) - 1))
+        # budgets down to 1, which still read both neighbors: the same pick
+        # and distinct reads as the reference, which scans one index per call
+        n = 1 << data.draw(st.integers(2, 8))
+        center = 2 * data.draw(st.integers(0, n // 2 - 1))
         budget = data.draw(st.one_of(st.just(1), st.integers(1, n // 2)))
         spectrum = np.array(data.draw(st.lists(st.sampled_from(PROBE_VALUES), min_size=n, max_size=n)))
         batched, reference = RecordingAccessor(spectrum), RecordingAccessor(spectrum)
-        got = _probe(batched, center, strides, budget)
-        assert got == [odd_probe(reference, center, stride, budget) for stride in strides]
-        assert len(batched.calls[0]) == 2 * len(strides)  # every pair in one call
+        assert _probe(batched, center, budget) == odd_probe(reference, center, budget)
+        assert batched.calls[0] == [(center + 1) % n, (center - 1) % n]  # the pair in one call
+        assert len(batched.calls) <= 2  # and at most one scan
         reads = [set(itertools.chain.from_iterable(a.calls)) for a in (batched, reference)]
         assert reads[0] == reads[1]
         assert batched.read_count == reference.read_count == len(reads[1])
 
     @pytest.mark.parametrize("budget", [1, 2, 3, 32])
-    def test_hand_made_levels_match_one_pair_per_call(self, budget):
-        # N=64, peak 0, strides 16, 8, 4, 2, 1: a tie at 16, a left modulus
-        # above the float maximum at 8, a zero pair at 4 whose scan finds 12,
-        # a zero pair and zero scan at 2, and a zero right neighbor at 1
+    @pytest.mark.parametrize(
+        "odd_values, want",
+        [
+            ({17: 2, 15: 2}, (17, 2)),  # a tie: the right neighbor
+            ({17: 1, 15: 1.6e308 * (1 - 1j)}, (15, 1.6e308 * (1 - 1j))),  # a modulus above the float maximum
+            ({7: 1j}, (7, 1j)),  # a zero pair whose scan finds 7
+            ({}, (17, 0j)),  # a zero pair and a zero scan
+            ({15: -3}, (15, -3)),  # a zero right neighbor
+        ],
+        ids=["tie", "above-max", "scan", "all-zero", "zero-right"],
+    )
+    def test_hand_made_pairs_match_one_read_per_scan_index(self, odd_values, want, budget):
+        # N=64, center 16: the pair is 17 and 15, the scan 1, 3, 5, 7, ...
         spectrum = np.zeros(64, complex)
-        spectrum[16] = spectrum[48] = 2
-        spectrum[8], spectrum[56] = 1, 1.6e308 * (1 - 1j)
-        spectrum[12] = 1j
-        spectrum[63] = -3
-        strides = [16, 8, 4, 2, 1]
+        spectrum[::2] = 1
+        for index, value in odd_values.items():
+            spectrum[index] = value
         batched, reference = RecordingAccessor(spectrum), RecordingAccessor(spectrum)
-        got = _probe(batched, 0, strides, budget)
-        assert got == [odd_probe(reference, 0, stride, budget) for stride in strides]
-        # every budget reads both neighbors; only the scan at 4 needs a budget above 2
-        assert got == [
-            (16, 2),
-            (56, spectrum[56]),
-            (12, 1j) if budget > 2 else (4, 0j),
-            (2, 0j),
-            (63, -3),
-        ]
+        got = _probe(batched, 16, budget)
+        assert got == odd_probe(reference, 16, budget)
+        # every budget reads both neighbors; 7, the fourth scan index, needs a budget of 6 or more
+        assert got == (want if budget >= 6 or want[0] != 7 else (17, 0j))
         reads = [set(itertools.chain.from_iterable(a.calls)) for a in (batched, reference)]
         assert reads[0] == reads[1]
         assert batched.read_count == reference.read_count == len(reads[1])

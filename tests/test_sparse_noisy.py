@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,17 +9,17 @@ from hypothesis import given, strategies as st
 from oracle import RecordingAccessor, per_level_double, periodize
 from spfft import sparse_noisy
 from spfft.dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forward, fft_inverse
-from spfft.errors import InvalidOffset, NonFiniteSpectrum
+from spfft.errors import InvalidOffset, ModelViolation, NonFiniteSpectrum
 from spfft.signal_lab import NoiseSpec, add_noise, gen_instance, gen_sparse_signal
 from spfft.sparse_exact import (
     RESIDUAL_TOLERANCE,
     _fold,
+    _locate,
     _locate_residual,
     _peak,
     ceil_log2,
     reconstruct_exact,
     window_energies,
-    window_spectrum_sample,
 )
 from spfft.sparse_noisy import (
     MAX_VECTORS,
@@ -35,8 +36,9 @@ def noisy_instance(n, m, snr_db, seed):
 
 
 def grow(acc, m):
-    # the fold, locate and grow stages of the noisy path
-    return _grow(acc, _fold(acc, ceil_log2(m))[1], m)
+    # the fold, locate and grow stages of the noisy path, as on a fold the residual did not certify
+    folded = _fold(acc, ceil_log2(m))[1]
+    return _grow(acc, folded, _locate(folded, m), m)
 
 
 def double(acc, folded, start, m, subsampled):
@@ -59,13 +61,14 @@ def assert_direct_fold(grown, spectrum):
 
 
 def assert_certified(spectrum, m, start):
-    # exact data: the first fold fits the model, and the growth makes no read
+    # exact data: the first fold fits the model, is not grown, and is placed
+    # by the odd-sample quotient from its probe pair
     n, fold_len = len(spectrum), 1 << (ceil_log2(m) + 1)
     acc = RecordingAccessor(spectrum)
-    assert grow(acc, m)[1:] == (ceil_log2(m), start, True)
-    assert acc.calls == [list(range(0, n, n // fold_len))]
-    rec = reconstruct_noisy(CountingSpectrumAccessor(spectrum), m)
+    rec = reconstruct_noisy(acc, m)
     assert (rec.vectors_used, rec.votes_stable, rec.support.first_index % fold_len) == (1, True, start)
+    assert [len(call) for call in acc.calls] == [fold_len, 2]
+    assert acc.calls[0] == list(range(0, n, n // fold_len))
 
 
 class TestOffsetPeriodization:
@@ -116,8 +119,8 @@ class TestEstimateSupportStart:
         spectrum = fft_forward(example_256)
         noisy, _ = add_noise(spectrum, NoiseSpec(seed=0, snr_db=10.0))
         acc = RecordingAccessor(noisy)
-        grown, level, start, stable = grow(acc, 6)
-        assert (level, start, stable) == (4, 9, True)  # 105 mod 32
+        grown, start, stable = grow(acc, 6)
+        assert (len(grown), start, stable) == (32, 9, True)  # 105 mod 32
         # one step reads the offsets 0 and stride/2 = 8: the multiples of 8
         assert sorted(i for call in acc.calls for i in call) == list(range(0, 256, 8))
         assert_direct_fold(grown, noisy)
@@ -128,7 +131,7 @@ class TestEstimateSupportStart:
         x, _ = gen_sparse_signal(1 << 10, 13, 21)
         spectrum = fft_forward(x)
         noisy, _ = add_noise(spectrum, NoiseSpec(seed=1, snr_db=10.0))
-        grown, _, start, _ = grow(CountingSpectrumAccessor(noisy), 13)
+        grown, start, _ = grow(CountingSpectrumAccessor(noisy), 13)
         assert len(grown) > 1 << (ceil_log2(13) + 1)
         direct = assert_direct_fold(grown, noisy)
         assert start == np.argmax(window_energies(direct, 13))
@@ -143,7 +146,7 @@ class TestEstimateSupportStart:
             x, supp, noisy, _ = noisy_instance(1 << 10, 13, -10.0, seed)
             acc = CountingSpectrumAccessor(noisy)
             folded = _fold(acc, ceil_log2(13))[1]
-            grown, _, start, stable = _grow(acc, folded, 13)
+            grown, start, stable = _grow(acc, folded, _locate(folded, 13), 13)
             assert len(grown) == 2 * len(folded)
             # the first start is the argmax of the first fold's energies alone
             if np.argmax(window_energies(folded, 13)) != start % len(folded):
@@ -167,8 +170,8 @@ class TestEstimateSupportStart:
         spectrum = fft_forward(example_256)
         noisy, _ = add_noise(spectrum, NoiseSpec(seed=0, snr_db=10.0))
         acc = CountingSpectrumAccessor(noisy)
-        grown, level, start, stable = grow(acc, 6)
-        assert (len(grown), level, start, stable, acc.read_count) == (16, 3, 9, False, 16)
+        grown, start, stable = grow(acc, 6)
+        assert (len(grown), start, stable, acc.read_count) == (16, 9, False, 16)
         assert_direct_fold(grown, noisy)
         rec = reconstruct_noisy(CountingSpectrumAccessor(noisy), 6)
         assert (rec.vectors_used, rec.votes_stable, rec.support.first_index) == (1, False, 105)
@@ -181,8 +184,8 @@ class TestEstimateSupportStart:
         spectrum = fft_forward(x)
         noisy, _ = add_noise(spectrum, NoiseSpec(seed=0, snr_db=10.0))
         acc = CountingSpectrumAccessor(noisy)
-        grown, level, _, _ = grow(acc, 4)
-        assert (len(grown), level, acc.read_count) == (16, 3, 16)
+        grown, _, _ = grow(acc, 4)
+        assert (len(grown), acc.read_count) == (16, 16)
         assert_direct_fold(grown, noisy)  # at the full length, the inverse FFT of the spectrum
         # exact data do not grow to the full length
         assert_certified(spectrum, 4, int(np.argmax(window_energies(periodize(x, 3), 4))))
@@ -190,7 +193,9 @@ class TestEstimateSupportStart:
 
 class TestCertifiedFirstFold:
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_exact_instances_stop_at_the_first_fold(self, seed, data):
+    def test_exact_instances_are_placed_as_on_the_exact_path(self, seed, data):
+        # the certified first fold of 2**(L+1) entries is placed by the odd-sample
+        # quotient from its probe pair, and never reaches the doubling
         j = data.draw(st.integers(3, 14))
         n = 1 << j
         m = data.draw(st.integers(1, n // 4))
@@ -198,12 +203,12 @@ class TestCertifiedFirstFold:
         spectrum = fft_forward(x)
         exact = reconstruct_exact(CountingSpectrumAccessor(spectrum), m)
         acc = RecordingAccessor(spectrum)
-        rec = reconstruct_noisy(acc, m)
+        with mock.patch.object(sparse_noisy, "_double", side_effect=AssertionError("doubled")):
+            rec = reconstruct_noisy(acc, m)
         assert rec.support == exact.support
-        assert (rec.vectors_used, rec.votes_stable) == (1, True)
-        level = ceil_log2(m)
-        if len(acc.calls) == 2:  # the fold, and every level's probe pair: none read zero
-            assert rec.samples_used == (1 << (level + 1)) + 2 * (j - level - 1)
+        assert (rec.vectors_used, rec.votes_stable, rec.blind_levels) == (1, True, [])
+        assert rec.samples_used == (2 << ceil_log2(m)) + 2
+        assert np.max(np.abs(rec.values - exact.values)) <= 1e-9 * np.max(np.abs(x))
         assert np.max(np.abs(rec.signal - x)) <= 1e-9 * np.max(np.abs(x))
 
     def test_noisy_instances_are_never_certified(self):
@@ -236,14 +241,39 @@ class TestCertifiedFirstFold:
                 assert calls == want
 
     @pytest.mark.parametrize("n", [16, 32])
-    def test_short_zero_and_period_half_spectra_report_their_blind_level(self, n):
-        # m = N/4: the first fold has N/2 entries and is certified, so the
-        # top level, probed at odd indices that all read zero, is blind
+    def test_short_zero_and_period_half_spectra_are_placed_as_on_the_exact_path(self, n):
+        # m = N/4: the first fold has N/2 entries and is certified; every odd
+        # probe of both spectra reads zero, so both read all N values
         m = n // 4
+        rec = reconstruct_noisy(CountingSpectrumAccessor(np.zeros(n, complex)), m)
+        assert not rec.values.any()
+        assert (rec.samples_used, rec.vectors_used, rec.blind_levels) == (n, 1, [])
         y, _ = gen_sparse_signal(n // 2, m, 3)
-        for spectrum in (np.zeros(n, complex), fft_forward(np.tile(y, 2))):
-            rec = reconstruct_noisy(CountingSpectrumAccessor(spectrum), m)
-            assert (rec.vectors_used, rec.blind_levels) == (1, [n.bit_length() - 2])
+        acc = CountingSpectrumAccessor(fft_forward(np.tile(y, 2)))
+        with pytest.raises(ModelViolation, match="probed all read zero"):
+            reconstruct_noisy(acc, m)
+        assert acc.read_count == n
+
+    def test_a_support_that_cancels_in_the_first_fold_raises(self):
+        # the support of y - roll(y, 64) has 84 entries; its fold to 2**(L+1) = 64
+        # cancels, but its odd probes do not read zero
+        y = gen_sparse_signal(4096, 20, 3)[0]
+        acc = CountingSpectrumAccessor(fft_forward(y - np.roll(y, 64)))
+        with pytest.raises(ModelViolation, match="window transform there vanished"):
+            reconstruct_noisy(acc, 20)
+        assert acc.read_count == 66
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_an_aliased_support_raises(self, seed, data):
+        # y - roll(y, 2**(L+1)) sums to zero in every residue class of the first fold
+        n = 1 << data.draw(st.integers(3, 12))
+        m = data.draw(st.integers(1, n // 4))
+        y, _ = gen_sparse_signal(n, m, seed)
+        fold_len = 2 << ceil_log2(m)
+        acc = CountingSpectrumAccessor(fft_forward(y - np.roll(y, fold_len)))
+        with pytest.raises(ModelViolation):
+            reconstruct_noisy(acc, m)
+        assert acc.read_count <= 2 * fold_len
 
 
 class TestRefineSupport:
@@ -254,28 +284,10 @@ class TestRefineSupport:
         assert first == 105  # moves by 32 and 64: (105-9)/16 = 6 = 0b0110
         assert blind == []
 
-    @pytest.mark.parametrize("sign, moved", [(1, False), (-1, True)])
-    def test_zero_neighbors_take_the_largest_odd_value_of_one_scan_read(self, sign, moved):
-        # N=16, m=4: one doubling level, probe stride 1, at most 4 probes.
-        # The subsample peaks at 4; 5, 3 and 1 read zero, so 7 decides,
-        # and 9, larger still, is past the budget.
-        folded = np.array([0, 1, 2j, -1, 0.5, 0, 0, 0])
-        spectrum = np.zeros(16, complex)
-        spectrum[::2] = 1
-        spectrum[4] = 3
-        spectrum[7] = sign * window_spectrum_sample(folded[1:5], 1, 7, 16)
-        spectrum[9] = 100
-        acc = RecordingAccessor(spectrum)
-        first, blind = double(acc, folded, 1, 4, acc.read(2 * np.arange(8)))
-        assert blind == []
-        assert first == 1 + 8 * moved
-        assert acc.calls[1:] == [[5, 3], [1, 7]]  # the pair, then its scan in one call
-
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_all_zero_odd_probes_do_not_move(self, m):
         # N=64: only the stride lattice is nonzero, so every probe reads
-        # zero; each level stops after max(m, 2) distinct probes, both
-        # neighbors at least, and keeps the window
+        # zero; each level reads its two neighbors, no more, and keeps the window
         fold_len = 1 << (ceil_log2(m) + 1)
         stride = 64 // fold_len
         spectrum = np.zeros(64, complex)
@@ -289,7 +301,7 @@ class TestRefineSupport:
         levels = 6 - ceil_log2(m) - 1
         assert first == 0
         assert blind == list(range(ceil_log2(m) + 1, 6))
-        assert acc.read_count - before == levels * max(m, 2)
+        assert acc.read_count - before == 2 * levels
 
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_exact_doubling_decisions(self, seed, data):
@@ -311,11 +323,11 @@ class TestRefineSupport:
         # the same decisions, blind levels and distinct reads as one probe and
         # one scalar transform per level; only the order of the reads differs
         n = 1 << data.draw(st.integers(4, 12))
-        m = data.draw(st.one_of(st.just(1), st.integers(1, n // 8)))  # m = 1: both neighbors, no scan
+        m = data.draw(st.one_of(st.just(1), st.integers(1, n // 8)))
         kind = data.draw(st.sampled_from(["exact", "noisy", "period"]))
         if kind == "period":
             # period N/2**p: the spectrum is zero off the multiples of 2**p, so
-            # the top p levels' probes all read zero and those levels scan
+            # the top p levels' probe pairs read zero
             p = data.draw(st.integers(1, 3))
             y, _ = gen_sparse_signal(n >> p, m, seed)
             spectrum = np.zeros(n, complex)
@@ -325,9 +337,10 @@ class TestRefineSupport:
             spectrum = noisy_instance(n, m, snr, seed)[2]
         acc = CountingSpectrumAccessor(spectrum)
         subsampled, folded = _fold(acc, ceil_log2(m))
-        grown, level, start, _ = _grow(acc, folded, m)
+        grown, start, _ = _grow(acc, folded, _locate(folded, m), m)
         window = grown[SupportDescriptor(start, m).indices(len(grown))]
         peak = _peak(acc, subsampled)
+        level = len(grown).bit_length() - 2
         batched, reference = RecordingAccessor(spectrum), RecordingAccessor(spectrum)
         got = _double(batched, window, start, peak, level)
         assert got == per_level_double(reference, window, start, peak, level)
@@ -336,7 +349,24 @@ class TestRefineSupport:
             assert got[1] == [j for j in range(j_top - p, j_top) if j > level]
         reads = [set(itertools.chain.from_iterable(a.calls)) for a in (batched, reference)]
         assert reads[0] == reads[1]
-        assert batched.read_count == reference.read_count == len(reads[1])
+        assert len(batched.calls) == 1  # every level's pair in one call
+        assert batched.read_count == reference.read_count == len(reads[1]) == 2 * (n.bit_length() - 2 - level)
+
+    def test_a_noisy_level_whose_pair_reads_zero_is_blind(self):
+        # 10 dB data with the pair of the top level, peak +- 1, set to zero:
+        # that level reads its two values, no more, and does not move
+        n, m = 1 << 12, 20
+        noisy = noisy_instance(n, m, 10.0, 3)[2]
+        fold_len = 2 << ceil_log2(m)
+        peak = _peak(CountingSpectrumAccessor(noisy), noisy[:: n // fold_len])
+        noisy[[(peak + 1) % n, (peak - 1) % n]] = 0
+        acc = RecordingAccessor(noisy)
+        rec = reconstruct_noisy(acc, m)
+        assert rec.vectors_used > 1 and rec.blind_levels == [11]
+        assert acc.calls[-1][-2:] == [(peak + 1) % n, (peak - 1) % n]
+        grown = rec.vectors_used * fold_len
+        assert rec.samples_used == grown + 2 * (12 - grown.bit_length() + 1)
+        assert rec.support.first_index >> 11 == 0  # no move by 2**11
 
 
 class TestGrownFoldValues:
@@ -457,10 +487,9 @@ class TestReconstructNoisy:
             n, m = 1 << 12, 11
             x, supp, noisy, _ = noisy_instance(n, m, 10.0, 3000 + seed)
             rec = reconstruct_noisy(CountingSpectrumAccessor(noisy), m)
-            level = ceil_log2(m)
-            fold_len = 1 << (level + 1)
-            levels = 12 - level - 1
-            assert rec.samples_used <= rec.vectors_used * fold_len + levels * m
+            # the grown fold, then two reads at each level from its length to N/2
+            grown = rec.vectors_used << (ceil_log2(m) + 1)
+            assert rec.samples_used == grown + 2 * (12 - grown.bit_length() + 1)
             assert rec.vectors_used <= MAX_VECTORS
 
     def test_signal_vanishes_outside_window(self):
@@ -494,14 +523,14 @@ class TestReconstructNoisy:
             reconstruct_noisy(CountingSpectrumAccessor(noisy), 20)
 
     def test_doubling_comparison_that_overflows_is_rejected(self, doubling_overflow_spectrum):
-        # |predicted - measured| exceeds the float maximum at level 5
-        with pytest.raises(NonFiniteSpectrum, match="^doubling comparison at level 5 overflows$"):
+        # the pair's products predicted * conj(measured) sum beyond the float maximum at level 7
+        with pytest.raises(NonFiniteSpectrum, match="^doubling comparison at level 7 overflows$"):
             reconstruct_noisy(CountingSpectrumAccessor(doubling_overflow_spectrum), 1)
 
     def test_one_entry_windows_are_placed_from_both_neighbors(self):
-        # N = 2**14, m = 1, 0 dB: the larger of the two probe neighbors places
-        # about 60% of the windows (the right neighbor alone, about 25%); with a
-        # budget of one, no level scans, so each reads its pair and nothing more
+        # N = 2**14, m = 1, 0 dB: the matched filter over both probe neighbors
+        # places about 60% of the windows (the right neighbor alone, about 25%);
+        # each level reads its pair and nothing more
         placed = 0
         for seed in range(500):
             _, support, noisy, _ = noisy_instance(1 << 14, 1, 0.0, seed)
@@ -522,28 +551,15 @@ class TestReconstructNoisy:
             assert reconstruct_noisy(CountingSpectrumAccessor(noisy), 20).blind_levels == []
 
     @pytest.mark.parametrize("j", [8, 12, 16])
-    def test_period_half_input_reports_its_blind_level(self, j):
-        # x repeats with period N/2, so every odd spectrum value is zero and
-        # the last doubling level, probed at odd indices, reads nothing; the
-        # first fold is exact, so it is not grown
+    def test_period_half_input_raises_as_on_the_exact_path(self, j):
+        # x repeats with period N/2, so every odd spectrum value is zero; the
+        # first fold of 64 entries is exact, and its odd probes, the pair and
+        # one scan of 62, all read zero
         x = np.tile(gen_sparse_signal(1 << (j - 1), 20, 3)[0], 2)
-        rec = reconstruct_noisy(CountingSpectrumAccessor(fft_forward(x)), 20)
-        assert (rec.vectors_used, rec.blind_levels) == (1, [j - 1])
-        assert rec.support.first_index >> (j - 1) & 1 == 0
-
-    def test_each_blind_level_scans_in_one_call(self):
-        # period N/4: the pairs of levels 10 (stride 2) and 11 (stride 1) read
-        # zero; after the call of every level's pair, each scans its m - 2
-        # further odd multiples of its stride in one call, in level order
-        x = np.tile(gen_sparse_signal(1024, 20, 3)[0], 4)
         acc = RecordingAccessor(fft_forward(x))
-        rec = reconstruct_noisy(acc, 20)
-        assert rec.blind_levels == [10, 11]
-        growth = rec.vectors_used.bit_length() - 1
-        assert len(acc.calls) == 1 + growth + 1 + 2  # fold, growth, pairs, two scans
-        pairs = acc.calls[-3]
-        assert acc.calls[-2] == [q for q in range(2, 82, 4) if q not in pairs[-4:-2]][:18]
-        assert acc.calls[-1] == [q for q in range(1, 41, 2) if q not in pairs[-2:]][:18]
+        with pytest.raises(ModelViolation, match="probed all read zero"):
+            reconstruct_noisy(acc, 20)
+        assert [len(call) for call in acc.calls] == [64, 2, 62]
 
     def test_window_values_are_the_signal_on_its_support(self):
         x, supp, noisy, _ = noisy_instance(1 << 10, 7, 15.0, 4321)
