@@ -23,8 +23,9 @@ recovered in stages:
 The exact path folds to P = 2**ceil_log2(m+1), the shortest power of
 two above m, and reads P + 2 <= 2m + 2 spectrum values in all on
 exact data, and 2P on the zero vector, in at most three read calls.
-sparse_noisy folds to 2**(L+1), L = ceil(log2 m), and reuses the fold,
-locate and check stages, and _place on a fold the residual certifies.
+sparse_noisy runs the same fold, locate and check stages, and _place on
+a fold the residual certifies; it folds to 2**(L+1), L = ceil(log2 m),
+and grows from there only when the residual fails.
 When m > N/4 the sparse paths hand over to reconstruct_dense, the one
 dense inverse FFT of the package.
 """
@@ -58,15 +59,15 @@ class Reconstruction:
     "baseline" for the dense inverse FFT requested as such.
     The window's placement is support.first_index.  The rest is set by
     the noisy algorithm only: vectors_used is the length of its grown
-    fold over the first fold length 2**(L+1): 1 when the fold residual
-    certified the first fold, which the odd-sample quotient then placed,
-    else 2, 4 or 8; votes_stable is True on a certified first fold, and
-    False when the growth stopped before two consecutive support starts
-    agreed (the last start is still used -- a best-effort answer, not an
-    error); blind_levels lists the doubling levels j (a move there is by
+    fold over its first fold length 2**(L+1): 1 when the fold residual
+    certified the exact path's fold of P entries, which the odd-sample
+    quotient then placed, else 2, 4 or 8; votes_stable is True on a
+    certified fold, and False when the growth stopped before two
+    consecutive support starts agreed (the last start is still used -- a
+    best-effort answer, not an error); blind_levels lists the doubling levels j (a move there is by
     2**j) whose probe pair read zero, so that their "no move" was not
-    decided by the data; it is empty on a certified first fold, which is
-    not doubled, and on noisy data that fit the model.
+    decided by the data; it is empty on a certified fold, which is not
+    doubled, and on noisy data that fit the model.
     """
 
     support: SupportDescriptor
@@ -87,16 +88,16 @@ class Reconstruction:
 #: Largest fold residual, the norm of the fold outside the located
 #: window over the fold's norm, that fits the exact model: above it
 #: reconstruct_exact raises, and at or below it reconstruct_noisy places
-#: its first fold of length 2**(L+1) ungrown, by the odd-sample quotient.
+#: the same fold of length P ungrown, by the odd-sample quotient.
 #: On exact data the outside entries are rounding of the FFTs: at most
 #: 2.7e-16 on 2,400 instances with N from 2**6 to 2**18, 3.1e-16 at
 #: N = 2**22 with P up to 2**21, and 0 on spectra scaled by 2**-1030 to
 #: 2**-1060.  Noise gave at least
-#: 1.5e-5 at 60 dB and 2.2e-7 at 100 dB on the exact fold (400 instances
-#: each), and on the noisy path's first fold at least 7.6e-5 at 60 dB,
-#: 2.0e-6 at 100 dB, 3.6e-8 at 140 dB and 5.0e-11 at 180 dB (300
-#: instances each, N from 2**6 to 2**14); a true support in (m, 2P] gave
-#: at least 9.7e-4 (2,400).
+#: 1.5e-5 at 60 dB and 2.2e-7 at 100 dB on that fold (400 instances
+#: each), and in a further draw at least 3.3e-5 at 60 dB, 9.1e-8 at
+#: 100 dB, 1.8e-9 at 140 dB and 2.8e-11 at 180 dB (300 instances each,
+#: N from 2**6 to 2**14); a true support in (m, 2P] gave at least 9.7e-4
+#: (2,400).
 RESIDUAL_TOLERANCE = 1e-12
 
 

@@ -2,17 +2,23 @@
 
 The stages of the exact-data algorithm (sparse_exact), made robust:
 
-- fold, locate and check: as on exact data, the folded vector of length
-  2**(L+1), the start of its max-energy window and the fold residual
-  outside it (_locate_residual).  A residual of at most
-  RESIDUAL_TOLERANCE, or a zero fold, means exact data, which no
-  averaging improves: that fold is placed as the exact path places its
-  own, by the odd-sample quotient (_place), and the stages below do not
-  run.
-- grow: any other fold is doubled in length, one level at a time, from
-  the spectrum read at half the stride (offset_periodization, _join),
-  until two consecutive starts agree or the fold is MAX_VECTORS times
-  its first length (_grow).  Each longer fold averages twice as many
+- fold, locate and check: reconstruct_exact's own stages, the folded
+  vector of length P = 2**ceil_log2(m+1), the start of its max-energy
+  window and the fold residual outside it (_locate_residual).  A
+  residual of at most RESIDUAL_TOLERANCE, or a zero fold, means exact
+  data, which no averaging improves: that fold is placed as the exact
+  path places it, by the odd-sample quotient (_place), and the stages
+  below do not run.  On exact data the result is reconstruct_exact's.
+- extend: any other fold is taken to the noisy first length 2**(L+1),
+  L = ceil_log2(m).  When P is shorter (m not a power of two), the odd
+  half of that stride subsample is read in one call and interleaved
+  with the P subsample, its even half; the inverse FFT of the two is
+  the fold of 2**(L+1) entries, the same bits as a direct fold, and its
+  start is located again.
+- grow: that fold is doubled in length, one level at a time, from the
+  spectrum read at half the stride (offset_periodization, _join), until
+  two consecutive starts agree or the fold is MAX_VECTORS times its
+  first length (_grow).  Each longer fold averages twice as many
   spectrum values per entry, which halves the noise variance of its
   entries, and fixes one more low bit of the start.
 - place: the folding length is doubled further, one level at a time,
@@ -30,11 +36,12 @@ The support values are the grown fold's window.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
 
-from .dft_core import CountingSpectrumAccessor, SupportDescriptor, support_length
+from .dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_inverse, support_length
 from .errors import InvalidOffset, NonFiniteSpectrum
 from .sparse_exact import (
     RESIDUAL_TOLERANCE,
@@ -50,8 +57,8 @@ from .sparse_exact import (
     window_spectrum_sample,
 )
 
-#: Largest multiple of the first fold length 2**(L+1) that the fold may
-#: grow to, when the fold residual does not certify the first fold; each
+#: Largest multiple of the first noisy fold length 2**(L+1) that the fold
+#: may grow to, when the fold residual does not certify the P fold; each
 #: doubling of the fold costs as many spectrum reads and as long an
 #: inverse FFT as the fold it doubles.
 MAX_VECTORS = 8
@@ -78,6 +85,14 @@ def offset_periodization(
     return _fold(accessor, fold_level, offset)[1]
 
 
+@functools.lru_cache(maxsize=None)
+def _twiddles(q: int) -> np.ndarray:
+    """exp(i*pi*k/q) for k < q, read-only: _join's twiddles, built once per length."""
+    turns = np.exp((1j * np.pi / q) * np.arange(q))
+    turns.flags.writeable = False
+    return turns
+
+
 def _join(folded, odd) -> np.ndarray:
     """The fold of twice the length from folded, of length Q, and its odd half.
 
@@ -91,7 +106,7 @@ def _join(folded, odd) -> np.ndarray:
     """
     q = len(folded)
     half = folded / 2
-    turned = np.exp((1j * np.pi / q) * np.arange(q)) * (odd / 2)
+    turned = _twiddles(q) * (odd / 2)
     with np.errstate(over="ignore", invalid="ignore"):
         return np.concatenate([half + turned, half - turned])
 
@@ -99,14 +114,14 @@ def _join(folded, odd) -> np.ndarray:
 def _grow(accessor: CountingSpectrumAccessor, folded, start: int, m: int):
     """Double the folded vector until its support start settles.
 
-    folded is the fold at level L = ceil_log2(m), whose residual did not
-    certify it, and start its located start.  Each step reads the
-    spectrum at the odd multiples of half the current stride, new
-    indices all, and joins their inverse FFT with the current fold of
-    length Q into the fold of length 2Q (_join).  The start is located
-    again, and the growth stops when it agrees with the one before mod
-    Q, when the fold is MAX_VECTORS times its first length, or when it
-    has the full length N.  Returns (folded, start, stable): the grown
+    folded is the first noisy fold, of 2**(L+1) entries, L = ceil_log2(m),
+    on data whose P fold the residual did not certify, and start its
+    located start.  Each step reads the spectrum at the odd multiples of
+    half the current stride, new indices all, and joins their inverse
+    FFT with the current fold of length Q into the fold of length 2Q
+    (_join).  The start is located again, and the growth stops when it
+    agrees with the one before mod Q, when the fold is MAX_VECTORS times
+    its first length, or when it has the full length N.  Returns (folded, start, stable): the grown
     fold, the start in it, and whether the growth stopped on agreement.
     """
     stable = False
@@ -127,7 +142,7 @@ def _double(accessor: CountingSpectrumAccessor, window, start: int, peak: int, l
     either stays at start or moves by 2**j.  The two cases flip the
     sign of every odd-indexed spectrum value of the level-(j+1)
     folding.  The level's two such values right next to peak, the
-    spectral peak of the first fold's subsample, decide: there the
+    spectral peak of the 2**(L+1) subsample, decide: there the
     underlying magnitude is near its maximum, which keeps the sign
     decision reliable deep into the noise.  The move is taken when
     ``Re sum predicted * conj(measured)`` over both neighbors is
@@ -168,45 +183,55 @@ def _double(accessor: CountingSpectrumAccessor, window, start: int, peak: int, l
 def reconstruct_noisy(accessor: CountingSpectrumAccessor, support_len: int) -> Reconstruction:
     """Recover a vector with support length <= support_len from noisy data.
 
-    Stages: fold to 2**(L+1), L = ceil_log2(support_len), and locate.  A
-    first fold whose residual is at most RESIDUAL_TOLERANCE, or that is
-    zero, fits the exact model and is placed as the exact path places
-    its fold, by the odd-sample quotient (_place): 2**(L+1) + 2 reads
-    when the probe pair is nonzero, vectors_used 1, and ModelViolation
-    where that placement raises it, as on a longer support that cancels
-    in the fold or a nonzero fold whose odd probes all read zero.  Any
-    other fold is grown up to MAX_VECTORS times its first length (each
-    doubling costs as many spectrum reads as the fold it doubles) until
-    the located start settles, and its window is placed by doubling the
-    folding up to the full length, two reads per level (_double).  The
-    result holds the support_len window values, placed at
-    support.first_index; its signal, built only when read, is exactly
-    zero outside the detected window.  vectors_used (the grown fold's
-    length over 2**(L+1)), votes_stable (True on a certified first fold
-    or on agreement) and blind_levels report the growth and the
+    Stages: fold to P = 2**ceil_log2(m+1), m = support_len, and locate,
+    as reconstruct_exact does.  A fold whose residual is at most
+    RESIDUAL_TOLERANCE, or that is zero, fits the exact model and is
+    placed by the odd-sample quotient (_place): the result, its P + 2
+    reads when the probe pair is nonzero and the ModelViolation where
+    that placement raises it (a longer support that cancels in the
+    fold, a nonzero fold whose odd probes all read zero) are
+    reconstruct_exact's, with vectors_used 1.  Any other fold is taken
+    to 2**(L+1) entries, L = ceil_log2(m), by one read of the odd half
+    of that subsample when P is shorter, grown up to MAX_VECTORS times
+    that length (each doubling costs as many spectrum reads as the fold
+    it doubles) until the located start settles, and its window is
+    placed by doubling the folding up to the full length, two reads per
+    level (_double).  The result holds the support_len window values,
+    placed at support.first_index; its signal, built only when read, is
+    exactly zero outside the detected window.  vectors_used (the grown
+    fold's length over 2**(L+1)), votes_stable (True on a certified
+    fold or on agreement) and blind_levels report the growth and the
     doubling.  For support_len > N/4 the dense inverse FFT fallback is
     used (restricted to the best window).
     """
     n = len(accessor)
-    if support_length(support_len, n) > n // 4:
-        return reconstruct_dense(accessor, support_len)
+    m = support_length(support_len, n)
+    if m > n // 4:
+        return reconstruct_dense(accessor, m)
 
-    subsampled, folded = _fold(accessor, ceil_log2(support_len))
-    start, residual = _locate_residual(folded, support_len)
+    subsampled, folded = _fold(accessor, m.bit_length() - 1)
+    start, residual = _locate_residual(folded, m)
     if residual is None or residual <= RESIDUAL_TOLERANCE:
-        support, window = _place(accessor, subsampled, folded, start, residual, support_len)
+        support, window = _place(accessor, subsampled, folded, start, residual, m)
         return Reconstruction(support, window, n, accessor.read_count, "sparse", 1)
-    grown, start, stable = _grow(accessor, folded, start, support_len)
-    window = grown[SupportDescriptor(start, support_len).indices(len(grown))]
+    first_len = 2 << ceil_log2(m)
+    if len(folded) < first_len:  # the P subsample is the even half of the first noisy one
+        both = np.empty(first_len, dtype=np.complex128)
+        both[::2] = subsampled
+        both[1::2] = accessor.read(np.arange(n // first_len, n, 2 * n // first_len))
+        subsampled, folded = both, fft_inverse(both)
+        start = _locate(folded, m)
+    grown, start, stable = _grow(accessor, folded, start, m)
+    window = grown[SupportDescriptor(start, m).indices(len(grown))]
     level = len(grown).bit_length() - 2  # the grown fold has 2**(level+1) entries
     first_index, blind = _double(accessor, window, start, _peak(accessor, subsampled), level)
     return Reconstruction(
-        SupportDescriptor(first_index % n, support_len),
+        SupportDescriptor(first_index % n, m),
         window,
         n,
         accessor.read_count,
         "sparse",
-        len(grown) // len(folded),
+        len(grown) // first_len,
         votes_stable=stable,
         blind_levels=blind,
     )

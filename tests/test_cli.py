@@ -311,6 +311,43 @@ class TestReconstructCommand:
         assert "mode=baseline samples_used=256" in capsys.readouterr().out
 
 
+class TestReadPins:
+    """samples_used of the console checks, on the same `spfft gen --n 65536 --seed 4` inputs.
+
+    The report's count is that of the reads through the memory-mapped file.
+    """
+
+    @pytest.mark.parametrize(
+        "m, snr, algorithm, reads",
+        [
+            (20, [], "exact", 34),  # the fold of P = 32 and the probe pair
+            (20, [], "noisy", 34),  # the exact path's stages on exact data: its P + 2
+            (20, ["--snr", "20"], "noisy", 146),  # a grown fold of 128, then 2 at each of 9 levels
+            (1, ["--snr", "20"], "noisy", 32),  # a grown fold of 4, then 2 at each of 14 levels
+        ],
+    )
+    def test_samples_used(self, tmp_path, capsys, m, snr, algorithm, reads):
+        prefix = tmp_path / "c"
+        assert main(["gen", "--n", "65536", "--m", str(m), "--seed", "4", *snr, "--out-prefix", str(prefix)]) == 0
+        capsys.readouterr()
+        assert main([
+            "reconstruct", f"{prefix}.freq.spf1", "--m", str(m), "--algorithm", algorithm,
+            "--truth", f"{prefix}.time.spf1",
+        ]) == 0
+        assert f" samples_used={reads} " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("algorithm", ["exact", "noisy"])
+    def test_a_support_that_cancels_in_the_fold_exits_4(self, tmp_path, capsys, algorithm):
+        # y - roll(y, 32) cancels in the fold of P = 32 entries, but its odd
+        # probes do not read zero; both paths reject it in placement
+        y = gen_sparse_signal(65536, 20, 3)[0]
+        path = tmp_path / "alias.freq.spf1"
+        write_vector_file(path, fft_forward(y - np.roll(y, 32)), DOMAIN_FREQ)
+        assert main(["reconstruct", str(path), "--m", "20", "--algorithm", algorithm]) == 4
+        captured = capsys.readouterr()
+        assert "window transform there vanished" in captured.err and captured.out == ""
+
+
 class TestRepeatedMain:
     def test_successive_calls_keep_codes_and_text(self, tmp_path, capsys):
         prefix = tmp_path / "case"

@@ -82,7 +82,7 @@ GOLDEN = {
         "0,20,90,0.003486257693582121,0.0090374928069015953,52.417120669719452,34.892823789148473,144.30000000000001,2.1000000000000001",
         "10,20,100,0.0010634468827080555,0.0027513975755803994,15.912931023079363,10.628377851452985,138,2",
         "20,20,100,0.00033946680379188068,0.00089600090743813363,5.1857952634279743,3.4603205033326083,138,2",
-        "inf,20,100,1.1704884172484358e-18,0,0,0,66,1",
+        "inf,20,100,1.2292413306246851e-18,0,0,0,34,1",
     ],
     ("exact", 1, (math.inf,)): ["inf,20,100,0,0,0,0,4,0"],
     ("exact", 20, (math.inf,)): ["inf,20,100,1.1750440008139758e-18,0,0,0,34,0"],

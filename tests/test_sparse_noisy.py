@@ -26,6 +26,7 @@ from spfft.sparse_noisy import (
     _double,
     _grow,
     _join,
+    _twiddles,
     offset_periodization,
     reconstruct_noisy,
 )
@@ -61,12 +62,14 @@ def assert_direct_fold(grown, spectrum):
 
 
 def assert_certified(spectrum, m, start):
-    # exact data: the first fold fits the model, is not grown, and is placed
-    # by the odd-sample quotient from its probe pair
-    n, fold_len = len(spectrum), 1 << (ceil_log2(m) + 1)
+    # exact data: the exact path's fold of P = 2**ceil_log2(m+1) entries fits
+    # the model, is not grown, and is placed by the odd-sample quotient from
+    # its probe pair, where reconstruct_exact places it
+    n, fold_len = len(spectrum), 1 << m.bit_length()
     acc = RecordingAccessor(spectrum)
     rec = reconstruct_noisy(acc, m)
     assert (rec.vectors_used, rec.votes_stable, rec.support.first_index % fold_len) == (1, True, start)
+    assert rec.support == reconstruct_exact(CountingSpectrumAccessor(spectrum), m).support
     assert [len(call) for call in acc.calls] == [fold_len, 2]
     assert acc.calls[0] == list(range(0, n, n // fold_len))
 
@@ -124,8 +127,8 @@ class TestEstimateSupportStart:
         # one step reads the offsets 0 and stride/2 = 8: the multiples of 8
         assert sorted(i for call in acc.calls for i in call) == list(range(0, 256, 8))
         assert_direct_fold(grown, noisy)
-        # exact data stop at the first fold, on its residual
-        assert_certified(spectrum, 6, 9)
+        # exact data stop at the fold of P = 8, on its residual
+        assert_certified(spectrum, 6, 1)  # 105 mod 8
 
     def test_matches_plain_detection_on_the_direct_fold(self):
         x, _ = gen_sparse_signal(1 << 10, 13, 21)
@@ -135,7 +138,7 @@ class TestEstimateSupportStart:
         assert len(grown) > 1 << (ceil_log2(13) + 1)
         direct = assert_direct_fold(grown, noisy)
         assert start == np.argmax(window_energies(direct, 13))
-        first = periodize(x, ceil_log2(13) + 1)
+        first = periodize(x, 4)  # the fold of P = 16
         assert_certified(spectrum, 13, int(np.argmax(window_energies(first, 13))))
 
     def test_budget_exhaustion_reports_unstable(self, monkeypatch):
@@ -176,7 +179,7 @@ class TestEstimateSupportStart:
         rec = reconstruct_noisy(CountingSpectrumAccessor(noisy), 6)
         assert (rec.vectors_used, rec.votes_stable, rec.support.first_index) == (1, False, 105)
         # a certified fold is stable at any cap
-        assert_certified(spectrum, 6, 9)
+        assert_certified(spectrum, 6, 1)
 
     def test_growth_stops_at_the_full_length(self):
         # N = 16, m = 4: the first fold has 8 entries, and one step reads the rest
@@ -194,8 +197,9 @@ class TestEstimateSupportStart:
 class TestCertifiedFirstFold:
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_exact_instances_are_placed_as_on_the_exact_path(self, seed, data):
-        # the certified first fold of 2**(L+1) entries is placed by the odd-sample
-        # quotient from its probe pair, and never reaches the doubling
+        # the certified fold of P = 2**ceil_log2(m+1) entries is placed by the
+        # odd-sample quotient from its probe pair, and never reaches the doubling:
+        # the exact path's stages, with its support, reads and value bytes
         j = data.draw(st.integers(3, 14))
         n = 1 << j
         m = data.draw(st.integers(1, n // 4))
@@ -205,22 +209,51 @@ class TestCertifiedFirstFold:
         acc = RecordingAccessor(spectrum)
         with mock.patch.object(sparse_noisy, "_double", side_effect=AssertionError("doubled")):
             rec = reconstruct_noisy(acc, m)
-        assert rec.support == exact.support
+        assert (rec.support, rec.samples_used) == (exact.support, exact.samples_used)
+        assert rec.values.tobytes() == exact.values.tobytes()
         assert (rec.vectors_used, rec.votes_stable, rec.blind_levels) == (1, True, [])
-        assert rec.samples_used == (2 << ceil_log2(m)) + 2
-        assert np.max(np.abs(rec.values - exact.values)) <= 1e-9 * np.max(np.abs(x))
+        assert rec.samples_used == (1 << m.bit_length()) + 2
         assert np.max(np.abs(rec.signal - x)) <= 1e-9 * np.max(np.abs(x))
 
+    @pytest.mark.parametrize(
+        "n, m, snr", [(1 << 10, 6, 10.0), (1 << 12, 13, 0.0), (1 << 16, 50, 20.0), (1 << 14, 300, 5.0)]
+    )
+    def test_an_uncertified_fold_is_interleaved_into_the_direct_first_fold(self, n, m, snr, monkeypatch):
+        # the P subsample and the odd half of the 2**(L+1) one, read once each,
+        # interleave into the stride subsample that _fold reads at level L, and
+        # its fold and peak are that of _fold, bit for bit
+        grown, peaks = [], []
+
+        def recorded(acc, folded, *args):
+            grown.append(folded)
+            return _grow(acc, folded, *args)
+
+        def peak(acc, subsampled):
+            peaks.append(subsampled)
+            return _peak(acc, subsampled)
+
+        monkeypatch.setattr(sparse_noisy, "_grow", recorded)
+        monkeypatch.setattr(sparse_noisy, "_peak", peak)
+        noisy = noisy_instance(n, m, snr, 5)[2]
+        acc = RecordingAccessor(noisy)
+        reconstruct_noisy(acc, m)
+        subsampled, folded = _fold(CountingSpectrumAccessor(noisy), ceil_log2(m))
+        assert grown[0].tobytes() == folded.tobytes() and peaks[0].tobytes() == subsampled.tobytes()
+        fold_len, p = len(folded), 1 << m.bit_length()
+        assert [len(call) for call in acc.calls[:2]] == [p, fold_len - p]
+        reads = acc.calls[0] + acc.calls[1]
+        assert sorted(reads) == list(range(0, n, n // fold_len))
+
     def test_noisy_instances_are_never_certified(self):
-        # the smallest first-fold residual falls with the noise, to about 5e-11
-        # at 180 dB over 300 draws; every draw here grows
+        # the smallest residual of the fold of P entries falls with the noise,
+        # to about 3e-11 at 180 dB over 300 draws; every draw here grows
         rng = np.random.default_rng(20150903)
         for snr in (0.0, 20.0, 60.0, 100.0, 140.0, 180.0):
             for _ in range(100):
                 n = 1 << int(rng.integers(6, 15))
                 m = int(rng.integers(1, n // 4 + 1))
                 noisy = noisy_instance(n, m, snr, int(rng.integers(2**32)))[2]
-                _, residual = _locate_residual(_fold(CountingSpectrumAccessor(noisy), ceil_log2(m))[1], m)
+                _, residual = _locate_residual(_fold(CountingSpectrumAccessor(noisy), m.bit_length() - 1)[1], m)
                 assert residual > RESIDUAL_TOLERANCE, (n, m, snr)
                 assert reconstruct_noisy(CountingSpectrumAccessor(noisy), m).vectors_used > 1
 
@@ -236,8 +269,8 @@ class TestCertifiedFirstFold:
             for n, m in ((1 << 12, 11), (1 << 14, 50), (64, 30)):
                 calls.clear()
                 rec = reconstruct_noisy(CountingSpectrumAccessor(noisy_instance(n, m, snr, 7)[2]), m)
-                # on the first fold only; the dense fallback computes none
-                want = [] if rec.mode == "fallback" else [1 << (ceil_log2(m) + 1)]
+                # on the fold of P entries only; the dense fallback computes none
+                want = [] if rec.mode == "fallback" else [1 << m.bit_length()]
                 assert calls == want
 
     @pytest.mark.parametrize("n", [16, 32])
@@ -255,17 +288,18 @@ class TestCertifiedFirstFold:
         assert acc.read_count == n
 
     def test_a_support_that_cancels_in_the_first_fold_raises(self):
-        # the support of y - roll(y, 64) has 84 entries; its fold to 2**(L+1) = 64
-        # cancels, but its odd probes do not read zero
+        # the support of y - roll(y, 64) has 84 entries; its fold to P = 32
+        # cancels, but its odd probes do not read zero: the fold and the pair
         y = gen_sparse_signal(4096, 20, 3)[0]
         acc = CountingSpectrumAccessor(fft_forward(y - np.roll(y, 64)))
         with pytest.raises(ModelViolation, match="window transform there vanished"):
             reconstruct_noisy(acc, 20)
-        assert acc.read_count == 66
+        assert acc.read_count == 34
 
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_an_aliased_support_raises(self, seed, data):
-        # y - roll(y, 2**(L+1)) sums to zero in every residue class of the first fold
+        # y - roll(y, 2**(L+1)) sums to zero in every residue class of the fold of
+        # P entries, which divides 2**(L+1); the exact path raises on it too
         n = 1 << data.draw(st.integers(3, 12))
         m = data.draw(st.integers(1, n // 4))
         y, _ = gen_sparse_signal(n, m, seed)
@@ -273,7 +307,7 @@ class TestCertifiedFirstFold:
         acc = CountingSpectrumAccessor(fft_forward(y - np.roll(y, fold_len)))
         with pytest.raises(ModelViolation):
             reconstruct_noisy(acc, m)
-        assert acc.read_count <= 2 * fold_len
+        assert acc.read_count <= 2 << m.bit_length()  # 2P
 
 
 class TestRefineSupport:
@@ -449,6 +483,13 @@ class TestGrownFoldValues:
         got = _join(folded, odd)  # a RuntimeWarning fails the suite
         assert np.max(np.abs(got - np.concatenate(halves))) <= 1e-15 * np.abs(first)
 
+    @pytest.mark.parametrize("q", [1, 2, 8, 1024])
+    def test_the_twiddles_are_the_expression_cached_read_only(self, q):
+        turns = _twiddles(q)
+        assert turns.tobytes() == np.exp((1j * np.pi / q) * np.arange(q)).tobytes()
+        assert not turns.flags.writeable
+        assert _twiddles(q) is turns
+
     def test_a_longer_fold_beyond_the_float_range_is_not_finite_without_a_warning(self):
         # entry 1 of the longer fold is (1.7e308 + 1.7e308 * sqrt(2)) / 2
         folded = np.full(4, 1.7e308 + 0j)
@@ -553,13 +594,13 @@ class TestReconstructNoisy:
     @pytest.mark.parametrize("j", [8, 12, 16])
     def test_period_half_input_raises_as_on_the_exact_path(self, j):
         # x repeats with period N/2, so every odd spectrum value is zero; the
-        # first fold of 64 entries is exact, and its odd probes, the pair and
-        # one scan of 62, all read zero
+        # fold of P = 32 entries is exact, and its odd probes, the pair and
+        # one scan of 30, all read zero
         x = np.tile(gen_sparse_signal(1 << (j - 1), 20, 3)[0], 2)
         acc = RecordingAccessor(fft_forward(x))
         with pytest.raises(ModelViolation, match="probed all read zero"):
             reconstruct_noisy(acc, 20)
-        assert [len(call) for call in acc.calls] == [64, 2, 62]
+        assert [len(call) for call in acc.calls] == [32, 2, 30]
 
     def test_window_values_are_the_signal_on_its_support(self):
         x, supp, noisy, _ = noisy_instance(1 << 10, 7, 15.0, 4321)
