@@ -18,7 +18,16 @@ import numpy as np
 
 from .dft_core import CountingSpectrumAccessor, log2_length
 from .errors import CannotCalibrate, ValidationError
-from .signal_lab import NoiseSpec, _root_sum_squares, error_l2_over_n, gen_instance, window_error_l2_over_n
+from .signal_lab import (
+    NoiseSpec,
+    _Draw,
+    _draw_instance,
+    _root_sum_squares,
+    _windows_error_l2_over_n,
+    error_l2_over_n,
+    gen_instance,
+    window_error_l2_over_n,
+)
 from .sparse_exact import Reconstruction, reconstruct_dense, reconstruct_exact
 from .sparse_noisy import reconstruct_noisy
 
@@ -46,17 +55,16 @@ class TrialRecord:
     vectors_used: int
     noise_inf: float
     noise_l1_over_n: float
-    sparse_ns: int
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parameters of one experiment sweep (trials x SNR levels).
 
-    n and m are checked where every trial starts, in gen_sparse_signal,
-    before any O(N) work.  Checked here is what a trial meets only after
-    drawing its instance, or after every trial of the SNR levels before
-    its own: the algorithm; "exact" at a finite SNR, whose first trial
+    n and m are checked where every trial starts, in its window draw
+    (signal_lab._draw_window), before any O(N) work.  Checked here is
+    what a trial meets only after drawing its instance, or after every
+    trial of the SNR levels before its own: the algorithm; "exact" at a finite SNR, whose first trial
     would fail the exact path's model check and stop the sweep; and
     every SNR level, by NoiseSpec's rule (no NaN, no -inf).
     """
@@ -120,29 +128,57 @@ def reconstruction_error(truth, result: Reconstruction) -> float:
     return window_error_l2_over_n(truth, result.support, result.values, result.n)
 
 
-def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> TrialRecord:
-    """Generate, perturb, reconstruct, and score one instance.
+class _WindowAccessor(CountingSpectrumAccessor):
+    """The counting accessor of a sparse trial: its reads compute the values from the window.
 
-    sparse_ns times the reconstruction.  err_ifft is the error of an
-    exact dense inverse FFT of the noisy spectrum, ||ifft(noise)|| / n,
-    which by Parseval's identity is ||noise|| / (n * sqrt(n)): no
-    length-n inverse FFT is taken to score it.  For ifft-baseline the
-    reconstruction is that inverse, and err_ifft = err_sparse.  At
-    snr_db = +inf the noise and err_ifft are 0.0 without a look at the
-    (zero) noise.  CannotCalibrate is raised when a score is not finite:
-    noise near the float maximum makes the noise l1 sum overflow.
+    Reads are checked and counted as CountingSpectrumAccessor's, over
+    the draw's spectrum computed where it is read (draw[idx], the
+    stride-subsample and point rules of signal_lab._Draw), so that no
+    length-N spectrum is built.  read_all, which the dense fallback
+    takes, builds the whole one: gen_instance's spectrum, bit for bit.
     """
-    truth, support, noisy, noise = gen_instance(n, m, seed, snr_db)
-    accessor = CountingSpectrumAccessor(noisy)
-    tic = time.perf_counter_ns()
-    result = reconstruct(accessor, m, algorithm)
-    sparse_ns = time.perf_counter_ns() - tic
-    err_sparse = reconstruction_error(truth, result)
-    if result.mode == "baseline":
-        err_ifft = err_sparse
-    else:  # ||truth - ifft(noisy)|| / n = ||ifft(noise)|| / n
-        err_ifft = 0.0 if snr_db == math.inf else _root_sum_squares(noise) / (n * math.sqrt(n))
-    if snr_db == math.inf:  # no noise was drawn
+
+    def __init__(self, draw: _Draw):
+        self._values = draw  # len(draw) and draw[idx], where the base class reads an array
+        self._served = 0
+        self._read_all = False
+
+    def read_all(self) -> np.ndarray:
+        if isinstance(self._values, _Draw):
+            self._values = self._values.arrays()[1]
+        return super().read_all()
+
+
+def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> TrialRecord:
+    """Draw, reconstruct and score one instance, gen_instance(n, m, seed, snr_db).
+
+    The instance is drawn as its window, support and noise
+    (signal_lab._draw_instance).  A sparse trial ("exact" or "noisy")
+    reads its spectrum through the window (_WindowAccessor): no length-n
+    truth and no forward FFT are built, only the noise (none at +inf),
+    and err_sparse is taken between the true and the recovered window.
+    An ifft-baseline trial builds gen_instance's truth and spectrum and
+    scores the dense inverse against that truth, and err_ifft =
+    err_sparse.  For a sparse trial err_ifft is the error of an exact
+    dense inverse FFT of the noisy spectrum, ||ifft(noise)|| / n, which
+    by Parseval's identity is ||noise|| / (n * sqrt(n)): no length-n
+    inverse FFT is taken to score it.  At snr_db = +inf the noise
+    scores and err_ifft are 0.0.  CannotCalibrate is raised when a score
+    is not finite: noise near the float maximum makes the noise l1 sum
+    overflow.
+    """
+    draw = _draw_instance(n, m, seed, snr_db)
+    noise = draw.noise  # drawn before any read, so that CannotCalibrate comes first
+    if algorithm == "ifft-baseline":
+        truth, spectrum = draw.arrays()
+        result = reconstruct(CountingSpectrumAccessor(spectrum), m, algorithm)
+        err_sparse = err_ifft = error_l2_over_n(truth, result.signal)
+    else:
+        result = reconstruct(_WindowAccessor(draw), m, algorithm)
+        err_sparse = _windows_error_l2_over_n(draw.support, draw.window, result.support, result.values, n)
+        # ||truth - ifft(noisy)|| / n = ||ifft(noise)|| / n
+        err_ifft = 0.0 if noise is None else _root_sum_squares(noise) / (n * math.sqrt(n))
+    if noise is None:
         noise_inf = noise_l1_over_n = 0.0
     else:
         noise_abs = np.abs(noise)
@@ -151,14 +187,13 @@ def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> Trial
     if not np.isfinite([err_sparse, err_ifft, noise_inf, noise_l1_over_n]).all():
         raise CannotCalibrate(f"the scores of a trial at {snr_db} dB SNR are not finite")
     return TrialRecord(
-        mu_correct=result.support.first_index == support.first_index,
+        mu_correct=result.support.first_index == draw.support.first_index,
         err_sparse=err_sparse,
         err_ifft=err_ifft,
         samples_used=result.samples_used,
         vectors_used=result.vectors_used,
         noise_inf=noise_inf,
         noise_l1_over_n=noise_l1_over_n,
-        sparse_ns=sparse_ns,
     )
 
 
@@ -197,30 +232,41 @@ def run_experiment(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _timed_reconstruct(n: int, m: int, seed: int, algorithm: str) -> tuple[int, int]:
+    """(ns, samples_used) of reconstruct over the noiseless spectrum gen_instance draws with this seed.
+
+    Only the reconstruct call is timed, not the draw or the accessor.
+    """
+    accessor = CountingSpectrumAccessor(gen_instance(n, m, seed, math.inf)[2])
+    tic = time.perf_counter_ns()
+    result = reconstruct(accessor, m, algorithm)
+    return time.perf_counter_ns() - tic, result.samples_used
+
+
 def run_bench(n_list, m_list, trials: int, seed: int) -> str:
     """Time the sparse exact path against the dense inverse FFT.
 
     Each (n, m) cell runs, for the exact path and then for ifft-baseline,
-    one untimed warm-up trial and then `trials` noiseless run_trial
-    calls, trial i on trial_seed(seed, i) with i running on across cells
-    (both algorithms of a cell use the same seeds); mean_ns is the mean
-    of their sparse_ns, the time of the reconstruction as
-    reconstruct_exact or reconstruct_dense(..., "baseline") runs it.
-    BLAS threads are left at the library default.  The samples_used
-    column reports the worst case over the trials (n for the dense rows).
+    one untimed warm-up and then `trials` timed reconstruct calls, call i
+    over the noiseless spectrum of gen_instance(n, m, trial_seed(seed, i),
+    inf), held in an array, with i running on across cells (both
+    algorithms of a cell use the same seeds); mean_ns is the mean time
+    of those calls alone, as reconstruct_exact or
+    reconstruct_dense(..., "baseline") runs them.  BLAS threads are left
+    at the library default.  The samples_used column reports the worst
+    case over the calls (n for the dense rows).
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     lines = [BENCH_HEADER]
     index = 0
     for n in n_list:
-        log2_length(n)  # even for an empty m_list; run_trial checks each m
+        log2_length(n)  # even for an empty m_list; gen_instance checks each m
         for m in m_list:
             seeds = [trial_seed(seed, index + t) for t in range(trials)]
             index += trials
             for algorithm, label in (("exact", "exact"), ("ifft-baseline", "ifft")):
-                run_trial(n, m, math.inf, seeds[0], algorithm)  # the warm-up
-                records = [run_trial(n, m, math.inf, s, algorithm) for s in seeds]
-                mean_ns = round(sum(r.sparse_ns for r in records) / trials)
-                lines.append(f"{n},{m},{label},{mean_ns},{max(r.samples_used for r in records)}")
+                _timed_reconstruct(n, m, seeds[0], algorithm)  # the warm-up
+                times, reads = zip(*(_timed_reconstruct(n, m, s, algorithm) for s in seeds))
+                lines.append(f"{n},{m},{label},{round(sum(times) / trials)},{max(reads)}")
     return "\n".join(lines) + "\n"

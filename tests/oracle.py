@@ -117,18 +117,22 @@ def reference_window_spectrum_sample(window, first_index: int, freq_index, lengt
     return complex(samples) if samples.ndim == 0 else samples
 
 
-def reference_add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
+def reference_add_noise(spectrum, spec: NoiseSpec, signal_norm=None) -> tuple[np.ndarray, np.ndarray]:
     """signal_lab.add_noise at a finite SNR, drawn and scaled in one expression each.
 
     The radius is drawn first, then the angle; the unit-disc noise is
-    scaled so that the realized SNR hits spec.snr_db.  add_noise must
+    scaled so that its norm is signal_norm / 10**(snr_db/20), with
+    signal_norm the spectrum's norm unless given (gen_instance passes
+    the exact spectrum's norm by Parseval's identity).  add_noise must
     return the same bytes.
     """
     spectrum = np.asarray(spectrum, dtype=np.complex128)
     n = len(spectrum)
+    if signal_norm is None:
+        signal_norm = _root_sum_squares(spectrum)
     rng = philox_rng(spec.seed)
     unit = np.sqrt(rng.random(n)) * np.exp(1j * (2 * np.pi * rng.random(n)))
-    scale = _root_sum_squares(spectrum) / (_root_sum_squares(unit) * 10 ** (spec.snr_db / 20))
+    scale = signal_norm / (_root_sum_squares(unit) * 10 ** (spec.snr_db / 20))
     noise = scale * unit
     return spectrum + noise, noise
 

@@ -1,15 +1,18 @@
+import itertools
 import math
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spfft import cli, experiment, signal_lab
 from spfft.dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forward, fft_inverse
-from spfft.errors import CannotCalibrate, InvalidLength, InvalidSupportLength, ModelViolation, ValidationError
-from spfft.experiment import ALGORITHMS, ExperimentConfig, TrialRecord, reconstruct, run_experiment, run_trial, trial_seed
-from spfft.signal_lab import error_l2_over_n, gen_instance, gen_sparse_signal
+from spfft.errors import CannotCalibrate, InvalidLength, InvalidOffset, InvalidSupportLength, ModelViolation, ValidationError
+from spfft.experiment import ALGORITHMS, ExperimentConfig, _WindowAccessor, reconstruct, run_experiment, run_trial, trial_seed
+from spfft.signal_lab import _draw_instance, error_l2_over_n, gen_instance, gen_sparse_signal
 from spfft.spf1 import read_vector_file
 from spfft.sparse_exact import reconstruct_dense, reconstruct_exact
 from spfft.sparse_noisy import reconstruct_noisy
@@ -89,6 +92,60 @@ GOLDEN = {
 }
 
 
+class TestWindowSpectrum:
+    """A sparse trial's window-backed spectrum against gen_instance's array of the same draw."""
+
+    @staticmethod
+    def both(n, m, seed, snr_db):
+        return gen_instance(n, m, seed, snr_db)[2], _WindowAccessor(_draw_instance(n, m, seed, snr_db))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        j=st.integers(3, 14),
+        snr_db=st.sampled_from([0.0, 20.0, math.inf]),
+        seed=st.integers(0, 2**64 - 1),
+        data=st.data(),
+    )
+    def test_reads_match_the_instance_spectrum(self, j, snr_db, seed, data):
+        n = 1 << j
+        m = data.draw(st.integers(1, n // 4))
+        spectrum, accessor = self.both(n, m, seed, snr_db)
+        tol = 1e-12 * np.abs(spectrum).max()
+        stride = n >> data.draw(st.integers(0, j))
+        for offset in range(stride):  # every full stride subsample of this stride: one length-Q FFT each
+            idx = np.arange(offset, n, stride)
+            assert np.abs(accessor.read(idx) - spectrum[idx]).max() <= tol
+        points = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40)))
+        assert np.abs(accessor.read(points) - spectrum[points]).max() <= tol
+        assert accessor.read_count == n + len(points)
+
+    @pytest.mark.parametrize("n, m", [(8, 1), (64, 16), (64, 17), (4096, 20), (4096, 4096)])
+    @pytest.mark.parametrize("snr_db", [0.0, 20.0, math.inf])
+    def test_read_all_is_the_instance_spectrum(self, n, m, snr_db):
+        for seed in range(3):
+            spectrum, accessor = self.both(n, m, seed, snr_db)
+            assert accessor.read_all().tobytes() == spectrum.tobytes()
+            assert accessor.read_count == n
+
+    def test_reads_are_checked_as_the_array_accessor_checks_them(self):
+        _, accessor = self.both(64, 4, 1, 10.0)
+        for bad in ([64], [-1]):
+            with pytest.raises(InvalidOffset):
+                accessor.read(bad)
+        assert accessor.read([]).shape == (0,) and accessor.read_count == 0
+
+    def test_sparse_paths_decide_alike_on_both_backings(self):
+        shapes = [(1 << 10, 3), (1 << 12, 20), (1 << 14, 50), (1 << 14, 1), (1 << 16, 300), (256, 65)]
+        for (n, m), snr_db, seed in itertools.product(shapes, [0.0, 10.0, 20.0, 40.0, math.inf], range(4)):
+            for algorithm in ("exact", "noisy") if snr_db == math.inf else ("noisy",):
+                spectrum, accessor = self.both(n, m, seed, snr_db)
+                want = reconstruct(CountingSpectrumAccessor(spectrum), m, algorithm)
+                got = reconstruct(accessor, m, algorithm)
+                fields = ("support", "samples_used", "mode", "vectors_used", "votes_stable", "blind_levels")
+                assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], (n, m, snr_db, seed)
+                assert np.allclose(got.values, want.values, rtol=0, atol=1e-9 * np.abs(want.values).max())
+
+
 class TestGoldenExperiment:
     @pytest.mark.parametrize("algorithm, m, snr_list", list(GOLDEN))
     def test_rows_match_the_golden_values(self, algorithm, m, snr_list):
@@ -144,42 +201,48 @@ class TestDenseBaselineScore:
     @pytest.mark.parametrize(
         "algorithm, snr_db", [("noisy", 20.0), ("noisy", math.inf), ("exact", math.inf), ("ifft-baseline", 20.0)]
     )
-    def test_only_the_baseline_takes_an_inverse_fft_of_length_n(self, monkeypatch, algorithm, snr_db):
+    def test_only_the_baseline_takes_an_fft_of_length_n(self, monkeypatch, algorithm, snr_db):
         n = 4096
-        lengths = []
-        ifft = np.fft.ifft
+        lengths = {"fft": [], "ifft": []}
 
-        def recording(a, *args, **kwargs):
-            lengths.append(len(a))
-            return ifft(a, *args, **kwargs)
+        def recording(name):
+            transform = getattr(np.fft, name)
 
-        monkeypatch.setattr(np.fft, "ifft", recording)
+            def record(a, *args, **kwargs):
+                lengths[name].append(len(a))
+                return transform(a, *args, **kwargs)
+
+            return record
+
+        for name in lengths:
+            monkeypatch.setattr(np.fft, name, recording(name))
         record = run_trial(n, 20, snr_db, 3, algorithm)
-        assert lengths  # the sparse paths' fold transforms are recorded too
-        if algorithm == "ifft-baseline":
-            assert lengths == [n] and record.err_ifft == record.err_sparse
-        else:
-            assert max(lengths) < n
+        assert lengths["ifft"]  # the sparse paths' fold transforms are recorded too
+        if algorithm == "ifft-baseline":  # the instance's spectrum and its dense inverse
+            assert lengths == {"fft": [n], "ifft": [n]} and record.err_ifft == record.err_sparse
+        else:  # the stride reads' short transforms of the window, and the folds
+            assert lengths["fft"] and max(lengths["fft"] + lengths["ifft"]) < n
             assert record.err_ifft == 0.0 if snr_db == math.inf else record.err_ifft > 0.0
 
     @staticmethod
-    def traced_peak_in_arrays(n, snr_db):
-        run_trial(n, 50, snr_db, 3, "noisy")  # the warm-up: a first trial in the process traces more
+    def traced_peak(n, snr_db, algorithm="noisy"):
+        run_trial(n, 50, snr_db, 3, algorithm)  # the warm-up: a first trial in the process traces more
         tracemalloc.start()
         try:
-            run_trial(n, 50, snr_db, 3, "noisy")
+            run_trial(n, 50, snr_db, 3, algorithm)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return peak / (16 * n)
+        return peak
 
     def test_peak_memory_of_a_noisy_trial(self):
-        # inside gen_instance: truth, its spectrum, the noise and the noisy sum
-        assert self.traced_peak_in_arrays(1 << 16, 20.0) <= 4.25
+        # the noise draw: the noise and, while it is drawn, its radius and angle
+        assert self.traced_peak(1 << 16, 20.0) <= 2.25 * 16 * (1 << 16)
 
-    def test_peak_memory_of_a_noiseless_trial(self):
-        # truth, its spectrum (also the noisy one) and the zero noise
-        assert self.traced_peak_in_arrays(1 << 16, math.inf) <= 3.25
+    @pytest.mark.parametrize("algorithm", ["exact", "noisy"])
+    def test_peak_memory_of_a_noiseless_trial_is_sublinear(self, algorithm):
+        # no length-N array at all: the window, the folds and the probes
+        assert self.traced_peak(1 << 22, math.inf, algorithm) < 2**20
 
 
 class TestExperimentChecks:
@@ -192,10 +255,13 @@ class TestExperimentChecks:
         ],
     )
     def test_bad_sizes_fail_before_any_spectrum_is_built(self, monkeypatch, n, m, error, message):
-        def refuse(x):
-            raise AssertionError("a spectrum was built")
+        def refuse(*args):
+            raise AssertionError("a spectrum or the noise was built")
 
+        # the forward FFT, the noise draw and the window-backed spectrum
         monkeypatch.setattr(signal_lab, "fft_forward", refuse)
+        monkeypatch.setattr(signal_lab, "_draw_noise", refuse)
+        monkeypatch.setattr(experiment, "_WindowAccessor", refuse)
         with pytest.raises(error) as caught:
             run_experiment(ExperimentConfig(n, m, (10.0, math.inf), 2, 0, "noisy"))
         assert str(caught.value) == message
@@ -226,9 +292,10 @@ class TestExperimentChecks:
 
     def test_bench_without_trials_fails_before_any_trial(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("a trial ran")
+            raise AssertionError("an instance was drawn or reconstructed")
 
-        monkeypatch.setattr(experiment, "run_trial", refuse)
+        monkeypatch.setattr(experiment, "gen_instance", refuse)
+        monkeypatch.setattr(experiment, "reconstruct", refuse)
         with pytest.raises(ValidationError, match="^trials must be >= 1, got 0$"):
             experiment.run_bench([64], [4], 0, 1)
 
@@ -255,12 +322,9 @@ class TestNonFiniteScores:
 
 class TestNoiselessScores:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_noise_is_not_scored_at_infinite_snr(self, monkeypatch, algorithm):
-        def without_noise(n, m, seed, snr_db):
-            truth, support, spectrum, noise = gen_instance(n, m, seed, snr_db)
-            return truth, support, spectrum, None if snr_db == math.inf else noise
-
-        monkeypatch.setattr(experiment, "gen_instance", without_noise)
+    def test_noise_is_not_scored_at_infinite_snr(self, algorithm):
+        # at +inf no noise is drawn at all, so there is none to score
+        assert _draw_instance(1024, 5, 3, math.inf).noise is None
         record = run_trial(1024, 5, math.inf, 3, algorithm)
         assert record.noise_inf == record.noise_l1_over_n == 0.0
         if algorithm == "exact":  # noisy data fail the exact path's fold residual check
@@ -294,29 +358,43 @@ class TestReplay:
         assert reported == run_trial(n, m, snr_db, replay, algorithm).samples_used
 
 
-class TestTrialTimes:
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_times_are_positive_integers(self, algorithm):
-        record = run_trial(1024, 5, math.inf if algorithm == "exact" else 10.0, 3, algorithm)
-        assert type(record.sparse_ns) is int and record.sparse_ns > 0
+class TestBenchTimes:
+    def test_times_are_positive_integers(self):
+        rows = [line.split(",") for line in experiment.run_bench([1024], [5], 2, 3).strip().split("\n")[1:]]
+        assert [row[2] for row in rows] == ["exact", "ifft"]
+        for row in rows:
+            assert row[3].isdigit() and int(row[3]) > 0
 
-    def test_bench_averages_the_times_of_run_trial(self, monkeypatch):
-        calls = []
+    def test_bench_times_reconstruct_over_the_instance_array(self, monkeypatch):
+        drawn, calls, clock = [], [], [0]
 
-        def fake_trial(n, m, snr_db, seed, algorithm):
-            calls.append((n, m, snr_db, seed, algorithm))
-            k = len(calls)
-            return TrialRecord(True, 0.0, 0.0, m + k, 0, 0.0, 0.0, sparse_ns=2 * k)
+        def fake_instance(n, m, seed, snr_db):
+            drawn.append((n, m, seed, snr_db))
+            spectrum = np.full(n, len(drawn), dtype=np.complex128)
+            return None, None, spectrum, None
 
-        monkeypatch.setattr(experiment, "run_trial", fake_trial)
+        def fake_reconstruct(accessor, m, algorithm):
+            # a plain accessor over the drawn array; the clock advances only in here
+            assert type(accessor) is CountingSpectrumAccessor
+            calls.append((len(accessor), m, algorithm, accessor.read(0)[0].real))
+            clock[0] += 2 * len(calls)
+            return types.SimpleNamespace(samples_used=m + len(calls))
+
+        monkeypatch.setattr(experiment, "gen_instance", fake_instance)
+        monkeypatch.setattr(experiment, "reconstruct", fake_reconstruct)
+        monkeypatch.setattr(experiment.time, "perf_counter_ns", lambda: clock[0])
         csv = experiment.run_bench([64, 128], [4], 2, 5)
 
         def cell(n, first):  # per algorithm a warm-up on the first seed, then the trials
             seeds = [trial_seed(5, i) for i in (first, first, first + 1)]
-            return [(n, 4, math.inf, s, a) for a in ("exact", "ifft-baseline") for s in seeds]
+            return [(n, 4, s, math.inf) for _ in ("exact", "ifft-baseline") for s in seeds]
 
         # both algorithms of a cell run on the same seeds, which run on across cells
-        assert calls == cell(64, 0) + cell(128, 2)
+        assert drawn == cell(64, 0) + cell(128, 2)
+        # each call reconstructs the array drawn just before it: the k-th draw holds k
+        algorithms = ["exact"] * 3 + ["ifft-baseline"] * 3
+        cells = [(64, a) for a in algorithms] + [(128, a) for a in algorithms]
+        assert calls == [(n, 4, a, float(k)) for k, (n, a) in enumerate(cells, 1)]
         assert csv.split("\n")[1:] == ["64,4,exact,5,7", "64,4,ifft,11,10", "128,4,exact,17,13", "128,4,ifft,23,16", ""]
 
 
@@ -359,7 +437,9 @@ class TestDenseVectorOnDemand:
         calls = count_embed(monkeypatch)
         csv = run_experiment(ExperimentConfig(1024, 10, snrs, 3, 1, algorithm))
         assert len(csv.strip().split("\n")) == 1 + len(snrs)
-        assert calls == [1024] * (3 * len(snrs))  # one truth per trial, no result's signal
+        # a sparse trial reads and scores through the windows; an ifft-baseline
+        # trial builds one truth, and no trial builds a result's signal
+        assert calls == ([1024] * (3 * len(snrs)) if algorithm == "ifft-baseline" else [])
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_cli_reconstruct_without_out_does_not_embed(self, monkeypatch, tmp_path, capsys, algorithm):

@@ -17,6 +17,8 @@ from spfft.signal_lab import (
     ENDPOINT_MIN_MODULUS,
     NOISE_STREAM_SALT,
     NoiseSpec,
+    _root_sum_squares,
+    _windows_error_l2_over_n,
     add_noise,
     error_l2_over_n,
     gen_instance,
@@ -147,7 +149,8 @@ class TestAddNoise:
         def refuse(*args):
             raise AssertionError("the signal was drawn or transformed")
 
-        monkeypatch.setattr(signal_lab, "gen_sparse_signal", refuse)
+        monkeypatch.setattr(signal_lab, "_draw_window", refuse)
+        monkeypatch.setattr(signal_lab, "_draw_noise", refuse)
         monkeypatch.setattr(signal_lab, "fft_forward", refuse)
         with pytest.raises(ValidationError, match=f"^{message}$"):
             gen_instance(1 << 22, 50, 4, snr)
@@ -183,9 +186,11 @@ class TestInPlaceNoise:
             return [a.tobytes() for a in arrays]
 
         for seed in range(6):
-            truth, _, noisy, noise = gen_instance(n, min(n, 7), seed, snr)
+            truth, support, noisy, noise = gen_instance(n, min(n, 7), seed, snr)
             spectrum = fft_forward(truth)
-            want = reference_add_noise(spectrum, NoiseSpec(seed=seed ^ NOISE_STREAM_SALT, snr_db=snr))
+            # gen_instance calibrates against the exact spectrum's norm by Parseval's identity
+            parseval = math.sqrt(n) * _root_sum_squares(truth[support.indices(n)])
+            want = reference_add_noise(spectrum, NoiseSpec(seed=seed ^ NOISE_STREAM_SALT, snr_db=snr), parseval)
             assert as_bytes((noisy, noise)) == as_bytes(want)
             spec = NoiseSpec(seed=seed, snr_db=snr)
             assert as_bytes(add_noise(spectrum, spec)) == as_bytes(reference_add_noise(spectrum, spec))
@@ -300,6 +305,44 @@ class TestWindowError:
     def test_value_count_mismatch(self):
         with pytest.raises(InvalidSupportLength, match=r"expected 4 window values, got shape \(3,\)"):
             window_error_l2_over_n(np.zeros(8), SupportDescriptor(6, 4), np.ones(3), 8)
+
+
+class TestWindowsError:
+    """_windows_error_l2_over_n against the dense error of the two embedded windows."""
+
+    @pytest.mark.parametrize(
+        "first, length, other_first, other_length",
+        [
+            (10, 40, 10, 40),  # the same window
+            (1014, 40, 1014, 40),  # the same window, wrapped
+            (10, 40, 30, 40),  # overlapping
+            (1000, 40, 5, 40),  # overlapping across the wrap
+            (10, 40, 500, 40),  # apart
+            (10, 40, 12, 7),  # one inside the other
+            (1020, 5, 0, 1024),  # a window of the whole length
+        ],
+    )
+    def test_matches_the_dense_error(self, first, length, other_first, other_length):
+        n = 1 << 10
+        rng = np.random.default_rng(first + other_first)
+        a = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        b = rng.standard_normal(other_length) + 1j * rng.standard_normal(other_length)
+        support, other = SupportDescriptor(first, length), SupportDescriptor(other_first, other_length)
+        want = error_l2_over_n(support.embed(a, n), other.embed(b, n))
+        assert _windows_error_l2_over_n(support, a, other, b, n) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_a_correct_placement_scores_as_the_truth_vector_does(self):
+        # a reconstruction on the true window: the same bits as window_error_l2_over_n on the truth
+        n, m = 1 << 12, 20
+        truth, support = gen_sparse_signal(n, m, 5)
+        result = reconstruct_exact(CountingSpectrumAccessor(fft_forward(truth)), m)
+        assert result.support == support
+        got = _windows_error_l2_over_n(support, truth[support.indices(n)], result.support, result.values, n)
+        assert got.hex() == window_error_l2_over_n(truth, result.support, result.values, n).hex()
+
+    def test_value_count_mismatch(self):
+        with pytest.raises(InvalidSupportLength, match=r"expected 4 window values, got shape \(3,\)"):
+            _windows_error_l2_over_n(SupportDescriptor(6, 4), np.ones(3), SupportDescriptor(0, 2), np.ones(2), 8)
 
 
 class TestOracleInverse:
