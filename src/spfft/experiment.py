@@ -22,7 +22,6 @@ from .signal_lab import (
     NoiseSpec,
     _Draw,
     _draw_instance,
-    _root_sum_squares,
     _windows_error_l2_over_n,
     error_l2_over_n,
     gen_instance,
@@ -133,9 +132,10 @@ class _WindowAccessor(CountingSpectrumAccessor):
 
     Reads are checked and counted as CountingSpectrumAccessor's, over
     the draw's spectrum computed where it is read (draw[idx], the
-    stride-subsample and point rules of signal_lab._Draw), so that no
-    length-N spectrum is built.  read_all, which the dense fallback
-    takes, builds the whole one: gen_instance's spectrum, bit for bit.
+    stride-subsample and point rules of signal_lab._Draw, and the noise
+    stream at those indices), so that no length-N spectrum or noise is
+    built.  read_all, which the dense fallback takes, builds the whole
+    one: gen_instance's spectrum, bit for bit.
     """
 
     def __init__(self, draw: _Draw):
@@ -152,39 +152,41 @@ class _WindowAccessor(CountingSpectrumAccessor):
 def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> TrialRecord:
     """Draw, reconstruct and score one instance, gen_instance(n, m, seed, snr_db).
 
-    The instance is drawn as its window, support and noise
-    (signal_lab._draw_instance).  A sparse trial ("exact" or "noisy")
-    reads its spectrum through the window (_WindowAccessor): no length-n
-    truth and no forward FFT are built, only the noise (none at +inf),
-    and err_sparse is taken between the true and the recovered window.
-    An ifft-baseline trial builds gen_instance's truth and spectrum and
-    scores the dense inverse against that truth, and err_ifft =
-    err_sparse.  For a sparse trial err_ifft is the error of an exact
-    dense inverse FFT of the noisy spectrum, ||ifft(noise)|| / n, which
-    by Parseval's identity is ||noise|| / (n * sqrt(n)): no length-n
-    inverse FFT is taken to score it.  At snr_db = +inf the noise
-    scores and err_ifft are 0.0.  CannotCalibrate is raised when a score
-    is not finite: noise near the float maximum makes the noise l1 sum
-    overflow.
+    The instance is drawn as its window, support and noise scale sigma
+    (signal_lab._draw_instance); CannotCalibrate is raised there, before
+    any read, when no sigma reaches snr_db.  A sparse trial ("exact" or
+    "noisy") reads its spectrum through the window (_WindowAccessor),
+    with the noise drawn at the indices read alone: no length-n array
+    and no length-n FFT are built, and err_sparse is taken between the
+    true and the recovered window.  An ifft-baseline trial builds
+    gen_instance's arrays and scores the dense inverse against that
+    truth, and err_ifft = err_sparse.
+
+    The noise columns are expectations over the noise, not its realised
+    values, so that no trial takes an O(n) step to score them:
+    noise_inf is sigma, the disc's radius, the bound of every |noise|,
+    and noise_l1_over_n is (2 sigma n / 3) / n, the expected l1 sum
+    over n (E|u| = 2/3), evaluated in that order, so that it overflows
+    where n sigma does.  For a sparse trial err_ifft is the expected
+    error of an exact dense inverse FFT of the noisy spectrum,
+    ||ifft(noise)|| / n = ||noise|| / (n sqrt(n)) by Parseval's identity,
+    with E||noise||**2 = n sigma**2 / 2: sigma / (sqrt(2) n).  At
+    snr_db = +inf sigma is 0, and so are these three scores.
+    CannotCalibrate is raised when a score is not finite: noise near
+    the float maximum makes n sigma overflow.
     """
     draw = _draw_instance(n, m, seed, snr_db)
-    noise = draw.noise  # drawn before any read, so that CannotCalibrate comes first
+    sigma = draw.sigma
     if algorithm == "ifft-baseline":
-        truth, spectrum = draw.arrays()
+        truth, spectrum, _ = draw.arrays()
         result = reconstruct(CountingSpectrumAccessor(spectrum), m, algorithm)
         err_sparse = err_ifft = error_l2_over_n(truth, result.signal)
     else:
         result = reconstruct(_WindowAccessor(draw), m, algorithm)
         err_sparse = _windows_error_l2_over_n(draw.support, draw.window, result.support, result.values, n)
-        # ||truth - ifft(noisy)|| / n = ||ifft(noise)|| / n
-        err_ifft = 0.0 if noise is None else _root_sum_squares(noise) / (n * math.sqrt(n))
-    if noise is None:
-        noise_inf = noise_l1_over_n = 0.0
-    else:
-        noise_abs = np.abs(noise)
-        noise_inf = float(np.max(noise_abs))
-        noise_l1_over_n = float(np.sum(noise_abs)) / n
-    if not np.isfinite([err_sparse, err_ifft, noise_inf, noise_l1_over_n]).all():
+        err_ifft = sigma / (math.sqrt(2) * n)
+    noise_l1_over_n = 2 * sigma * n / 3 / n
+    if not np.isfinite([err_sparse, err_ifft, sigma, noise_l1_over_n]).all():
         raise CannotCalibrate(f"the scores of a trial at {snr_db} dB SNR are not finite")
     return TrialRecord(
         mu_correct=result.support.first_index == draw.support.first_index,
@@ -192,7 +194,7 @@ def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> Trial
         err_ifft=err_ifft,
         samples_used=result.samples_used,
         vectors_used=result.vectors_used,
-        noise_inf=noise_inf,
+        noise_inf=sigma,
         noise_l1_over_n=noise_l1_over_n,
     )
 

@@ -1,18 +1,20 @@
 """Test-signal generation, the noise model, and error metrics.
 
-Random draws go through a counter-based Philox generator keyed directly
-by the 64-bit seed, so that generated vectors and injected noise are
-reproducible across platforms and golden files stay valid.  An
-instance is drawn as its window, support and noise (_draw_instance):
-gen_instance builds its truth and spectrum arrays, and the draw itself
-serves its spectrum at any indices from the window, with no length-N
-transform, which is how the experiment's sparse trials read it.
+Random draws are counter-based and keyed directly by the 64-bit seed,
+so that generated vectors and injected noise are reproducible across
+platforms and golden files stay valid: the window through a Philox
+generator, an instance's noise through a SplitMix64 stream evaluated at
+any index (_unit_noise).  An instance is drawn as its window, support
+and noise scale (_draw_instance): gen_instance builds its truth,
+spectrum and noise arrays, and the draw itself serves its spectrum at
+any indices from the window and the stream, with no length-N array,
+which is how the experiment's sparse trials read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +29,14 @@ ENDPOINT_MIN_MODULUS = 0.5
 #: Stream separator: trial seed XOR this constant seeds the noise draw.
 NOISE_STREAM_SALT = 0x9E3779B97F4A7C15
 
+#: SplitMix64's increment, the odd integer nearest 2**64 / phi: output i of
+#: the generator seeded with s is mix64(s + (i + 1) * gamma) mod 2**64.
+SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+#: Indices per block when an instance's noise is materialised whole, so
+#: that the stream's temporaries stay a few MiB at any N.
+NOISE_BLOCK = 1 << 16
+
 
 def philox_rng(seed: int) -> np.random.Generator:
     """Counter-based generator keyed by the seed's low 64 bits."""
@@ -38,10 +48,14 @@ class NoiseSpec:
     """Noise drawn uniformly from a complex disc, scaled to a target SNR.
 
     snr_db is 20*log10(||spectrum||_2 / ||noise||_2), +inf for none;
-    -inf, infinite noise, is not a noise level.  ||spectrum||_2 is the
-    norm of the exact spectrum: gen_instance and the experiment's trials
-    take it by Parseval's identity as sqrt(N) * ||x||_2, and add_noise
-    as the norm of the spectrum it is given.
+    -inf, infinite noise, is not a noise level.  add_noise hits it as
+    realised: it rescales its draw so that the noise's own norm gives
+    the target against the norm of the spectrum it is given.
+    gen_instance and the experiment's trials hit it in expectation: the
+    noise is a disc of radius sigma, sigma**2 = 2 ||x||**2 / 10**(snr_db/10),
+    whose expected squared norm over the n values, n sigma**2 / 2, sets
+    the target against the exact spectrum's norm sqrt(n) * ||x||_2
+    (Parseval's identity); see _noise_scale.
     """
 
     seed: int
@@ -101,16 +115,28 @@ def _root_sum_squares(*parts) -> float:
     return math.ldexp(math.sqrt(sum(float(np.einsum("i,i->", flat, flat)) for flat in scaled)), e)
 
 
-def _draw_noise(n: int, spec: NoiseSpec, signal_norm: float) -> np.ndarray:
-    """The noise add_noise adds at a finite SNR to a spectrum of n values and norm signal_norm.
+def add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Perturb a spectrum entrywise; returns (noisy, noise).
 
-    The noise is drawn at unit scale and rescaled so that its norm is
-    signal_norm / 10**(snr_db/20).  CannotCalibrate is raised when the
-    target cannot be hit: a zero signal_norm, or a noise scale that the
-    float range cannot hold.  The noise is built in one length-n complex
-    array, with two length-n float arrays (radius and angle, half a
-    complex array each) while it is drawn: a peak of two complex arrays.
+    The noise is drawn at unit scale from the Philox stream keyed by
+    spec.seed and rescaled so the realized SNR hits the target exactly
+    (up to rounding): its norm is ||spectrum|| / 10**(snr_db/20).  An
+    SNR of +inf means no noise, and then noisy is the input array itself
+    (as complex128), not a copy.  CannotCalibrate is raised when the
+    target cannot be hit: a zero spectrum, or a noise scale that the
+    float range cannot hold.
+
+    Memory: the noise is built in one length-N complex array, with two
+    length-N float arrays (radius and angle, half a complex array each)
+    while it is drawn; the returned noisy and noise are the only
+    length-N arrays that outlive the call, so its peak beyond the input
+    is two complex arrays.
     """
+    spectrum = as_vector(spectrum)
+    n = len(spectrum)
+    if spec.snr_db == math.inf:
+        return spectrum, np.zeros(n, dtype=np.complex128)
+    signal_norm = _root_sum_squares(spectrum)
     if signal_norm == 0:
         raise CannotCalibrate("cannot target a finite SNR on a zero spectrum")
     # uniform on the unit disc: the radius is drawn first, then the angle;
@@ -134,61 +160,85 @@ def _draw_noise(n: int, spec: NoiseSpec, signal_norm: float) -> np.ndarray:
     if not 0 < scale < math.inf:
         raise CannotCalibrate(f"no finite nonzero noise scale reaches {spec.snr_db} dB SNR")
     np.multiply(scale, noise, out=noise)
-    return noise
-
-
-def add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Perturb a spectrum entrywise; returns (noisy, noise).
-
-    The noise is drawn at unit scale and rescaled so the realized SNR
-    hits the target exactly (up to rounding); an SNR of +inf means no
-    noise, and then noisy is the input array itself (as complex128), not
-    a copy.  CannotCalibrate is raised when the target cannot be hit: a
-    zero spectrum, or a noise scale that the float range cannot hold.
-
-    Memory: the noise is drawn as _draw_noise draws it, in two
-    complex arrays at its peak; the returned noisy and noise are the
-    only length-N arrays that outlive the call, so its peak beyond the
-    input is two complex arrays.
-    """
-    spectrum = as_vector(spectrum)
-    n = len(spectrum)
-    if spec.snr_db == math.inf:
-        return spectrum, np.zeros(n, dtype=np.complex128)
-    noise = _draw_noise(n, spec, _root_sum_squares(spectrum))
     return spectrum + noise, noise
 
 
-@dataclass(eq=False)
+def _splitmix64(seed: int, counters: np.ndarray) -> np.ndarray:
+    """Outputs number `counters` (a uint64 array) of the SplitMix64 generator seeded with seed.
+
+    Output i is mix64(seed + (i + 1) * SPLITMIX_GAMMA) mod 2**64, the
+    value the sequential generator (Steele, Lea & Flood, OOPSLA 2014)
+    returns on its (i + 1)-th call, here at any i without the calls
+    before it.  numpy's uint64 arithmetic wraps mod 2**64.
+    """
+    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (counters + np.uint64(1)) * SPLITMIX_GAMMA
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _unit_noise(seed: int, idx: np.ndarray) -> np.ndarray:
+    """The unit-disc noise stream keyed by seed, at the int64 indices idx.
+
+    Index k takes r and a from SplitMix64 outputs 2k and 2k + 1, each as
+    its top 53 bits times 2**-53, uniform on [0, 1), and is
+    sqrt(r) * exp(1j * (2 * pi * a)): uniform on the unit disc, with
+    E|u|**2 = 1/2 and E|u| = 2/3.  Each value depends on its index
+    alone, so the stream read in any split or order gives the same bits.
+    """
+    counters = 2 * np.asarray(idx, dtype=np.int64).astype(np.uint64) + np.array([[0], [1]], dtype=np.uint64)
+    r, a = (_splitmix64(seed, counters) >> np.uint64(11)) * 2.0**-53
+    return np.sqrt(r) * np.exp(1j * (2 * np.pi * a))
+
+
+def _noise_scale(window, snr_db: float) -> float:
+    """sigma, the disc radius of an instance's noise at snr_db; 0.0 at +inf.
+
+    sigma**2 = 2 ||window||**2 / 10**(snr_db/10): with E|u|**2 = 1/2 the
+    noise's expected squared norm over n values is n * ||window||**2 /
+    10**(snr_db/10), so the *expected* SNR against the exact spectrum's
+    norm, sqrt(n) * ||window|| by Parseval's identity, is the target, at
+    any n.  CannotCalibrate is raised when it cannot be: a zero window,
+    or a sigma that the float range cannot hold.
+    """
+    if snr_db == math.inf:
+        return 0.0
+    norm = _root_sum_squares(window)
+    if norm == 0:
+        raise CannotCalibrate("cannot target a finite SNR on a zero spectrum")
+    try:
+        sigma = math.sqrt(2) * norm / 10 ** (snr_db / 20)
+    except (OverflowError, ZeroDivisionError):
+        sigma = math.nan
+    if not 0 < sigma < math.inf:
+        raise CannotCalibrate(f"no finite nonzero noise scale reaches {snr_db} dB SNR")
+    return sigma
+
+
+@dataclass(frozen=True, eq=False)
 class _Draw:
     """One instance as drawn: m window values at support in a length-n vector, and its noise.
 
-    The spectrum is the forward FFT of the embedded window plus the
-    noise: arrays() builds it whole, as gen_instance returns it, and
-    draw[idx] computes it at idx alone from the window (the spectrum
-    that experiment's sparse trials read, with no length-n FFT).
+    The spectrum is the forward FFT of the embedded window plus sigma
+    times the unit-disc stream keyed by spec.seed (_unit_noise):
+    arrays() builds it whole, as gen_instance returns it, and draw[idx]
+    computes it at idx alone, from the window and the stream there (the
+    spectrum that experiment's sparse trials read, with no length-n
+    array).  sigma is _noise_scale's, 0.0 at snr_db = +inf.
     """
 
     n: int
     support: SupportDescriptor
     window: np.ndarray
     spec: NoiseSpec
-    _noise: np.ndarray | None = field(default=None, init=False, repr=False)
+    sigma: float
 
-    @property
-    def noise(self) -> np.ndarray | None:
-        """The noise, drawn on first access as add_noise draws it, or None at snr_db = +inf.
-
-        It is calibrated against the exact spectrum's norm, sqrt(n) *
-        ||window|| by Parseval's identity, so that no forward FFT is
-        needed to draw it.  A draw belongs to one trial, on one thread;
-        functools.cached_property is not used, as before Python 3.12 it
-        draws under one lock for all instances, which serialises the
-        trials of a thread pool.
-        """
-        if self._noise is None and self.spec.snr_db != math.inf:
-            self._noise = _draw_noise(self.n, self.spec, math.sqrt(self.n) * _root_sum_squares(self.window))
-        return self._noise
+    def noise(self, idx: np.ndarray) -> np.ndarray:
+        """The noise at an int64 index array: sigma * _unit_noise(spec.seed, idx)."""
+        return self.sigma * _unit_noise(self.spec.seed, idx)
 
     def __len__(self) -> int:
         return self.n
@@ -200,7 +250,8 @@ class _Draw:
         < n/q, is one length-q FFT: that of the window turned by
         exp(-2i*pi * offset * (start + l) / n) and folded mod q, the
         periodization identity.  Any other read is window_spectrum_sample's.
-        Either agrees with the FFT of the embedded window to rounding.
+        Either agrees with the FFT of the embedded window to rounding;
+        the noise is that of arrays(), to the bit.
         """
         n, q, start = self.n, idx.size, self.support.first_index
         stride = n // q if q else 0
@@ -213,33 +264,38 @@ class _Draw:
             values = np.fft.fft(rows.reshape(-1, q).sum(axis=0))
         else:
             values = window_spectrum_sample(self.window, start, idx, n)
-        if self.noise is not None:
-            values += self.noise[idx]
+        if self.sigma:
+            values += self.noise(idx)
         return values
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(truth, spectrum): the window embedded, and its forward FFT plus the noise.
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(truth, spectrum, noise): the window embedded, its forward FFT plus the noise, and the noise.
 
-        Called before the noise is read, it transforms first and draws
-        the noise after, so that the FFT's buffers and the noise draw's
-        never coexist.
+        The noise is the stream over arange(n), filled in blocks of
+        NOISE_BLOCK indices into one preallocated array, so that its
+        temporaries stay a few MiB; zeros at snr_db = +inf, where the
+        spectrum is the FFT alone.
         """
         truth = self.support.embed(self.window, self.n)
         spectrum = fft_forward(truth)
-        if self.noise is not None:
-            spectrum += self.noise
-        return truth, spectrum
+        noise = np.zeros(self.n, dtype=np.complex128)
+        if self.sigma:
+            for lo in range(0, self.n, NOISE_BLOCK):
+                noise[lo : lo + NOISE_BLOCK] = self.noise(np.arange(lo, min(lo + NOISE_BLOCK, self.n)))
+            spectrum += noise
+        return truth, spectrum, noise
 
 
 def _draw_instance(n: int, m: int, seed: int, snr_db: float) -> _Draw:
-    """The draw that gen_instance materialises: its window now, its noise when first read.
+    """The draw that gen_instance materialises: its window and its noise scale, no length-n array.
 
     The NoiseSpec is built first, so that a NaN or -inf snr_db is
-    rejected before any draw.
+    rejected before any draw; the noise scale is set next, so that
+    CannotCalibrate is raised before any spectrum value is computed.
     """
     spec = NoiseSpec(seed=seed ^ NOISE_STREAM_SALT, snr_db=snr_db)
     window, support = _draw_window(n, m, seed)
-    return _Draw(n, support, window, spec)
+    return _Draw(n, support, window, spec, _noise_scale(window, snr_db))
 
 
 def gen_instance(
@@ -248,19 +304,20 @@ def gen_instance(
     """One random instance: (truth, support, spectrum, noise).
 
     truth and support are gen_sparse_signal(n, m, seed); spectrum is the
-    forward FFT of truth plus noise, drawn as add_noise draws it from
-    the stream seed ^ NOISE_STREAM_SALT, but calibrated against the
-    exact spectrum's norm by Parseval's identity, sqrt(n) * ||x||, not
-    against the transform's summed squares (at snr_db = +inf the exact
-    spectrum and zero noise).  `spfft gen` and every experiment trial
-    draw their instances here (_draw_instance), so a trial's seed
+    forward FFT of truth plus noise, sigma times the unit-disc stream
+    keyed by seed ^ NOISE_STREAM_SALT (_unit_noise) at every index, with
+    sigma**2 = 2 ||x||**2 / 10**(snr_db/10), so that the *expected* SNR
+    against the exact spectrum's norm is the target (add_noise instead
+    rescales its own draw to hit a realised SNR); at snr_db = +inf the
+    exact spectrum and zero noise.  `spfft gen` and every experiment
+    trial draw their instances here (_draw_instance), so a trial's seed
     replays it: this function materialises the very draw that a trial
-    reads through its window.  The NoiseSpec is built first, so that a
-    NaN or -inf snr_db is rejected before any draw or transform.
+    reads through its window, its noise to the bit.  The NoiseSpec is
+    built first, so that a NaN or -inf snr_db is rejected before any
+    draw or transform.
     """
     draw = _draw_instance(n, m, seed, snr_db)
-    truth, spectrum = draw.arrays()
-    noise = np.zeros(n, dtype=np.complex128) if draw.noise is None else draw.noise
+    truth, spectrum, noise = draw.arrays()
     return truth, draw.support, spectrum, noise
 
 

@@ -7,7 +7,9 @@ recording accessor shows which spectrum values a call read, in order;
 the odd probe that scans one index per call is the reference for the
 exact placement's probe, and the per-level doubling for the batched
 one; the one-expression noise
-draw is the reference for add_noise's in-place one; the direct sum of
+draw is the reference for add_noise's in-place one, and the integer
+SplitMix64 loop for the noise stream of gen_instance and the
+experiment's trials; the direct sum of
 the window transform is the reference for its baby-step giant-step
 evaluation.
 Imported by the test modules as ``oracle``.
@@ -117,24 +119,60 @@ def reference_window_spectrum_sample(window, first_index: int, freq_index, lengt
     return complex(samples) if samples.ndim == 0 else samples
 
 
-def reference_add_noise(spectrum, spec: NoiseSpec, signal_norm=None) -> tuple[np.ndarray, np.ndarray]:
+def reference_add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     """signal_lab.add_noise at a finite SNR, drawn and scaled in one expression each.
 
     The radius is drawn first, then the angle; the unit-disc noise is
-    scaled so that its norm is signal_norm / 10**(snr_db/20), with
-    signal_norm the spectrum's norm unless given (gen_instance passes
-    the exact spectrum's norm by Parseval's identity).  add_noise must
-    return the same bytes.
+    scaled so that its norm is the spectrum's norm / 10**(snr_db/20).
+    add_noise must return the same bytes.
     """
     spectrum = np.asarray(spectrum, dtype=np.complex128)
     n = len(spectrum)
-    if signal_norm is None:
-        signal_norm = _root_sum_squares(spectrum)
     rng = philox_rng(spec.seed)
     unit = np.sqrt(rng.random(n)) * np.exp(1j * (2 * np.pi * rng.random(n)))
-    scale = signal_norm / (_root_sum_squares(unit) * 10 ** (spec.snr_db / 20))
+    scale = _root_sum_squares(spectrum) / (_root_sum_squares(unit) * 10 ** (spec.snr_db / 20))
     noise = scale * unit
     return spectrum + noise, noise
+
+
+MASK64 = (1 << 64) - 1
+SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix64(seed: int):
+    """The sequential SplitMix64 generator in Python integers: yields its outputs in order, without end.
+
+    Each call adds the increment to the 64-bit state and returns the
+    state's mix64 (Steele, Lea & Flood, OOPSLA 2014).
+    """
+    state = seed & MASK64
+    while True:
+        state = (state + SPLITMIX_GAMMA) & MASK64
+        yield _mix64(state)
+
+
+def splitmix64_at(seed: int, i: int) -> int:
+    """Output i of splitmix64(seed), from the state after its i + 1 additions: seed + (i + 1) * gamma mod 2**64."""
+    return _mix64((seed + (i + 1) * SPLITMIX_GAMMA) & MASK64)
+
+
+def reference_unit_noise(seed: int, idx) -> np.ndarray:
+    """signal_lab._unit_noise: index k is sqrt(r) * exp(1j * (2 * pi * a)), with r and a
+    the top 53 bits of splitmix64_at(seed, 2k) and of (seed, 2k + 1), times 2**-53.
+
+    The integers and their conversions are Python's; the last expression
+    is numpy's, as in _unit_noise, so that the two agree to the bit.
+    """
+    idx = [int(k) for k in idx]
+    r = np.array([(splitmix64_at(seed, 2 * k) >> 11) * 2.0**-53 for k in idx])
+    a = np.array([(splitmix64_at(seed, 2 * k + 1) >> 11) * 2.0**-53 for k in idx])
+    return np.sqrt(r) * np.exp(1j * (2 * np.pi * a))
 
 
 class RecordingAccessor(CountingSpectrumAccessor):

@@ -56,7 +56,8 @@ def test_gen_peak_memory_at_n_2_22(tmp_path):
 
 
 def test_parseval_score_of_the_dense_baseline_is_its_inverse_fft_error(tmp_path):
-    # noisy trials score the dense baseline by Parseval; ifft-baseline trials of the same instances run the inverse FFT
+    # noisy trials score the dense baseline by its expectation, sigma / (sqrt(2) N) by Parseval's
+    # identity; ifft-baseline trials of the same instances run the inverse FFT on the realised noise
     columns = {}
     for algorithm in ("noisy", "ifft-baseline"):
         out = tmp_path / f"{algorithm}.csv"
@@ -67,4 +68,8 @@ def test_parseval_score_of_the_dense_baseline_is_its_inverse_fft_error(tmp_path)
             columns[algorithm] = [float(row["mean_err_ifft"]) for row in csv.DictReader(rows)]
     parseval, dense = columns["noisy"], columns["ifft-baseline"]
     assert len(parseval) == len(dense) == 2
-    assert all(math.isclose(p, d, rel_tol=1e-12) for p, d in zip(parseval, dense)), (parseval, dense)
+    # a trial's realised error over its expectation is sqrt(S / (N/2)), S = sum |u_k|^2, with
+    # E S = N/2 and Var S = N/12 (Var |u|^2 = 1/12): relative spread 1/(2 sqrt(3N)) per trial.
+    # Five of those bound every trial's ratio, hence the ratio of the means of three trials
+    tolerance = 5 / (2 * math.sqrt(3 * 4096))
+    assert all(math.isclose(p, d, rel_tol=tolerance) for p, d in zip(parseval, dense)), (parseval, dense)

@@ -79,12 +79,14 @@ class TestReconstruct:
 
 
 # run_experiment(ExperimentConfig(4096, m, snrs, 20, 5, algorithm)), data
-# rows only; any change to the sparse paths must leave these unchanged
+# rows only; any change to the sparse paths must leave these unchanged.
+# The finite-SNR rows are those of the per-index noise stream, whose noise
+# columns and mean_err_ifft are expectations (run_trial)
 GOLDEN = {
     ("noisy", 20, (0.0, 10.0, 20.0, math.inf)): [
-        "0,20,90,0.003486257693582121,0.0090374928069015953,52.417120669719452,34.892823789148473,144.30000000000001,2.1000000000000001",
-        "10,20,100,0.0010634468827080555,0.0027513975755803994,15.912931023079363,10.628377851452985,138,2",
-        "20,20,100,0.00033946680379188068,0.00089600090743813363,5.1857952634279743,3.4603205033326083,138,2",
+        "0,20,90,0.0034837824148358592,0.0090374928069015988,52.350750299625602,34.900500199750397,156.90000000000001,2.2999999999999998",
+        "10,20,100,0.0010811074339563363,0.0027513975755803994,15.937797189084174,10.625198126056116,138,2",
+        "20,20,100,0.00035448713456324782,0.00089600090743813341,5.1901916577694056,3.4601277718462704,138,2",
         "inf,20,100,1.2292413306246851e-18,0,0,0,34,1",
     ],
     ("exact", 1, (math.inf,)): ["inf,20,100,0,0,0,0,4,0"],
@@ -195,8 +197,13 @@ class TestDenseBaselineScore:
                 assert got.hex() == want.hex()
             elif snr_db == math.inf:  # exact data; only the rounding of the real inverse FFT is left
                 assert got == 0.0
-            else:  # ||noise|| / (n sqrt(n)); measured apart from the real inverse FFT by at most 1.3e-15
-                assert got == pytest.approx(want, rel=1e-13, abs=0)
+            else:
+                # the expected error sigma / (sqrt(2) n), exactly
+                assert got == _draw_instance(n, 20, seed, snr_db).sigma / (math.sqrt(2) * n)
+                # the realised one is sigma sqrt(S) / (n sqrt(n)), S = sum |u_k|^2 over n indices,
+                # with E S = n/2 and Var S = n/12 (Var |u|^2 = 1/12): S / (n/2) has relative spread
+                # 1/sqrt(3n), its root half that; 5 of those bound each of these 30 ratios
+                assert got == pytest.approx(want, rel=5 / (2 * math.sqrt(3 * n)))
 
     @pytest.mark.parametrize(
         "algorithm, snr_db", [("noisy", 20.0), ("noisy", math.inf), ("exact", math.inf), ("ifft-baseline", 20.0)]
@@ -236,13 +243,25 @@ class TestDenseBaselineScore:
         return peak
 
     def test_peak_memory_of_a_noisy_trial(self):
-        # the noise draw: the noise and, while it is drawn, its radius and angle
-        assert self.traced_peak(1 << 16, 20.0) <= 2.25 * 16 * (1 << 16)
+        # the noise is drawn at the indices read alone: no length-N array at all
+        assert self.traced_peak(1 << 22, 20.0) < 2**20
 
     @pytest.mark.parametrize("algorithm", ["exact", "noisy"])
     def test_peak_memory_of_a_noiseless_trial_is_sublinear(self, algorithm):
         # no length-N array at all: the window, the folds and the probes
         assert self.traced_peak(1 << 22, math.inf, algorithm) < 2**20
+
+    def test_noisy_trial_at_n_2_30(self):
+        # a spectrum of 16 GiB, read at a few hundred indices
+        n = 1 << 30
+        run_trial(n, 50, 10.0, 3, "noisy")
+        tracemalloc.start()
+        try:
+            record = run_trial(n, 50, 10.0, 3, "noisy")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert record.mu_correct and peak < 2**20
 
 
 class TestExperimentChecks:
@@ -258,13 +277,25 @@ class TestExperimentChecks:
         def refuse(*args):
             raise AssertionError("a spectrum or the noise was built")
 
-        # the forward FFT, the noise draw and the window-backed spectrum
+        # the forward FFT, the noise stream and the window-backed spectrum
         monkeypatch.setattr(signal_lab, "fft_forward", refuse)
-        monkeypatch.setattr(signal_lab, "_draw_noise", refuse)
+        monkeypatch.setattr(signal_lab, "_unit_noise", refuse)
         monkeypatch.setattr(experiment, "_WindowAccessor", refuse)
         with pytest.raises(error) as caught:
             run_experiment(ExperimentConfig(n, m, (10.0, math.inf), 2, 0, "noisy"))
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_zero_window_cannot_calibrate_before_any_read(self, monkeypatch, algorithm):
+        def refuse(*args):
+            raise AssertionError("a spectrum or the noise was built")
+
+        monkeypatch.setattr(signal_lab, "_draw_window", lambda n, m, seed: (np.zeros(m, complex), SupportDescriptor(0, m)))
+        monkeypatch.setattr(signal_lab, "fft_forward", refuse)
+        monkeypatch.setattr(signal_lab, "_unit_noise", refuse)
+        monkeypatch.setattr(experiment, "_WindowAccessor", refuse)
+        with pytest.raises(CannotCalibrate, match="^cannot target a finite SNR on a zero spectrum$"):
+            run_trial(64, 4, 10.0, 3, algorithm)
 
     def test_unknown_algorithm_fails_in_the_config(self):
         with pytest.raises(ValidationError, match="algorithm must be one of"):
@@ -323,8 +354,8 @@ class TestNonFiniteScores:
 class TestNoiselessScores:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_noise_is_not_scored_at_infinite_snr(self, algorithm):
-        # at +inf no noise is drawn at all, so there is none to score
-        assert _draw_instance(1024, 5, 3, math.inf).noise is None
+        # at +inf the noise scale is 0 and no noise is drawn, so there is none to score
+        assert _draw_instance(1024, 5, 3, math.inf).sigma == 0.0
         record = run_trial(1024, 5, math.inf, 3, algorithm)
         assert record.noise_inf == record.noise_l1_over_n == 0.0
         if algorithm == "exact":  # noisy data fail the exact path's fold residual check

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracle import realized_snr_db, reference_add_noise
+from oracle import realized_snr_db, reference_add_noise, reference_unit_noise, splitmix64, splitmix64_at
 from spfft import signal_lab
 from spfft.dft_core import CountingSpectrumAccessor, SupportDescriptor, fft_forward, fft_inverse
 from spfft.errors import CannotCalibrate, InvalidSupportLength, ValidationError
@@ -17,7 +18,10 @@ from spfft.signal_lab import (
     ENDPOINT_MIN_MODULUS,
     NOISE_STREAM_SALT,
     NoiseSpec,
+    _draw_instance,
     _root_sum_squares,
+    _splitmix64,
+    _unit_noise,
     _windows_error_l2_over_n,
     add_noise,
     error_l2_over_n,
@@ -150,7 +154,7 @@ class TestAddNoise:
             raise AssertionError("the signal was drawn or transformed")
 
         monkeypatch.setattr(signal_lab, "_draw_window", refuse)
-        monkeypatch.setattr(signal_lab, "_draw_noise", refuse)
+        monkeypatch.setattr(signal_lab, "_unit_noise", refuse)
         monkeypatch.setattr(signal_lab, "fft_forward", refuse)
         with pytest.raises(ValidationError, match=f"^{message}$"):
             gen_instance(1 << 22, 50, 4, snr)
@@ -177,7 +181,7 @@ class TestAddNoise:
 
 
 class TestInPlaceNoise:
-    """add_noise draws the reference's noise to the bit, in less memory."""
+    """add_noise draws the reference's noise to the bit, in less memory; gen_instance's noise is the stream's."""
 
     @pytest.mark.parametrize("n", [1, 2, 1 << 10, 1 << 16])
     @pytest.mark.parametrize("snr", [-20.0, 0.0, 10.0, 60.0])
@@ -188,10 +192,10 @@ class TestInPlaceNoise:
         for seed in range(6):
             truth, support, noisy, noise = gen_instance(n, min(n, 7), seed, snr)
             spectrum = fft_forward(truth)
-            # gen_instance calibrates against the exact spectrum's norm by Parseval's identity
-            parseval = math.sqrt(n) * _root_sum_squares(truth[support.indices(n)])
-            want = reference_add_noise(spectrum, NoiseSpec(seed=seed ^ NOISE_STREAM_SALT, snr_db=snr), parseval)
-            assert as_bytes((noisy, noise)) == as_bytes(want)
+            # gen_instance's noise is sigma times the stream, sigma**2 = 2 ||x||**2 / 10**(snr/10)
+            sigma = math.sqrt(2) * _root_sum_squares(truth[support.indices(n)]) / 10 ** (snr / 20)
+            want = sigma * reference_unit_noise(seed ^ NOISE_STREAM_SALT, range(n))
+            assert as_bytes((noisy, noise)) == as_bytes((spectrum + want, want))
             spec = NoiseSpec(seed=seed, snr_db=snr)
             assert as_bytes(add_noise(spectrum, spec)) == as_bytes(reference_add_noise(spectrum, spec))
 
@@ -207,6 +211,65 @@ class TestInPlaceNoise:
         del result
         # the one-expression draw peaks at 3 arrays: unit, noise and the noisy sum
         assert peak <= 2.25 * 16 * n
+
+
+class TestNoiseStream:
+    """The per-index SplitMix64 noise stream of gen_instance and the experiment's trials."""
+
+    SEEDS = (0, 3 ^ NOISE_STREAM_SALT, 2**64 - 1)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_stream_is_the_sequential_generator(self, seed):
+        # the first 2N outputs, N = 2^16: indices 0, 1 and N - 1 of the noise among them
+        count = 2 << 16
+        want = np.fromiter(itertools.islice(splitmix64(seed), count), dtype=np.uint64, count=count)
+        assert _splitmix64(seed, np.arange(count, dtype=np.uint64)).tobytes() == want.tobytes()
+        idx = np.array([0, 1, (1 << 16) - 1])
+        assert _unit_noise(seed, idx).tobytes() == reference_unit_noise(seed, idx).tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_indices_up_to_2_30(self, seed):
+        idx = np.concatenate([np.random.default_rng(seed % 1000).integers(0, 1 << 30, 200), [(1 << 30) - 1]])
+        counters = np.concatenate([2 * idx, 2 * idx + 1]).astype(np.uint64)
+        assert _splitmix64(seed, counters).tolist() == [splitmix64_at(seed, int(i)) for i in counters]
+        assert _unit_noise(seed, idx).tobytes() == reference_unit_noise(seed, idx).tobytes()
+
+    def test_reads_do_not_depend_on_their_split_or_order(self):
+        n = 1 << 18  # four blocks of gen_instance's noise
+        draw = _draw_instance(n, 20, 9, 10.0)
+        rng = np.random.default_rng(9)
+        idx = rng.integers(0, n, 500)
+        whole = draw.noise(idx)
+        order = rng.permutation(len(idx))
+        parts = np.array_split(order, [1, 7, 100, 333])
+        split = np.empty_like(whole)
+        for part in parts[::-1]:
+            split[part] = draw.noise(idx[part])
+        assert split.tobytes() == whole.tobytes()
+        assert np.concatenate([draw.noise(np.array([k])) for k in idx]).tobytes() == whole.tobytes()
+        # gen_instance materialises the same stream, NOISE_BLOCK indices at a time
+        assert gen_instance(n, 20, 9, 10.0)[3][idx].tobytes() == whole.tobytes()
+
+    def test_moments_of_the_unit_disc(self):
+        count = 1 << 20
+        u = np.abs(_unit_noise(5, np.arange(count)))
+        assert u.max() < 1
+        # E|u|^2 = 1/2 with Var |u|^2 = 1/3 - 1/4 = 1/12; E|u| = 2/3 with Var |u| = 1/2 - 4/9 = 1/18
+        assert abs(np.mean(u**2) - 1 / 2) <= 5 * math.sqrt(1 / 12 / count)
+        assert abs(np.mean(u) - 2 / 3) <= 5 * math.sqrt(1 / 18 / count)
+
+    @pytest.mark.parametrize("snr", [0.0, 20.0, 40.0])
+    def test_realised_snr_of_gen_instance_is_near_the_target(self, snr):
+        # the noise's squared norm has relative spread 1/sqrt(3N), 0.01 dB at N = 2^16
+        n = 1 << 16
+        for seed in range(3):
+            truth, _, _, noise = gen_instance(n, 50, seed, snr)
+            assert realized_snr_db(fft_forward(truth), noise) == pytest.approx(snr, abs=0.1)
+
+    @pytest.mark.parametrize("snr", [-7000.0, 7000.0])
+    def test_noise_scale_out_of_float_range_cannot_calibrate(self, snr):
+        with pytest.raises(CannotCalibrate, match="noise scale"):
+            gen_instance(64, 4, 3, snr)
 
 
 class TestBlasThreads:
