@@ -178,7 +178,7 @@ def run_trial(n: int, m: int, snr_db: float, seed: int, algorithm: str) -> Trial
     draw = _draw_instance(n, m, seed, snr_db)
     sigma = draw.sigma
     if algorithm == "ifft-baseline":
-        truth, spectrum, _ = draw.arrays()
+        truth, spectrum = draw.arrays()[:2]  # the noise is not held through the reconstruction
         result = reconstruct(CountingSpectrumAccessor(spectrum), m, algorithm)
         err_sparse = err_ifft = error_l2_over_n(truth, result.signal)
     else:

@@ -3,12 +3,13 @@
 Random draws are counter-based and keyed directly by the 64-bit seed,
 so that generated vectors and injected noise are reproducible across
 platforms and golden files stay valid: the window through a Philox
-generator, an instance's noise through a SplitMix64 stream evaluated at
-any index (_unit_noise).  An instance is drawn as its window, support
-and noise scale (_draw_instance): gen_instance builds its truth,
-spectrum and noise arrays, and the draw itself serves its spectrum at
-any indices from the window and the stream, with no length-N array,
-which is how the experiment's sparse trials read it.
+generator, and all noise, add_noise's and an instance's, through one
+SplitMix64 stream evaluated at any index (_unit_noise).  An instance is
+drawn as its window, support and noise scale (_draw_instance):
+gen_instance builds its truth, spectrum and noise arrays, and the draw
+itself serves its spectrum at any indices from the window and the
+stream, with no length-N array, which is how the experiment's sparse
+trials read it.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ NOISE_STREAM_SALT = 0x9E3779B97F4A7C15
 #: the generator seeded with s is mix64(s + (i + 1) * gamma) mod 2**64.
 SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
-#: Indices per block when an instance's noise is materialised whole, so
-#: that the stream's temporaries stay a few MiB at any N.
-NOISE_BLOCK = 1 << 16
+#: Indices per block when the noise stream is materialised whole
+#: (_unit_stream), so that its temporaries stay a few hundred KiB at any N.
+NOISE_BLOCK = 1 << 12
 
 
 def philox_rng(seed: int) -> np.random.Generator:
@@ -118,19 +119,18 @@ def _root_sum_squares(*parts) -> float:
 def add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     """Perturb a spectrum entrywise; returns (noisy, noise).
 
-    The noise is drawn at unit scale from the Philox stream keyed by
-    spec.seed and rescaled so the realized SNR hits the target exactly
-    (up to rounding): its norm is ||spectrum|| / 10**(snr_db/20).  An
-    SNR of +inf means no noise, and then noisy is the input array itself
-    (as complex128), not a copy.  CannotCalibrate is raised when the
-    target cannot be hit: a zero spectrum, or a noise scale that the
-    float range cannot hold.
+    The noise is the unit-disc stream keyed by spec.seed over every index
+    (_unit_stream), the stream of gen_instance's noise, rescaled so the
+    realized SNR hits the target exactly (up to rounding): its norm is
+    ||spectrum|| / 10**(snr_db/20).  An SNR of +inf means no noise, and
+    then noisy is the input array itself (as complex128), not a copy.
+    CannotCalibrate is raised when the target cannot be hit: a zero
+    spectrum, or a noise scale that the float range cannot hold.
 
-    Memory: the noise is built in one length-N complex array, with two
-    length-N float arrays (radius and angle, half a complex array each)
-    while it is drawn; the returned noisy and noise are the only
-    length-N arrays that outlive the call, so its peak beyond the input
-    is two complex arrays.
+    Memory: the noise is drawn and scaled in place in one length-N
+    complex array, NOISE_BLOCK indices at a time; the returned noisy and
+    noise are the only length-N arrays that outlive the call, so its
+    peak beyond the input is two complex arrays.
     """
     spectrum = as_vector(spectrum)
     n = len(spectrum)
@@ -139,19 +139,7 @@ def add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     signal_norm = _root_sum_squares(spectrum)
     if signal_norm == 0:
         raise CannotCalibrate("cannot target a finite SNR on a zero spectrum")
-    # uniform on the unit disc: the radius is drawn first, then the angle;
-    # each step runs in place with the kernel and operand order of
-    # sqrt(r) * exp(1j * (2 * pi * a)), so the noise is that product to the bit
-    rng = philox_rng(spec.seed)
-    radius = rng.random(n)
-    np.sqrt(radius, out=radius)
-    angle = rng.random(n)
-    angle *= 2 * np.pi
-    noise = 1j * angle
-    del angle
-    np.exp(noise, out=noise)
-    np.multiply(radius, noise, out=noise)
-    del radius
+    noise = _unit_stream(spec.seed, n)
     unit_norm = _root_sum_squares(noise)
     try:
         scale = signal_norm / (unit_norm * 10 ** (spec.snr_db / 20))
@@ -192,6 +180,14 @@ def _unit_noise(seed: int, idx: np.ndarray) -> np.ndarray:
     counters = 2 * np.asarray(idx, dtype=np.int64).astype(np.uint64) + np.array([[0], [1]], dtype=np.uint64)
     r, a = (_splitmix64(seed, counters) >> np.uint64(11)) * 2.0**-53
     return np.sqrt(r) * np.exp(1j * (2 * np.pi * a))
+
+
+def _unit_stream(seed: int, n: int) -> np.ndarray:
+    """_unit_noise(seed, arange(n)), filled NOISE_BLOCK indices at a time into one complex array."""
+    noise = np.empty(n, dtype=np.complex128)
+    for lo in range(0, n, NOISE_BLOCK):
+        noise[lo : lo + NOISE_BLOCK] = _unit_noise(seed, np.arange(lo, min(lo + NOISE_BLOCK, n)))
+    return noise
 
 
 def _noise_scale(window, snr_db: float) -> float:
@@ -271,18 +267,17 @@ class _Draw:
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(truth, spectrum, noise): the window embedded, its forward FFT plus the noise, and the noise.
 
-        The noise is the stream over arange(n), filled in blocks of
-        NOISE_BLOCK indices into one preallocated array, so that its
-        temporaries stay a few MiB; zeros at snr_db = +inf, where the
-        spectrum is the FFT alone.
+        The noise is the stream over arange(n) (_unit_stream) times
+        sigma, in place, so that it is noise(idx)'s to the bit; zeros at
+        snr_db = +inf, where the spectrum is the FFT alone.
         """
         truth = self.support.embed(self.window, self.n)
         spectrum = fft_forward(truth)
-        noise = np.zeros(self.n, dtype=np.complex128)
-        if self.sigma:
-            for lo in range(0, self.n, NOISE_BLOCK):
-                noise[lo : lo + NOISE_BLOCK] = self.noise(np.arange(lo, min(lo + NOISE_BLOCK, self.n)))
-            spectrum += noise
+        if not self.sigma:
+            return truth, spectrum, np.zeros(self.n, dtype=np.complex128)
+        noise = _unit_stream(self.spec.seed, self.n)
+        np.multiply(self.sigma, noise, out=noise)
+        spectrum += noise
         return truth, spectrum, noise
 
 
@@ -308,7 +303,7 @@ def gen_instance(
     keyed by seed ^ NOISE_STREAM_SALT (_unit_noise) at every index, with
     sigma**2 = 2 ||x||**2 / 10**(snr_db/10), so that the *expected* SNR
     against the exact spectrum's norm is the target (add_noise instead
-    rescales its own draw to hit a realised SNR); at snr_db = +inf the
+    rescales the stream to hit a realised SNR); at snr_db = +inf the
     exact spectrum and zero noise.  `spfft gen` and every experiment
     trial draw their instances here (_draw_instance), so a trial's seed
     replays it: this function materialises the very draw that a trial

@@ -6,10 +6,9 @@ subsampling) state the identity the sparse algorithms rest on; the
 recording accessor shows which spectrum values a call read, in order;
 the odd probe that scans one index per call is the reference for the
 exact placement's probe, and the per-level doubling for the batched
-one; the one-expression noise
-draw is the reference for add_noise's in-place one, and the integer
-SplitMix64 loop for the noise stream of gen_instance and the
-experiment's trials; the direct sum of
+one; the integer SplitMix64 loop is the reference for the noise stream
+of add_noise, gen_instance and the experiment's trials, and the
+one-expression scaling of it for add_noise's in-place one; the direct sum of
 the window transform is the reference for its baby-step giant-step
 evaluation.
 Imported by the test modules as ``oracle``.
@@ -21,7 +20,7 @@ import numpy as np
 
 from spfft.dft_core import CountingSpectrumAccessor, log2_length
 from spfft.errors import InvalidOffset, ValidationError
-from spfft.signal_lab import NoiseSpec, _root_sum_squares, philox_rng
+from spfft.signal_lab import NoiseSpec, _root_sum_squares
 from spfft.sparse_exact import _modulus, window_spectrum_sample
 
 
@@ -122,14 +121,13 @@ def reference_window_spectrum_sample(window, first_index: int, freq_index, lengt
 def reference_add_noise(spectrum, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     """signal_lab.add_noise at a finite SNR, drawn and scaled in one expression each.
 
-    The radius is drawn first, then the angle; the unit-disc noise is
-    scaled so that its norm is the spectrum's norm / 10**(snr_db/20).
+    The unit-disc noise is reference_unit_noise(spec.seed) at every
+    index, scaled so that its norm is the spectrum's norm / 10**(snr_db/20).
     add_noise must return the same bytes.
     """
     spectrum = np.asarray(spectrum, dtype=np.complex128)
     n = len(spectrum)
-    rng = philox_rng(spec.seed)
-    unit = np.sqrt(rng.random(n)) * np.exp(1j * (2 * np.pi * rng.random(n)))
+    unit = reference_unit_noise(spec.seed, range(n))
     scale = _root_sum_squares(spectrum) / (_root_sum_squares(unit) * 10 ** (spec.snr_db / 20))
     noise = scale * unit
     return spectrum + noise, noise

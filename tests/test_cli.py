@@ -336,16 +336,36 @@ class TestReadPins:
         ]) == 0
         assert f" samples_used={reads} " in capsys.readouterr().out
 
-    @pytest.mark.parametrize("algorithm", ["exact", "noisy"])
-    def test_a_support_that_cancels_in_the_fold_exits_4(self, tmp_path, capsys, algorithm):
+    @pytest.mark.parametrize(
+        "shift, algorithm",
+        [
+            pytest.param(32, "exact", id="exact"),
+            pytest.param(32, "noisy", id="noisy"),
+            pytest.param(64, "noisy", id="alias64-noisy"),  # cancels in the 2^(L+1) = 64 fold too
+        ],
+    )
+    def test_a_support_that_cancels_in_the_fold_exits_4(self, tmp_path, capsys, shift, algorithm):
         # y - roll(y, 32) cancels in the fold of P = 32 entries, but its odd
         # probes do not read zero; both paths reject it in placement
         y = gen_sparse_signal(65536, 20, 3)[0]
         path = tmp_path / "alias.freq.spf1"
-        write_vector_file(path, fft_forward(y - np.roll(y, 32)), DOMAIN_FREQ)
+        write_vector_file(path, fft_forward(y - np.roll(y, shift)), DOMAIN_FREQ)
         assert main(["reconstruct", str(path), "--m", "20", "--algorithm", algorithm]) == 4
         captured = capsys.readouterr()
         assert "window transform there vanished" in captured.err and captured.out == ""
+
+    def test_mu_is_invariant_under_a_2_pow_minus_600_scale(self, tmp_path, capsys):
+        prefix = tmp_path / "c"
+        assert main(["gen", "--n", "65536", "--m", "20", "--seed", "4", "--out-prefix", str(prefix)]) == 0
+        spectrum = read_vector_file(f"{prefix}.freq.spf1")[0]
+        tiny = tmp_path / "tiny.freq.spf1"
+        write_vector_file(tiny, np.ldexp(spectrum.view(np.float64), -600).view(np.complex128), DOMAIN_FREQ)
+        capsys.readouterr()
+        mus = []
+        for path in (f"{prefix}.freq.spf1", tiny):
+            assert main(["reconstruct", str(path), "--m", "20"]) == 0
+            mus.append(re.search(r"\bmu=\d+", capsys.readouterr().out).group())
+        assert mus[0] == mus[1], f"spectrum scaled by 2^-600 gave {mus[1]}, the original {mus[0]}"
 
 
 class TestRepeatedMain:

@@ -251,6 +251,13 @@ class TestDenseBaselineScore:
         # no length-N array at all: the window, the folds and the probes
         assert self.traced_peak(1 << 22, math.inf, algorithm) < 2**20
 
+    @pytest.mark.parametrize("snr_db", [20.0, math.inf])
+    def test_peak_memory_of_a_baseline_trial(self, snr_db):
+        # truth, spectrum, the dense inverse and its locate copies; the noise array
+        # (zeros at inf) is dropped before the reconstruction: 5.5 arrays, 6.5 if it were held
+        n = 1 << 18
+        assert self.traced_peak(n, snr_db, "ifft-baseline") <= 5.75 * 16 * n
+
     def test_noisy_trial_at_n_2_30(self):
         # a spectrum of 16 GiB, read at a few hundred indices
         n = 1 << 30

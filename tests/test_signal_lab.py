@@ -235,7 +235,7 @@ class TestNoiseStream:
         assert _unit_noise(seed, idx).tobytes() == reference_unit_noise(seed, idx).tobytes()
 
     def test_reads_do_not_depend_on_their_split_or_order(self):
-        n = 1 << 18  # four blocks of gen_instance's noise
+        n = 1 << 18  # many blocks of gen_instance's noise
         draw = _draw_instance(n, 20, 9, 10.0)
         rng = np.random.default_rng(9)
         idx = rng.integers(0, n, 500)
