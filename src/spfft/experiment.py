@@ -1,9 +1,11 @@
 """Reproducible experiment and benchmark harnesses behind the CLI.
 
-Trials run in a thread pool (capped by the SPFFT_THREADS environment
-variable), but every trial owns its own seed, accessor and generator
-stream, and rows are aggregated in (snr, trial) order, so the emitted
-CSV is byte-identical regardless of scheduling.
+Short trials run one after another in the calling thread; trials whose
+transform is long enough to pay for thread start-up run in a thread pool
+(capped by the SPFFT_THREADS environment variable).  Every trial owns its
+own seed, accessor and generator stream, and rows are aggregated in
+(snr, trial) order, so the emitted CSV is byte-identical regardless of
+where the trials ran.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ CSV_HEADER = (
 MEAN_FIELDS = ("err_sparse", "err_ifft", "noise_inf", "noise_l1_over_n", "samples_used", "vectors_used")
 
 BENCH_HEADER = "N,m,algorithm,mean_ns,samples_used"
+
+#: Shortest trial transform run in the pool: 2 workers beat or tied inline noisy and dense trials from here up.
+_POOL_MIN_LENGTH = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -210,8 +215,23 @@ def summarize(records: list[TrialRecord], snr_db: float) -> str:
     return ",".join([_g17(snr_db), str(len(records)), *map(_g17, [pct, *means])])
 
 
+def _transform_length(n: int, m: int, algorithm: str) -> int:
+    """The length of a trial's longest transform: n if it is dense, else the exact fold's P."""
+    if algorithm == "ifft-baseline" or m > n // 4:  # both sparse paths hand m > n/4 to reconstruct_dense
+        return n
+    return 1 << m.bit_length()  # P = 2**ceil_log2(m + 1)
+
+
 def run_experiment(config: ExperimentConfig) -> str:
-    """Run the sweep and render the CSV (header plus one row per SNR)."""
+    """Run the sweep and render the CSV (header plus one row per SNR).
+
+    The trials run in the calling thread, in (snr, trial) order, unless
+    SPFFT_THREADS (or the CPU count) allows more than one worker and a
+    trial's transform (_transform_length) is at least _POOL_MIN_LENGTH
+    long: then a pool of thread_count() workers runs them.  Either way
+    the first failing trial in that order raises its error.
+    """
+    workers = thread_count()  # a bad SPFFT_THREADS fails every sweep, before any trial
     errors = np.geterr()  # the caller's floating-point error handling, which threads do not inherit
 
     def worker(index):
@@ -224,8 +244,12 @@ def run_experiment(config: ExperimentConfig) -> str:
                 config.algorithm,
             )
 
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        results = list(pool.map(worker, range(len(config.snr_list) * config.trials)))
+    indices = range(len(config.snr_list) * config.trials)
+    if workers > 1 and _transform_length(config.n, config.m, config.algorithm) >= _POOL_MIN_LENGTH:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(worker, indices))
+    else:
+        results = list(map(worker, indices))
 
     lines = [CSV_HEADER]
     for si, snr_db in enumerate(config.snr_list):

@@ -2,6 +2,7 @@ import gc
 import math
 import re
 import struct
+import threading
 import warnings
 
 import numpy as np
@@ -336,6 +337,15 @@ class TestReadPins:
         ]) == 0
         assert f" samples_used={reads} " in capsys.readouterr().out
 
+    def test_out_file_round_trips(self, tmp_path, capsys):
+        prefix = tmp_path / "c"
+        assert main(["gen", "--n", "65536", "--m", "20", "--seed", "4", "--out-prefix", str(prefix)]) == 0
+        assert main(["reconstruct", f"{prefix}.freq.spf1", "--m", "20", "--out", str(tmp_path / "out.spf1")]) == 0
+        capsys.readouterr()
+        x = read_vector_file(f"{prefix}.time.spf1")[0]
+        y = read_vector_file(tmp_path / "out.spf1")[0]
+        assert np.max(np.abs(x - y)) <= 1e-9 * np.max(np.abs(x)), "out file does not round-trip"
+
     @pytest.mark.parametrize(
         "shift, algorithm",
         [
@@ -448,14 +458,33 @@ class TestExperimentCommand:
         assert float(row[7]) <= 4 * 5 + 2
 
     def test_overflow_in_a_worker_thread_gives_one_error_line(self, capsys):
-        # noise near the float maximum: the trials' transforms overflow in the pool
-        # threads; the first trial's error, in its grown fold of 32 values, is
-        # reported, as pool.map keeps order (the second trial's names 8 values)
+        # noise near the float maximum: the trials' transforms overflow; these
+        # short trials run in the calling thread, and the first trial's error, in
+        # its grown fold of 32 values, stops the sweep (the second trial's names 8 values)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["experiment", "--n", "64", "--m", "4", "--snr=-6125", "--trials", "2"]) == 2
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr() == ("", "error: window energies of 32 values are not finite\n")
+
+    def test_overflow_in_a_pool_thread_gives_one_error_line(self, monkeypatch, capsys):
+        # dense trials of N = 8192 run in the pool, whose threads get the caller's
+        # floating-point error handling from run_experiment, not from the CLI's errstate
+        real, threads = experiment.run_trial, []
+
+        def recording(*args):
+            threads.append(threading.current_thread() is threading.main_thread())
+            return real(*args)
+
+        monkeypatch.setattr(experiment, "run_trial", recording)
+        monkeypatch.setenv("SPFFT_THREADS", "2")
+        argv = ["experiment", "--n", "8192", "--m", "4", "--snr=-6125", "--trials", "2", "--algorithm", "ifft-baseline"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr() == ("", "error: window energies of 8192 values are not finite\n")
+        assert threads == [False, False]
 
     @pytest.mark.parametrize(
         "threads, message",

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -180,6 +181,71 @@ class TestBaselineExperiment:
         record = run_trial(256, 6, 10.0, 9, "ifft-baseline")
         assert record.err_sparse == record.err_ifft
         assert record.samples_used == 256
+
+
+@pytest.fixture
+def pools(monkeypatch) -> list:
+    """The max_workers of each thread pool run_experiment starts."""
+    started = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "ThreadPoolExecutor", RecordingPool)
+    return started
+
+
+LONG = experiment._POOL_MIN_LENGTH
+SWEEP_OP = ExperimentConfig(1 << 18, 50, (0.0, 10.0, 20.0, math.inf), 1, 7, "noisy")  # perfbench sweep's op
+POOLED = {
+    "dense": ExperimentConfig(LONG, 4, (10.0, 20.0, math.inf), 4, 5, "ifft-baseline"),
+    "sparse": ExperimentConfig(2 * LONG, LONG // 2, (10.0, 20.0, math.inf), 4, 5, "noisy"),  # P = LONG
+}
+
+
+class TestExecutorChoice:
+    """Trials shorter than _POOL_MIN_LENGTH run in the calling thread, longer ones in the pool."""
+
+    def test_the_sweep_op_starts_no_pool(self, monkeypatch, pools):
+        monkeypatch.setenv("SPFFT_THREADS", "2")
+        run_experiment(SWEEP_OP)
+        assert pools == []
+
+    @pytest.mark.parametrize("config", [SWEEP_OP, *POOLED.values()], ids=["sweep-op", *POOLED])
+    def test_one_thread_starts_no_pool(self, monkeypatch, pools, config):
+        monkeypatch.setenv("SPFFT_THREADS", "1")
+        run_experiment(config)
+        assert pools == []
+
+    @pytest.mark.parametrize("shape", list(POOLED))
+    def test_a_long_sweep_starts_one_pool_of_thread_count_workers(self, monkeypatch, pools, shape):
+        monkeypatch.setenv("SPFFT_THREADS", "3")
+        run_experiment(POOLED[shape])
+        assert pools == [3]
+
+    @pytest.mark.parametrize(
+        "n, m, algorithm, length",
+        [
+            (1 << 20, 4, "ifft-baseline", 1 << 20),
+            (64, 17, "noisy", 64),  # m > n/4: the dense fallback
+            (64, 16, "exact", 32),
+            (1 << 20, LONG // 2 - 1, "exact", LONG // 2),
+            (1 << 20, LONG // 2, "noisy", LONG),
+        ],
+    )
+    def test_transform_length(self, n, m, algorithm, length):
+        assert experiment._transform_length(n, m, algorithm) == length
+
+    @pytest.mark.parametrize("shape", list(POOLED))
+    def test_pooled_csv_does_not_depend_on_the_thread_count(self, monkeypatch, pools, shape):
+        outputs = []
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("SPFFT_THREADS", threads)
+            outputs.append(run_experiment(POOLED[shape]))
+        assert pools == [2, 4]
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestDenseBaselineScore:
